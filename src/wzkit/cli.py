@@ -19,12 +19,15 @@ Subcommands:
 Exit codes: 0 all pass, 1 a mathematical failure was found, 2 usage or
 parse errors.  ``--format json`` emits an array of report objects that
 validate against the bundled schema; the text format renders the same
-facts.  ``--jobs`` parallelizes per-n work for oracles and involutions.
+facts.  ``--jobs`` parallelizes per-n work for oracles and involutions;
+a value below 1 is a usage error, and one above the CPUs this process
+may run on is lowered to that count (with a note on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +40,7 @@ from .identities import (LEMMA_IDS, Registry, UnknownIdentityError,
                          boundary_flat_rhs, boundary_flat_sum,
                          boundary_gap, boundary_stepped_rhs,
                          boundary_stepped_sum, check_identity,
-                         corollary_derivations, registry)
+                         corollary_derivations, registry, values)
 from .reports import Failure, Report, exit_code, frac_str, render
 from .symalg import rf_equal
 
@@ -118,6 +121,18 @@ def _oracle_chunk(task) -> list[tuple[int, str, str]]:
 def _involution_task(task):
     model_id, n = task
     return n, inv.check_involution(inv.WordModel(model_id, n))
+
+
+def _effective_jobs(jobs: int, cpus: int | None = None) -> int:
+    """``--jobs`` checked and clamped to the CPUs this process may run on."""
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if cpus is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+    return min(jobs, cpus)
 
 
 def _pmap(fn, tasks, jobs: int):
@@ -284,15 +299,22 @@ def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
 # lemmas
 
 
-def _lemma_sides(name: str, n: int) -> tuple[Fraction, Fraction]:
+def _lemma_sides(reg: Registry, name: str, lo: int, hi: int
+                 ) -> list[tuple[Fraction, Fraction]]:
+    """(lhs, rhs) of lemma ``name`` at n = lo..hi."""
+    ns = range(lo, hi + 1)
     if name == "boundary_flat":
-        return boundary_flat_sum(n), boundary_flat_rhs(n)
+        return [(boundary_flat_sum(n), boundary_flat_rhs(n)) for n in ns]
     if name == "boundary_stepped":
-        return boundary_stepped_sum(n), boundary_stepped_rhs(n)
+        return [(boundary_stepped_sum(n), boundary_stepped_rhs(n)) for n in ns]
     if name == "sum_difference":
-        from .identities import _thm3_eq6_value
-        return (_thm3_eq6_value(n + 1) - _thm3_eq6_value(n), Fraction(2 * (n + 1)))
-    return boundary_gap(n), Fraction(2 * (n + 1) - 3 * 4**n)
+        case = reg.case("thm3_eq6")
+        if lo < case.valid_from:
+            raise UsageError(
+                f"range starts below validFrom={case.valid_from} of {case.case_id}")
+        s = values(case, lo, hi + 1)
+        return [(s[i + 1] - s[i], Fraction(2 * (n + 1))) for i, n in enumerate(ns)]
+    return [(boundary_gap(n), Fraction(2 * (n + 1) - 3 * 4**n)) for n in ns]
 
 
 def _run_lemmas(reg: Registry, rng: tuple[int, int] | None) -> list[Report]:
@@ -301,11 +323,8 @@ def _run_lemmas(reg: Registry, rng: tuple[int, int] | None) -> list[Report]:
         dft = _declared_range(reg, "lemma", name) or (1, 100)
         lo, hi = rng if rng is not None else dft
         t0 = time.perf_counter()
-        failures = []
-        for n in range(lo, hi + 1):
-            lhs, rhs = _lemma_sides(name, n)
-            if lhs != rhs:
-                failures.append(Failure.of(n, lhs, rhs))
+        failures = [Failure.of(n, lhs, rhs) for n, (lhs, rhs)
+                    in enumerate(_lemma_sides(reg, name, lo, hi), lo) if lhs != rhs]
         ms = (time.perf_counter() - t0) * 1000
         out.append(Report(
             command="lemmas", subject_id=name, mode="corrected", range=(lo, hi),
@@ -382,7 +401,7 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
 
     # derivation recipes
     t0 = time.perf_counter()
-    deriv = corollary_derivations()
+    deriv = corollary_derivations(reg=reg)
     bad = [Failure(n, "1", "0") for ns in deriv.values() for n in ns]
     reports.append(_meta("all", "corollary_derivations", (0, 40), not bad,
                          failures=bad, ms=(time.perf_counter() - t0) * 1000))
@@ -473,9 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: list[str]) -> tuple[int, list[Report]]:
     """Parse argv, run, and return (exit code, reports)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _run_parsed(build_parser().parse_args(argv))
+
+
+def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
     try:
+        jobs = _effective_jobs(args.jobs)
+        if jobs < args.jobs:
+            print(f"wzkit: note: --jobs {args.jobs} lowered to the {jobs} "
+                  "available CPUs", file=sys.stderr)
         reg = _runtime_registry(args.spec)
         if args.command == "oracle":
             case = reg.case(args.id, args.mode)
@@ -485,16 +510,16 @@ def run_command(argv: list[str]) -> tuple[int, list[Report]]:
             if rng[0] < case.valid_from:
                 raise UsageError(
                     f"range starts below validFrom={case.valid_from} of {case.case_id}")
-            reports = [_run_oracle(reg, args.id, args.mode, rng, args.jobs)]
+            reports = [_run_oracle(reg, args.id, args.mode, rng, jobs)]
         elif args.command == "verify":
             problem = reg.problem(args.id, args.mode)
             dflt = _declared_range(reg, "verify", problem.problem_id) or (0, 60)
             rng = _pick_range(args, dflt)
             reports = [_run_verify(reg, args.id, args.mode, rng, args.seed,
-                                   args.jobs)]
+                                   jobs)]
         elif args.command == "involution":
             rng = _pick_range(args, _INVOLUTION_DEFAULTS.get(args.id, (0, 5)))
-            reports = [_run_involution(args.id, rng, args.jobs)]
+            reports = [_run_involution(args.id, rng, jobs)]
         elif args.command == "discover":
             reports = [_run_discover(reg, args.id, args.mode, args.order,
                                      args.seed)]
@@ -504,7 +529,7 @@ def run_command(argv: list[str]) -> tuple[int, list[Report]]:
                 rng = _pick_range(args, (1, 100))
             reports = _run_lemmas(reg, rng)
         else:
-            reports = _run_all(reg, args.seed, args.jobs)
+            reports = _run_all(reg, args.seed, jobs)
     except (UnknownIdentityError, UsageError) as exc:
         print(f"wzkit: error: {exc}", file=sys.stderr)
         return 2, []
@@ -518,15 +543,10 @@ def run_command(argv: list[str]) -> tuple[int, list[Report]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = sys.argv[1:] if argv is None else argv
-    code, reports = run_command(raw)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    code, reports = _run_parsed(args)
     if reports:
-        fmt = "text"
-        if "--format=json" in raw:
-            fmt = "json"
-        elif "--format" in raw and raw.index("--format") + 1 < len(raw):
-            fmt = raw[raw.index("--format") + 1]
-        print(render(reports, fmt))
+        print(render(reports, args.format))
     return code
 
 

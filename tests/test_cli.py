@@ -3,7 +3,9 @@ import json
 import jsonschema
 import pytest
 
-from wzkit.cli import run_command
+from wzkit.cli import (UsageError, _effective_jobs, _runtime_registry, main,
+                       run_command)
+from wzkit.identities import corollary_derivations
 from wzkit.reports import render, report_schema
 
 
@@ -74,6 +76,8 @@ def test_malformed_range_exit_two():
     code, _ = run_command(
         ["oracle", "--id", "thm3_eq6", "--n-min", "0", "--n-max", "5"])
     assert code == 2  # below validFrom
+    code, _ = run_command(["lemmas", "--n-min", "0", "--n-max", "3"])
+    assert code == 2  # sum_difference reads thm3_eq6 below its validFrom
 
 
 def test_bad_spec_file_exit_two(tmp_path):
@@ -159,3 +163,50 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         run_command(["oracle"])  # --id is required
     assert exc.value.code == 2
+
+
+def test_spec_overlay_redefines_thm3_eq6(tmp_path):
+    # the literal sign (-1)^(m+k) makes the sum (-1)^(n+1) n(n+1)
+    spec = tmp_path / "thm3.wz"
+    spec.write_text(
+        "term T(n, k, m) := sign(m + k) * binom(n + k + 1, m) * pow(2, m - 1)\n"
+        "sum thm3_eq6(n) := sum(m, 2, 2*n, T) sum(k, 0, floor2(m - 2), T)"
+        " == n^2 + n for n >= 1\n")
+    bundled = ["lemmas", "--n-min", "1", "--n-max", "6"]
+    assert run_command(bundled)[0] == 0
+    code, reports = run_command(bundled + ["--spec", str(spec)])
+    assert code == 1
+    diff = next(r for r in reports if r.subject_id == "sum_difference")
+    assert [f.n for f in diff.failures] == [1, 2, 3, 4, 5, 6]
+    assert (diff.failures[0].lhs, diff.failures[0].rhs) == ("-8", "4")
+    assert all(r.status == "pass" for r in reports if r is not diff)
+    assert run_command(bundled)[0] == 0
+    fails = corollary_derivations(limit=6, reg=_runtime_registry(str(spec)))
+    assert fails == {"cor1": [2, 4, 6], "cor2": [2, 4, 6], "cor3": [],
+                     "cor4": [], "cor5": []}
+    assert not any(corollary_derivations(limit=6).values())
+
+
+def test_format_json_in_every_spelling(capsys):
+    for fmt in (["--form", "json"], ["--format=json"], ["--format", "json"]):
+        assert main(["oracle", "--id", "thm1", "--n-max", "2", *fmt]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [obj["id"] for obj in payload] == ["thm1"], fmt
+
+
+def test_effective_jobs_rejects_and_clamps():
+    for bad in (0, -1, -50):
+        with pytest.raises(UsageError):
+            _effective_jobs(bad, cpus=2)
+    assert _effective_jobs(1, cpus=2) == 1
+    assert _effective_jobs(2, cpus=2) == 2
+    assert _effective_jobs(10**6, cpus=2) == 2
+    assert _effective_jobs(3, cpus=8) == 3
+
+
+def test_jobs_below_one_exit_two(capsys):
+    for jobs in ("0", "-3"):
+        code, reports = run_command(
+            ["oracle", "--id", "thm1", "--n-max", "3", "--jobs", jobs])
+        assert code == 2 and reports == []
+        assert "--jobs must be at least 1" in capsys.readouterr().err

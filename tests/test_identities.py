@@ -2,14 +2,18 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wzkit.dsl import SumDef, parse_document
+from wzkit.exactnum import UnsupportedArgumentError
 from wzkit.identities import (SumBound, boundary_flat_rhs, boundary_flat_sum,
                               boundary_gap, boundary_stepped_rhs,
                               boundary_stepped_sum, check_identity,
                               corollary_derivations, eval_sum,
                               lemma_boundary_flat, lemma_boundary_stepped,
-                              registry, thm3_difference)
-from wzkit.identities import _inner_sum_fast
+                              registry, thm3_difference, values)
+from wzkit.identities import _VALUES, _inner_sum_fast, _line_plan
 from wzkit.symalg import LinearForm
 
 
@@ -28,6 +32,8 @@ def test_eval_sum_examples():
 def test_eval_sum_respects_valid_from():
     with pytest.raises(ValueError):
         eval_sum(registry().case("thm3_eq6"), 0)
+    with pytest.raises(ValueError):
+        values(registry().case("thm3_eq6"), 0, 5)
 
 
 def test_check_identity_small_ranges():
@@ -83,6 +89,105 @@ def test_fast_and_slow_paths_agree():
                 for v in range(lo, hi + 1):
                     slow += case.summand.eval(dict(fixed, **{inner.var: v}))
                 assert fast == slow, (cid, fixed)
+
+
+# ---------------------------------------------------------------------------
+# range evaluation: the Pascal-line walk against per-n eval_sum
+
+_LINE_CASES = ("thm3_eq6", "thm3_printed", "cor1", "cor2", "cor3", "cor4", "cor5")
+
+_SPEC = """
+term W(n, k, m) := sign(k + m) * binom(n + k, m) * binom(n, k) * pow(2, m)
+sum two_binomials(n) := sum(k, 0, n, W) sum(m, 0, n + k, W) == 0 for n >= 0
+term U(n, k, m) := sign(m) * binom(2*n + 2*m, 2*m + k) * pow(2, m)
+sum no_unit(n) := sum(k, 0, n, U) sum(m, 0, floor2(n + k), U) == 0 for n >= 0
+term A(n, k, m) := sign(m + k) * binom(n + k, m) * pow(2, m - 3)
+sum negative_power(n) := sum(k, 0, n, A) sum(m, 0, n + k, A) == 0 for n >= 0
+term B(n, k, m) := sign(k) * binom(2*n + m, m) * pow(3, k)
+sum line_of_n(n) := sum(k, 0, floor2(n), B) sum(m, floor2(k - 3), n - k, B) == 0 for n >= 2
+term C(n, k, m) := binom(m + 3, 2*m - k) * pow(5, 2*m) / 7
+sum slope_two(n) := sum(k, 0, n, C) sum(m, 0, 2*n - k, C) == 0 for n >= 0
+term N1(n, k, m) := sign(k) * binom(m - k, m) * pow(2, m)
+sum negative_top_column(n) := sum(k, 0, n, N1) sum(m, 0, n, N1) == 0 for n >= 0
+term N2(n, k, m) := binom(n - 2*k, m) * pow(3, m + k)
+sum negative_top_row(n) := sum(k, 0, n, N2) sum(m, 0, k, N2) == 0 for n >= 0
+"""
+
+
+def _spec_cases():
+    doc = parse_document(_SPEC)
+    return {d.case.case_id: d.case for d in doc.definitions if isinstance(d, SumDef)}
+
+
+def _per_n(case, lo, hi):
+    return [eval_sum(case, n) for n in range(lo, hi + 1)]
+
+
+def test_line_walk_takes_every_registry_double_sum():
+    reg = registry()
+    for cid in reg.oracle_ids():
+        assert (_line_plan(reg.case(cid)) is not None) == (cid in _LINE_CASES), cid
+
+
+def test_values_match_eval_sum_on_first_30_n():
+    reg = registry()
+    for cid in reg.oracle_ids():
+        case = reg.case(cid)
+        lo = case.valid_from
+        _VALUES.clear()
+        assert values(case, lo, lo + 29) == _per_n(case, lo, lo + 29), cid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_LINE_CASES), st.integers(0, 25), st.integers(0, 12),
+       st.integers(0, 12))
+def test_values_match_eval_sum_on_subranges(cid, start, length, warm_at):
+    case = registry().case(cid)
+    lo = case.valid_from + start
+    hi = lo + length
+    want = _per_n(case, lo, hi)
+    _VALUES.clear()
+    assert values(case, lo, hi) == want  # cold memo
+    assert values(case, lo, hi) == want  # warm memo
+    _VALUES.clear()
+    mid = lo + min(warm_at, length)
+    values(case, mid, mid)
+    assert values(case, lo, hi) == want  # memo with a hole at mid
+
+
+def test_values_fallback_shapes_match_eval_sum():
+    cases = _spec_cases()
+    for cid in ("two_binomials", "no_unit"):
+        case = cases[cid]
+        assert _line_plan(case) is None, cid
+        assert values(case, 0, 12) == _per_n(case, 0, 12), cid
+
+
+def test_line_walk_edge_shapes_match_eval_sum():
+    # a power exponent below 0 where a line starts, a line named by n alone
+    # with inner lower bounds below the binomial's support, and a slope-2
+    # line under a non-unit constant prefactor
+    cases = _spec_cases()
+    for cid in ("negative_power", "line_of_n", "slope_two"):
+        case = cases[cid]
+        assert _line_plan(case) is not None, cid
+        lo = case.valid_from
+        _VALUES.clear()
+        assert values(case, lo, lo + 15) == _per_n(case, lo, lo + 15), cid
+
+
+def test_negative_binomial_top_raises_on_both_paths():
+    cases = _spec_cases()
+    for cid in ("negative_top_column", "negative_top_row"):
+        case = cases[cid]
+        assert _line_plan(case) is not None, cid
+        _VALUES.clear()
+        assert values(case, 0, 0) == [eval_sum(case, 0)]
+        with pytest.raises(UnsupportedArgumentError):
+            eval_sum(case, 1)
+        for lo in (0, 1):
+            with pytest.raises(UnsupportedArgumentError):
+                values(case, lo, 4)
 
 
 def test_clamped_limits_match_printed_limits():
