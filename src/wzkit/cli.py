@@ -272,6 +272,8 @@ def _involution_expectations(model_id: str, n: int, rep: inv.InvolutionReport
 def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
     if ident not in _INVOLUTION_DEFAULTS:
         raise UnknownIdentityError(ident)
+    for n in range(rng[0], rng[1] + 1):  # refuse the range before enumerating
+        inv.WordModel(ident, n).check_size()
     t0 = time.perf_counter()
     results = _pmap(_involution_task,
                     [(ident, n) for n in range(rng[0], rng[1] + 1)], jobs)

@@ -57,6 +57,9 @@ from .wzengine import WZProblem
 class UnknownIdentityError(KeyError):
     """No registry entry under the requested id/mode."""
 
+    def __str__(self) -> str:  # KeyError would print only the quoted id
+        return f"unknown id {self.args[0]!r}"
+
 
 # ---------------------------------------------------------------------------
 # case types

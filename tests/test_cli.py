@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from wzkit import involution as inv
 from wzkit.cli import (UsageError, _effective_jobs, _runtime_registry, main,
                        run_command)
 from wzkit.identities import corollary_derivations
@@ -66,6 +67,30 @@ def test_verify_corrected_exit_zero():
 
 def test_unknown_id_exit_two():
     code, reports = run_command(["oracle", "--id", "nonsense"])
+    assert code == 2 and reports == []
+
+
+@pytest.mark.parametrize("argv, ident", [
+    (["involution", "--id", "thm4"], "thm4"),
+    (["oracle", "--id", "nonsense"], "nonsense"),
+])
+def test_unknown_id_message(capsys, argv, ident):
+    code, reports = run_command(argv)
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == f"wzkit: error: unknown id '{ident}'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["involution", "--id", "thm1", "--n-min", "8", "--n-max", "9"],
+    ["involution", "--id", "thm1", "--n-min", "8", "--n-max", "9", "--jobs", "2"],
+    ["involution", "--id", "thm3", "--n-min", "0", "--n-max", "2"],
+])
+def test_involution_range_refused_before_enumerating(monkeypatch, argv):
+    def enumerate_nothing(model):
+        raise AssertionError(f"enumerated {model} before checking the range")
+
+    monkeypatch.setattr(inv, "check_involution", enumerate_nothing)
+    code, reports = run_command(argv)
     assert code == 2 and reports == []
 
 

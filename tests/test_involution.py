@@ -1,10 +1,15 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wzkit import involution
 from wzkit.exactnum import binomial
 from wzkit.identities import eval_sum, registry
-from wzkit.involution import (SizeLimitError, WordModel, check_involution,
-                              enum_words, scan_involution, sigma, weight,
-                              word_cost)
+from wzkit.involution import (ALPHABET, SizeLimitError, WordModel,
+                              check_involution, enum_words, scan_involution,
+                              sigma, weight, word_cost)
 
 
 def test_weight_examples():
@@ -168,3 +173,102 @@ def test_sigma_known_involutivity_break_at_six():
     rep = check_involution(WordModel("thm3", 6))
     assert ("baababbbb", "bababbbb", "bbabbbb") in rep.involutivity_violations
     assert len(rep.involutivity_violations) == 64
+
+
+# ---------------------------------------------------------------------------
+# fast paths against their naive references
+
+
+def _words_with_counts_reference(n_a, n_other):
+    """The letter-by-letter enumeration the itemgetter path replaced."""
+    if n_a < 0 or n_other < 0:
+        return
+    length = n_a + n_other
+    for positions in itertools.combinations(range(length), n_a):
+        pos = set(positions)
+        slots = [i for i in range(length) if i not in pos]
+        for fill in itertools.product("bc", repeat=n_other):
+            chars = ["a"] * length
+            for i, ch in zip(slots, fill):
+                chars[i] = ch
+            yield "".join(chars)
+
+
+def _contains_reference(model, w):
+    """Membership with the per-letter alphabet test and ``word_cost``."""
+    if any(ch not in ALPHABET for ch in w):
+        return False
+    if model.model_id in ("thm1", "thm2"):
+        return word_cost(w) == model.cost
+    k = len(w) - (model.n + 1)
+    if not 0 <= k <= model.n - 1:
+        return False
+    return (len(w) - w.count("a")) >= 2 * k + 2
+
+
+_SMALL_MODELS = ([WordModel("thm1", n) for n in range(0, 6)]
+                 + [WordModel("thm2", n) for n in range(-1, 6)]
+                 + [WordModel("thm3", n) for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 0), (0, 1), (2, 3), (3, 0),
+                                   (-1, 0), (0, -1), (-1, -2), (-2, 4)])
+def test_words_with_counts_matches_reference_on_edge_shapes(shape):
+    assert (list(involution._words_with_counts(*shape))
+            == list(_words_with_counts_reference(*shape)))
+
+
+def test_stratum_words_match_reference(monkeypatch):
+    fast = {(m, k): list(m.stratum_words(k))
+            for m in _SMALL_MODELS for k in m.strata()}
+    monkeypatch.setattr(involution, "_words_with_counts",
+                        _words_with_counts_reference)
+    for (model, k), words in fast.items():
+        assert words == list(model.stratum_words(k)), (model, k)
+
+
+@given(st.text(alphabet="abcx", max_size=14))
+def test_contains_matches_reference(w):
+    for model in _SMALL_MODELS:
+        assert model.contains(w) == _contains_reference(model, w), (model, w)
+
+
+# ---------------------------------------------------------------------------
+# every per-word check still fires
+
+
+def _scan_then_reverse(w):
+    img = scan_involution(w)
+    return None if img is None else img[::-1]
+
+
+@pytest.mark.parametrize("broken, kind", [
+    (lambda w: w + "b", "closure"),            # cost grows by one
+    (lambda w: w[::-1], "sign"),               # same cost, same weight
+    (_scan_then_reverse, "involutivity"),      # cost kept, sign flipped
+])
+def test_each_check_records_its_own_violations(monkeypatch, broken, kind):
+    model = WordModel("thm2", 3)
+    words = list(enum_words(model))
+    closure, sign, involutivity = [], [], []
+    for w in words:
+        img = broken(w)
+        if img is None:
+            continue
+        if not _contains_reference(model, img):
+            closure.append((w, img))
+            continue
+        if weight(img) != -weight(w):
+            sign.append((w, img))
+        back = broken(img)
+        if back is not None and _contains_reference(model, back) and back != w:
+            involutivity.append((w, img, back))
+    expected = {"closure": closure, "sign": sign, "involutivity": involutivity}
+    assert expected[kind] and all(v == [] for k, v in expected.items() if k != kind)
+
+    monkeypatch.setattr(involution, "scan_involution", broken)
+    rep = check_involution(model)
+    assert rep.closure_violations == closure
+    assert rep.sign_violations == sign
+    assert rep.involutivity_violations == involutivity
+    assert rep.total_words == len(words)
