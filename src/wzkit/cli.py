@@ -12,16 +12,20 @@ Subcommands:
                      Gosper.
 * ``lemmas``      -- the boundary lemmas, the sum difference, and the
                      documented telescoping gap.
-* ``all``         -- the full acceptance suite with expected outcomes
-                     (a literal variant that fails as expected counts as
-                     meeting its expectation).
+* ``all``         -- every ``check`` line of the registry, in
+                     declaration order grouped by kind, plus the
+                     corollary derivations and certificate discovery; a
+                     target aliased only in literal mode must fail the
+                     way its erratum says.
 
 Exit codes: 0 all pass, 1 a mathematical failure was found, 2 usage or
 parse errors.  ``--format json`` emits an array of report objects that
 validate against the bundled schema; the text format renders the same
-facts.  ``--jobs`` parallelizes per-n work for oracles and involutions;
-a value below 1 is a usage error, and one above the CPUs this process
-may run on is lowered to that count (with a note on stderr).
+facts.  A command's default range is the ``check`` line declared for
+its target.  ``--spec`` appends one more document to the bundled ones.
+``--jobs`` parallelizes per-n work for oracles and involutions; a value
+below 1 is a usage error, and one above the CPUs this process may run on
+is lowered to that count (with a note on stderr).
 """
 
 from __future__ import annotations
@@ -31,25 +35,16 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import involution as inv
 from . import wzengine
 from .dsl import ParseError, parse_document
-from .identities import (LEMMA_IDS, Registry, UnknownIdentityError,
-                         boundary_flat_rhs, boundary_flat_sum,
-                         boundary_gap, boundary_stepped_rhs,
-                         boundary_stepped_sum, check_identity,
-                         corollary_derivations, registry, values)
+from .identities import (DERIVATION_LIMIT, LEMMAS, IdentityCase, RangeError,
+                         Registry, UnknownIdentityError, build_registry,
+                         check_identity, corollary_derivations, registry)
 from .reports import Failure, Report, exit_code, frac_str, render
 from .symalg import rf_equal
 
-VARIANT_MODE = {
-    "thm3_printed": "literal",
-    "wz_thm1_literal": "literal",
-}
-
-_INVOLUTION_DEFAULTS = {"thm1": (0, 7), "thm2": (-1, 7), "thm3": (1, 6)}
 _EXTRA_VAR_GRID = (2, 10)  # symbolic leftover variables get this value range
 
 
@@ -67,37 +62,26 @@ def _runtime_registry(spec_path: str | None) -> Registry:
         return reg
     with open(spec_path, encoding="utf-8") as fh:
         doc = parse_document(fh.read())
-    from . import dsl
-    from .identities import _WZ_META  # overlay keeps per-id metadata
-    cases = dict(reg.cases)
-    problems = dict(reg.problems)
-    checks = list(reg.checks)
-    for d in doc.definitions:
-        if isinstance(d, dsl.SumDef):
-            cases[d.case.case_id] = d.case
-        elif isinstance(d, dsl.RecurrenceDef):
-            meta = _WZ_META.get(d.name, {})
-            problems[d.name] = wzengine.WZProblem(
-                problem_id=d.name,
-                term=doc.terms[d.term_name].term,
-                shift_var=d.shift_var,
-                sum_var=d.sum_var,
-                coeffs=d.coeffs,
-                certificate=doc.certs[d.cert_name].rf,
-                base_case=meta.get("base_case"),
-                errata=tuple(meta.get("errata", ())),
-            )
-        elif isinstance(d, dsl.CheckDef):
-            checks.append(d)
-    return Registry(reg.documents + ((spec_path, doc),), cases, problems,
-                    tuple(checks))
+    return build_registry(reg.documents + ((spec_path, doc),))
 
 
-def _declared_range(reg: Registry, kind: str, target: str) -> tuple[int, int] | None:
-    for c in reg.checks:
-        if c.kind == kind and c.target == target and c.range is not None:
-            return c.range
-    return None
+def _check_range(reg: Registry, kind: str, target: str) -> tuple[int, int]:
+    """The range of ``target``'s check line, else the command's default."""
+    check = reg.checks.get((kind, target))
+    if check is not None and check.range is not None:
+        return check.range
+    if kind == "oracle":
+        lo = reg.cases[target].valid_from
+        return lo, lo + 100
+    return {"verify": (0, 60), "involution": (0, 5), "lemma": (1, 100)}[kind]
+
+
+def _meta(command: str, subject: str, rng: tuple[int, int], ok: bool,
+          failures: list[Failure] | None = None, errata: list[str] | None = None,
+          ms: float = 0.0) -> Report:
+    return Report(command=command, subject_id=subject, mode="corrected",
+                  range=rng, status="pass" if ok else "fail",
+                  failures=failures or [], errata=errata or [], ms=ms)
 
 
 def _pick_range(args, default: tuple[int, int]) -> tuple[int, int]:
@@ -153,9 +137,8 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
 # oracle
 
 
-def _run_oracle(reg: Registry, ident: str, mode: str, rng: tuple[int, int],
-                jobs: int) -> Report:
-    case = reg.case(ident, mode)
+def _run_oracle(reg: Registry, case: IdentityCase, mode: str,
+                rng: tuple[int, int], jobs: int) -> Report:
     t0 = time.perf_counter()
     # only bundled cases can be re-fetched inside worker processes
     if jobs > 1 and registry().cases.get(case.case_id) is case:
@@ -167,7 +150,7 @@ def _run_oracle(reg: Registry, ident: str, mode: str, rng: tuple[int, int],
     ms = (time.perf_counter() - t0) * 1000
     return Report(
         command="oracle", subject_id=case.case_id,
-        mode=VARIANT_MODE.get(case.case_id, mode), range=rng,
+        mode=reg.mode_of("sum", case.case_id, mode), range=rng,
         status="pass" if not failures else "fail",
         failures=failures, errata=list(case.errata), ms=ms)
 
@@ -188,9 +171,8 @@ def _extra_grid(problem: wzengine.WZProblem) -> list[dict[str, int]]:
     return grids
 
 
-def _run_verify(reg: Registry, ident: str, mode: str, rng: tuple[int, int],
-                seed: int, jobs: int, mutations: int = 20) -> Report:
-    problem = reg.problem(ident, mode)
+def _run_verify(reg: Registry, problem: wzengine.WZProblem, mode: str,
+                rng: tuple[int, int], seed: int, mutations: int = 20) -> Report:
     t0 = time.perf_counter()
     failures: list[Failure] = []
     errata = list(problem.errata)
@@ -232,7 +214,7 @@ def _run_verify(reg: Registry, ident: str, mode: str, rng: tuple[int, int],
     ms = (time.perf_counter() - t0) * 1000
     return Report(
         command="verify", subject_id=problem.problem_id,
-        mode=VARIANT_MODE.get(problem.problem_id, mode), range=rng,
+        mode=reg.mode_of("recurrence", problem.problem_id, mode), range=rng,
         status="pass" if cert.status and not failures else "fail",
         failures=failures, errata=errata, ms=ms)
 
@@ -241,36 +223,8 @@ def _run_verify(reg: Registry, ident: str, mode: str, rng: tuple[int, int],
 # involution
 
 
-def _involution_expectations(model_id: str, n: int, rep: inv.InvolutionReport
-                             ) -> list[Failure]:
-    bad: list[Failure] = []
-    if model_id in ("thm1", "thm2"):
-        want = 2 * n + 2 if model_id == "thm1" else 2 * n + 3
-        if rep.fixed_signed_sum != want:
-            bad.append(Failure.of(n, rep.fixed_signed_sum, want))
-        if rep.total_signed_sum != want:
-            bad.append(Failure.of(n, rep.total_signed_sum, want))
-        model = inv.WordModel(model_id, n)
-        for k, count in rep.stratum_counts.items():
-            expected = model.expected_stratum_count(k)
-            if count != expected:
-                bad.append(Failure.of(n, count, expected))
-    else:
-        expected_fixed = 2 * n * (n + 1)
-        if rep.fixed_count != expected_fixed:
-            bad.append(Failure.of(n, rep.fixed_count, expected_fixed))
-        want_sum = expected_fixed * (-1 if n % 2 == 0 else 1)  # weight (-1)^(n+1)
-        if rep.fixed_signed_sum != want_sum:
-            bad.append(Failure.of(n, rep.fixed_signed_sum, want_sum))
-    violations = (len(rep.closure_violations) + len(rep.involutivity_violations)
-                  + len(rep.sign_violations))
-    if violations:
-        bad.append(Failure.of(n, violations, 0))
-    return bad
-
-
 def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
-    if ident not in _INVOLUTION_DEFAULTS:
+    if ident not in inv.MODELS:
         raise UnknownIdentityError(ident)
     for n in range(rng[0], rng[1] + 1):  # refuse the range before enumerating
         inv.WordModel(ident, n).check_size()
@@ -280,7 +234,7 @@ def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
     failures: list[Failure] = []
     errata: list[str] = []
     for n, rep in sorted(results, key=lambda r: r[0]):
-        failures.extend(_involution_expectations(ident, n, rep))
+        failures += [Failure.of(*bad) for bad in inv.unmet_expectations(rep)]
         if not rep.clean:
             sample = ""
             if rep.closure_violations:
@@ -290,171 +244,115 @@ def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
                 f"{ident} n={n}: {len(rep.closure_violations)} closure, "
                 f"{len(rep.involutivity_violations)} involutivity, "
                 f"{len(rep.sign_violations)} sign violations{sample}")
-    ms = (time.perf_counter() - t0) * 1000
-    return Report(
-        command="involution", subject_id=ident, mode="corrected", range=rng,
-        status="pass" if not failures else "fail",
-        failures=failures, errata=errata, ms=ms)
+    return _meta("involution", ident, rng, not failures, failures, errata,
+                 (time.perf_counter() - t0) * 1000)
 
 
 # ---------------------------------------------------------------------------
 # lemmas
 
 
-def _lemma_sides(reg: Registry, name: str, lo: int, hi: int
-                 ) -> list[tuple[Fraction, Fraction]]:
-    """(lhs, rhs) of lemma ``name`` at n = lo..hi."""
-    ns = range(lo, hi + 1)
-    if name == "boundary_flat":
-        return [(boundary_flat_sum(n), boundary_flat_rhs(n)) for n in ns]
-    if name == "boundary_stepped":
-        return [(boundary_stepped_sum(n), boundary_stepped_rhs(n)) for n in ns]
-    if name == "sum_difference":
-        case = reg.case("thm3_eq6")
-        if lo < case.valid_from:
-            raise UsageError(
-                f"range starts below validFrom={case.valid_from} of {case.case_id}")
-        s = values(case, lo, hi + 1)
-        return [(s[i + 1] - s[i], Fraction(2 * (n + 1))) for i, n in enumerate(ns)]
-    return [(boundary_gap(n), Fraction(2 * (n + 1) - 3 * 4**n)) for n in ns]
-
-
-def _run_lemmas(reg: Registry, rng: tuple[int, int] | None) -> list[Report]:
-    out = []
-    for name in LEMMA_IDS:
-        dft = _declared_range(reg, "lemma", name) or (1, 100)
-        lo, hi = rng if rng is not None else dft
-        t0 = time.perf_counter()
-        failures = [Failure.of(n, lhs, rhs) for n, (lhs, rhs)
-                    in enumerate(_lemma_sides(reg, name, lo, hi), lo) if lhs != rhs]
-        ms = (time.perf_counter() - t0) * 1000
-        out.append(Report(
-            command="lemmas", subject_id=name, mode="corrected", range=(lo, hi),
-            status="pass" if not failures else "fail", failures=failures, ms=ms))
-    return out
+def _run_lemma(reg: Registry, name: str, rng: tuple[int, int]) -> Report:
+    t0 = time.perf_counter()
+    failures = [Failure.of(n, lhs, rhs) for n, (lhs, rhs)
+                in enumerate(LEMMAS[name](reg, *rng), rng[0]) if lhs != rhs]
+    return _meta("lemmas", name, rng, not failures, failures,
+                 ms=(time.perf_counter() - t0) * 1000)
 
 
 # ---------------------------------------------------------------------------
 # discover
 
 
-def _run_discover(reg: Registry, ident: str, mode: str, order: int,
-                  seed: int) -> Report:
+def _run_discover(reg: Registry, ident: str, mode: str, order: int) -> Report:
     base = reg.problem(ident, mode)
     t0 = time.perf_counter()
     found = wzengine.discover_certificate(
         base.term, base.shift_var, base.sum_var, order,
         problem_id=f"{base.problem_id}_order{order}")
-    errata: list[str] = []
-    failures: list[Failure] = []
     if found is None:
-        status = "fail"
-        errata.append(f"no order-{order} certificate exists for {base.problem_id}")
+        erratum = f"no order-{order} certificate exists for {base.problem_id}"
+    elif rf_equal(found.certificate, base.certificate):
+        erratum = "discovered certificate matches the registry certificate"
     else:
-        status = "pass"
-        if rf_equal(found.certificate, base.certificate):
-            errata.append("discovered certificate matches the registry certificate")
-        else:
-            errata.append(
-                f"discovered certificate {found.certificate} differs from the "
-                f"registry certificate {base.certificate}")
+        erratum = (f"discovered certificate {found.certificate} differs from the "
+                   f"registry certificate {base.certificate}")
     ms = (time.perf_counter() - t0) * 1000
     return Report(
         command="discover", subject_id=base.problem_id,
-        mode=VARIANT_MODE.get(base.problem_id, mode), range=(order, order),
-        status=status, failures=failures, errata=errata, ms=ms)
+        mode=reg.mode_of("recurrence", base.problem_id, mode), range=(order, order),
+        status="fail" if found is None else "pass", errata=[erratum], ms=ms)
 
 
 # ---------------------------------------------------------------------------
 # the full suite
 
 
-def _meta(command: str, subject: str, rng: tuple[int, int], ok: bool,
-          failures: list[Failure] | None = None, errata: list[str] | None = None,
-          ms: float = 0.0) -> Report:
-    return Report(command=command, subject_id=subject, mode="corrected",
-                  range=rng, status="pass" if ok else "fail",
-                  failures=failures or [], errata=errata or [], ms=ms)
+def _sign_erratum(reg: Registry, name: str, rng: tuple[int, int]) -> Report:
+    """A literal sum that is (-1)^(n+1) times its closed form fails at even n."""
+    t0 = time.perf_counter()
+    case = reg.cases[name]
+    fails = check_identity(case, *rng)
+    even = [n for n in range(rng[0], rng[1] + 1) if n % 2 == 0]
+    ok = ([n for n, _, _ in fails] == even
+          and all(lhs == -rhs for _, lhs, rhs in fails))
+    return _meta("all", f"{name}_fails_at_even_n", rng, ok,
+                 errata=list(case.errata), ms=(time.perf_counter() - t0) * 1000)
+
+
+def _literal_certificate(reg: Registry, name: str) -> Report:
+    """A literal WZ pair must fail its symbolic check with a nonzero residual."""
+    t0 = time.perf_counter()
+    problem = reg.problems[name]
+    cert = wzengine.verify_certificate(problem)
+    ok = not cert.status and not cert.residual.is_zero()
+    return _meta("all", f"{name}_fails", (0, 0), ok, errata=list(problem.errata),
+                 ms=(time.perf_counter() - t0) * 1000)
 
 
 def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
-    reports: list[Report] = []
+    def declared(kind: str, literal: bool = False) -> list[tuple[str, tuple[int, int]]]:
+        """(target, range) of the check lines of ``kind``, literal-only or not."""
+        defs = {"oracle": "sum", "verify": "recurrence"}.get(kind)
+        return [(c.target, _check_range(reg, kind, c.target))
+                for c in reg.checks.values() if c.kind == kind
+                and literal == (defs is not None and
+                                reg.mode_of(defs, c.target, "corrected") == "literal")]
 
-    # oracles expected to pass
-    for ident, dflt in (("thm1", (0, 300)), ("thm2", (-1, 300)),
-                        ("thm3_eq6", (1, 300)), ("cor1", (0, 200)),
-                        ("cor2", (0, 100)), ("cor3", (0, 100)),
-                        ("cor4", (0, 100)), ("cor5", (0, 100)),
-                        ("boundary_flat_case", (1, 200))):
-        rng = _declared_range(reg, "oracle", ident) or dflt
-        reports.append(_run_oracle(reg, ident, "corrected", rng, jobs))
-
-    # the literal thm3 form must fail at exactly the even n
-    t0 = time.perf_counter()
-    rng = _declared_range(reg, "oracle", "thm3_printed") or (1, 100)
-    case = reg.case("thm3_printed")
-    fails = check_identity(case, *rng)
-    expected = {n for n in range(rng[0], rng[1] + 1) if n % 2 == 0}
-    ok = ({n for n, _, _ in fails} == expected
-          and all(lhs == (-1) ** (n + 1) * n * (n + 1) for n, lhs, _ in fails))
-    reports.append(_meta(
-        "all", "thm3_printed_fails_at_even_n", rng, ok,
-        errata=list(case.errata), ms=(time.perf_counter() - t0) * 1000))
+    reports = [_run_oracle(reg, reg.cases[t], "corrected", rng, jobs)
+               for t, rng in declared("oracle")]
+    reports += [_sign_erratum(reg, t, rng) for t, rng in declared("oracle", True)]
 
     # derivation recipes
     t0 = time.perf_counter()
     deriv = corollary_derivations(reg=reg)
     bad = [Failure(n, "1", "0") for ns in deriv.values() for n in ns]
-    reports.append(_meta("all", "corollary_derivations", (0, 40), not bad,
-                         failures=bad, ms=(time.perf_counter() - t0) * 1000))
+    reports.append(_meta("all", "corollary_derivations", (0, DERIVATION_LIMIT),
+                         not bad, failures=bad, ms=(time.perf_counter() - t0) * 1000))
 
-    # lemmas
-    reports.extend(_run_lemmas(reg, None))
+    reports += [_run_lemma(reg, t, rng) for t, rng in declared("lemma")]
+    reports += [_run_verify(reg, reg.problems[t], "corrected", rng, seed)
+                for t, rng in declared("verify")]
+    reports += [_literal_certificate(reg, t) for t, _ in declared("verify", True)]
 
-    # certificates expected to verify
-    for ident in ("wz_thm2", "wz_thm1_corrected", "wz_thm3"):
-        rng = _declared_range(reg, "verify", ident) or (0, 60)
-        reports.append(_run_verify(reg, ident, "corrected", rng, seed, jobs))
-
-    # the literal thm1 pair must fail with a nonzero residual
+    # discovery: order 1 recovers the thm1 and thm2 certificates, order 0 none
     t0 = time.perf_counter()
-    lit = reg.problem("thm1", "literal")
-    cert = wzengine.verify_certificate(lit)
-    ok = not cert.status and not cert.residual.is_zero()
-    reports.append(_meta("all", "wz_thm1_literal_fails", (0, 0), ok,
-                         errata=list(lit.errata),
-                         ms=(time.perf_counter() - t0) * 1000))
-
-    # discovery
-    t0 = time.perf_counter()
-    okd, errd = [], []
-    corrected = reg.problem("thm1", "corrected")
-    d1 = wzengine.discover_certificate(corrected.term, corrected.shift_var,
-                                       corrected.sum_var, 1)
-    okd.append(d1 is not None and rf_equal(d1.certificate, corrected.certificate)
-               and [rf_equal(c, e) for c, e in zip(d1.coeffs, corrected.coeffs)]
-               == [True, True])
-    if not okd[-1]:
+    errd = []
+    thm1, thm2 = reg.problem("thm1"), reg.problem("thm2")
+    d1 = wzengine.discover_certificate(thm1.term, thm1.shift_var, thm1.sum_var, 1)
+    if not (d1 is not None and rf_equal(d1.certificate, thm1.certificate)
+            and [rf_equal(c, e) for c, e in zip(d1.coeffs, thm1.coeffs)] == [True, True]):
         errd.append("order-1 discovery on thm1 did not match the corrected certificate")
-    thm2 = reg.problem("thm2", "corrected")
     d2 = wzengine.discover_certificate(thm2.term, thm2.shift_var, thm2.sum_var, 1)
-    okd.append(d2 is not None and rf_equal(d2.certificate, thm2.certificate))
-    if not okd[-1]:
+    if not (d2 is not None and rf_equal(d2.certificate, thm2.certificate)):
         errd.append("order-1 discovery on thm2 did not recover the stated certificate")
-    d0 = wzengine.discover_certificate(corrected.term, corrected.shift_var,
-                                       corrected.sum_var, 0)
-    okd.append(d0 is None)
-    if not okd[-1]:
+    d0 = wzengine.discover_certificate(thm1.term, thm1.shift_var, thm1.sum_var, 0)
+    if d0 is not None:
         errd.append("order-0 discovery on thm1 should be no-solution")
-    reports.append(_meta("all", "discovery", (0, 1), all(okd), errata=errd,
+    reports.append(_meta("all", "discovery", (0, 1), not errd, errata=errd,
                          ms=(time.perf_counter() - t0) * 1000))
 
-    # involutions
-    for ident in ("thm1", "thm2", "thm3"):
-        rng = (_declared_range(reg, "involution", ident)
-               or _INVOLUTION_DEFAULTS[ident])
-        reports.append(_run_involution(ident, rng, jobs))
-
+    reports += [_run_involution(t, rng, jobs) for t, rng in declared("involution")]
     return reports
 
 
@@ -506,33 +404,23 @@ def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
         reg = _runtime_registry(args.spec)
         if args.command == "oracle":
             case = reg.case(args.id, args.mode)
-            dflt = (_declared_range(reg, "oracle", case.case_id)
-                    or (case.valid_from, case.valid_from + 100))
-            rng = _pick_range(args, dflt)
-            if rng[0] < case.valid_from:
-                raise UsageError(
-                    f"range starts below validFrom={case.valid_from} of {case.case_id}")
-            reports = [_run_oracle(reg, args.id, args.mode, rng, jobs)]
+            rng = _pick_range(args, _check_range(reg, "oracle", case.case_id))
+            reports = [_run_oracle(reg, case, args.mode, rng, jobs)]
         elif args.command == "verify":
             problem = reg.problem(args.id, args.mode)
-            dflt = _declared_range(reg, "verify", problem.problem_id) or (0, 60)
-            rng = _pick_range(args, dflt)
-            reports = [_run_verify(reg, args.id, args.mode, rng, args.seed,
-                                   jobs)]
+            rng = _pick_range(args, _check_range(reg, "verify", problem.problem_id))
+            reports = [_run_verify(reg, problem, args.mode, rng, args.seed)]
         elif args.command == "involution":
-            rng = _pick_range(args, _INVOLUTION_DEFAULTS.get(args.id, (0, 5)))
+            rng = _pick_range(args, _check_range(reg, "involution", args.id))
             reports = [_run_involution(args.id, rng, jobs)]
         elif args.command == "discover":
-            reports = [_run_discover(reg, args.id, args.mode, args.order,
-                                     args.seed)]
+            reports = [_run_discover(reg, args.id, args.mode, args.order)]
         elif args.command == "lemmas":
-            rng = None
-            if args.n_min is not None or args.n_max is not None:
-                rng = _pick_range(args, (1, 100))
-            reports = _run_lemmas(reg, rng)
+            reports = [_run_lemma(reg, name, _pick_range(args, _check_range(reg, "lemma", name)))
+                       for name in LEMMAS]
         else:
             reports = _run_all(reg, args.seed, jobs)
-    except (UnknownIdentityError, UsageError) as exc:
+    except (UnknownIdentityError, UsageError, RangeError) as exc:
         print(f"wzkit: error: {exc}", file=sys.stderr)
         return 2, []
     except (ParseError, OSError) as exc:

@@ -12,12 +12,15 @@ The grammar (free-form whitespace, ``#`` line comments):
                 | "(" polyExpr ")" | polyAtom
     certDef    := "cert" NAME "(" params ")" ":=" ratExpr
     sumDef     := "sum" NAME "(" NAME ")" ":=" sumCall [ sumCall ]
-                  "==" closedForm [ "for" NAME ">=" SINT ]
+                  "==" closedForm [ "for" NAME ">=" SINT ] { clause }
     sumCall    := "sum" "(" NAME "," bound "," bound "," NAME ")"
     bound      := linear | "floor2" "(" linear ")"
     recDef     := "recurrence" NAME "(" NAME "," NAME ")" ":="
                   "[" ratExpr { "," ratExpr } "]" "*" NAME "cert" NAME
+                  { clause | "base" SINT "==" SINT }
+    clause     := "erratum" STRING | "as" NAME [ "literal" | "corrected" ]
     checkDef   := "check" KIND NAME [ "[" SINT "," SINT "]" ]
+    STRING     := '"' { any character except '"' and newline } '"'
 
 ``sign(e)`` denotes (-1)^e and ``floor2(e)`` denotes floor(e/2).  In a
 nested sumDef the outer call comes first and both calls name the same
@@ -27,8 +30,16 @@ rational constants, ``pow(INT, param)`` and ``sign(param)``; they fold
 into the canonical sum-of-(poly * base^n * (-1)^(parity*n)) shape.
 Recurrence coefficients may only mention the shift variable.
 
+Clauses hold a definition's own facts: each ``erratum`` says what a
+literal statement gets wrong or a corrected one changed; ``base n0 == v``
+is a recurrence's S(n0) = v; ``as ID MODE`` makes public id ``ID`` in
+``MODE`` (both modes if omitted) resolve to the definition.  They land
+in the sum's ``IdentityCase`` or the recurrence's ``WZProblem``, and the
+printer writes them back.
+
 Every error -- lexical, syntactic, resolution, arity -- carries the
-1-based line and column where it was detected.
+1-based line and column where it was detected; an input nested past the
+interpreter's recursion limit is reported at the start of its statement.
 """
 
 from __future__ import annotations
@@ -37,13 +48,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hyperterm import HyperTerm
-from .identities import LEMMA_IDS, ClosedForm, IdentityCase, Loop, SumBound
+from .identities import LEMMAS, ClosedForm, IdentityCase, Loop, SumBound
+from .involution import MODELS
 from .symalg import LinearForm, MultiPoly, RationalFunction
+from .wzengine import WZProblem
 
 KEYWORDS = {"term", "cert", "sum", "recurrence", "check", "for",
-            "binom", "pow", "sign", "floor2"}
+            "binom", "pow", "sign", "floor2", "erratum", "base", "as"}
 CHECK_KINDS = {"oracle", "verify", "involution", "lemma"}
-INVOLUTION_MODELS = {"thm1", "thm2", "thm3"}
+MODES = ("literal", "corrected")
+#: largest ``^`` exponent, and largest pow exponent in a closed form, that
+#: a document may write; each is expanded while parsing
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -60,7 +76,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # NAME, INT, SYM, EOF
+    kind: str  # NAME, INT, STRING, SYM, EOF
     text: str
     line: int
     col: int
@@ -88,13 +104,25 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("integer literal too long", line, col) from None
             out.append(Token("INT", text[i:j], line, col))
             col += j - i
             i = j
+            continue
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i:j]:
+                raise ParseError("unterminated string", line, col)
+            out.append(Token("STRING", text[i + 1:j], line, col))
+            col += j + 1 - i
+            i = j + 1
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -179,18 +207,18 @@ class CertDef:
 @dataclass(frozen=True)
 class SumDef:
     name: str
-    case: IdentityCase
+    case: IdentityCase  # carries the errata
     term_name: str
+    aliases: tuple = ()  # ``as`` clauses: (public id, mode or None for both)
 
 
 @dataclass(frozen=True)
 class RecurrenceDef:
     name: str
-    shift_var: str
-    sum_var: str
-    coeffs: tuple[RationalFunction, ...]
+    problem: WZProblem  # carries the errata and the base case
     term_name: str
     cert_name: str
+    aliases: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -198,9 +226,6 @@ class CheckDef:
     kind: str
     target: str
     range: tuple[int, int] | None
-
-
-Definition = TermDef | CertDef | SumDef | RecurrenceDef | CheckDef
 
 
 @dataclass
@@ -266,8 +291,8 @@ class _Parser:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+            found = t.text if t.kind != "EOF" else "end of input"
+            raise ParseError(f"expected {want!r}, found {found!r}", t.line, t.col)
         return self.advance()
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
@@ -317,6 +342,8 @@ class _Parser:
         if t.kind == "SYM" and t.text == "^":
             self.advance()
             e = self.expect("INT")
+            if int(e.text) > MAX_EXPONENT:
+                raise self.error(f"exponent above {MAX_EXPONENT}", e)
             return EBin("^", node, ENum(int(e.text), e.line, e.col), t.line, t.col)
         return node
 
@@ -341,7 +368,8 @@ class _Parser:
             node = self.parse_expr()
             self.expect("SYM", ")")
             return node
-        raise self.error(f"expected an expression, found {t.text or 'end of input'!r}")
+        found = t.text if t.kind != "EOF" else "end of input"
+        raise self.error(f"expected an expression, found {found!r}")
 
     def parse_signed_int(self) -> int:
         neg = self.accept("SYM", "-") is not None
@@ -352,23 +380,21 @@ class _Parser:
 
     def parse_document(self) -> SpecDocument:
         doc = SpecDocument()
+        statements = {"term": self.parse_term_def, "cert": self.parse_cert_def,
+                      "sum": self.parse_sum_def,
+                      "recurrence": self.parse_recurrence_def,
+                      "check": self.parse_check_def}
         while self.peek().kind != "EOF":
             t = self.peek()
             if t.kind != "NAME":
                 raise self.error(f"expected a statement keyword, found {t.text!r}")
-            if t.text == "term":
-                doc.add(self.parse_term_def(doc))
-            elif t.text == "cert":
-                doc.add(self.parse_cert_def(doc))
-            elif t.text == "sum":
-                doc.add(self.parse_sum_def(doc))
-            elif t.text == "recurrence":
-                doc.add(self.parse_recurrence_def(doc))
-            elif t.text == "check":
-                doc.add(self.parse_check_def(doc))
-            else:
+            if t.text not in statements:
                 raise self.error(
                     f"expected term/cert/sum/recurrence/check, found {t.text!r}")
+            try:
+                doc.add(statements[t.text](doc))
+            except RecursionError:
+                raise self.error("statement nested too deeply", t) from None
         return doc
 
     def _def_name(self, doc: SpecDocument) -> Token:
@@ -378,6 +404,40 @@ class _Parser:
         if t.text in doc.names():
             raise self.error(f"duplicate definition of {t.text!r}", t)
         return t
+
+    def _clauses(self, with_base: bool):
+        """Trailing clauses: (errata, aliases, base case or None)."""
+        errata: list[str] = []
+        aliases: list[tuple[str, str | None]] = []
+        base = None
+        while True:
+            t = self.peek()
+            if t.kind != "NAME":
+                break
+            if t.text == "erratum":
+                self.advance()
+                errata.append(self.expect("STRING").text)
+            elif t.text == "as":
+                self.advance()
+                ident = self.expect("NAME")
+                if ident.text in KEYWORDS:
+                    raise self.error(f"{ident.text!r} is a reserved word", ident)
+                mode = None
+                if self.peek().kind == "NAME" and self.peek().text in MODES:
+                    mode = self.advance().text
+                aliases.append((ident.text, mode))
+            elif t.text == "base":
+                if not with_base:
+                    raise self.error("a base case belongs to a recurrence")
+                if base is not None:
+                    raise self.error("second base clause")
+                self.advance()
+                n0 = self.parse_signed_int()
+                self.expect("SYM", "==")
+                base = (n0, Fraction(self.parse_signed_int()))
+            else:
+                break
+        return tuple(errata), tuple(aliases), base
 
     def _params(self) -> tuple[str, ...]:
         self.expect("SYM", "(")
@@ -464,11 +524,12 @@ class _Parser:
             raise self.error(
                 f"term {term_name!r} has parameters {tdef.params}, "
                 f"expected {tuple(sorted(expected))}", ref_tok)
+        errata, aliases, _ = self._clauses(with_base=False)
         loops = tuple(Loop(c[0], c[1], c[2]) for c in calls)
         case = IdentityCase(
             case_id=name.text, param=param, loops=loops,
-            summand=tdef.term, rhs=rhs, valid_from=valid_from)
-        return SumDef(name.text, case, term_name)
+            summand=tdef.term, rhs=rhs, valid_from=valid_from, errata=errata)
+        return SumDef(name.text, case, term_name, aliases)
 
     def parse_recurrence_def(self, doc: SpecDocument) -> RecurrenceDef:
         self.expect("NAME", "recurrence")
@@ -492,13 +553,19 @@ class _Parser:
         cert_tok = self.expect("NAME")
         if cert_tok.text not in doc.certs:
             raise self.error(f"undefined cert {cert_tok.text!r}", cert_tok)
-        tparams = doc.terms[term_tok.text].params
+        term = doc.terms[term_tok.text].term
         for v in (shift_var, sum_var):
-            if v not in tparams:
+            if v not in term.variables:
                 raise self.error(
                     f"term {term_tok.text!r} has no parameter {v!r}", term_tok)
-        return RecurrenceDef(name.text, shift_var, sum_var, tuple(coeffs),
-                             term_tok.text, cert_tok.text)
+        errata, aliases, base = self._clauses(with_base=True)
+        problem = WZProblem(
+            problem_id=name.text, term=term, shift_var=shift_var,
+            sum_var=sum_var, coeffs=tuple(coeffs),
+            certificate=doc.certs[cert_tok.text].rf, base_case=base,
+            errata=errata)
+        return RecurrenceDef(name.text, problem, term_tok.text, cert_tok.text,
+                             aliases)
 
     def parse_check_def(self, doc: SpecDocument) -> CheckDef:
         self.expect("NAME", "check")
@@ -516,9 +583,9 @@ class _Parser:
         elif kind == "verify":
             known = set(doc.recurrences)
         elif kind == "involution":
-            known = INVOLUTION_MODELS
+            known = set(MODELS)
         else:
-            known = set(LEMMA_IDS)
+            known = set(LEMMAS)
         if target not in known:
             raise self.error(
                 f"{kind} check names unknown target {target!r}", target_tok)
@@ -661,6 +728,9 @@ def _cf_eval(node, param: str) -> _CF:
             if a < 0:
                 raise ParseError("pow exponent must be nondecreasing in the parameter",
                                  node.line, node.col)
+            if max(a, abs(b)) > MAX_EXPONENT:
+                raise ParseError(f"pow exponent coefficient above {MAX_EXPONENT}",
+                                 node.line, node.col)
             scale = Fraction(base) ** b
             return _CF({(base**a, 0): MultiPoly.const(scale)})
         exp = _to_linear(node.args[0], {param}) if len(node.args) == 1 else None
@@ -764,18 +834,14 @@ def parse_document(text: str) -> SpecDocument:
 parse_spec = parse_document
 
 
-def _linear_str(lf: LinearForm) -> str:
-    return str(lf)
-
-
 def _term_str(t: HyperTerm) -> str:
     parts: list[str] = []
     if t.sign_exp.coeffs or t.sign_exp.const:
-        parts.append(f"sign({_linear_str(t.sign_exp)})")
+        parts.append(f"sign({t.sign_exp})")
     for base, exp in t.powers:
-        parts.append(f"pow({base}, {_linear_str(exp)})")
+        parts.append(f"pow({base}, {exp})")
     for top, bottom in t.binomials:
-        parts.append(f"binom({_linear_str(top)}, {_linear_str(bottom)})")
+        parts.append(f"binom({top}, {bottom})")
     if not (t.prefactor.num == MultiPoly.const(1)) or not parts:
         parts.append(f"({t.prefactor.num})")
     s = " * ".join(parts)
@@ -804,8 +870,16 @@ def _closed_form_str(cf: ClosedForm) -> str:
 
 def _bound_str(b: SumBound) -> str:
     if b.kind == "floored-half":
-        return f"floor2({_linear_str(b.form)})"
-    return _linear_str(b.form)
+        return f"floor2({b.form})"
+    return str(b.form)
+
+
+def _clauses_str(errata, base, aliases) -> str:
+    out = [f'erratum "{e}"' for e in errata]
+    if base is not None:
+        out.append(f"base {base[0]} == {base[1]}")
+    out += [f"as {ident} {mode}" if mode else f"as {ident}" for ident, mode in aliases]
+    return "".join(f"\n    {c}" for c in out)
 
 
 def print_document(doc: SpecDocument) -> str:
@@ -823,12 +897,15 @@ def print_document(doc: SpecDocument) -> str:
                 f"{d.term_name})" for lp in case.loops)
             lines.append(
                 f"sum {d.name}({case.param}) := {calls} == "
-                f"{_closed_form_str(case.rhs)} for {case.param} >= {case.valid_from}")
+                f"{_closed_form_str(case.rhs)} for {case.param} >= {case.valid_from}"
+                + _clauses_str(case.errata, None, d.aliases))
         elif isinstance(d, RecurrenceDef):
-            coeffs = ", ".join(_rf_str(c) for c in d.coeffs)
+            p = d.problem
+            coeffs = ", ".join(_rf_str(c) for c in p.coeffs)
             lines.append(
-                f"recurrence {d.name}({d.shift_var}, {d.sum_var}) := "
-                f"[{coeffs}] * {d.term_name} cert {d.cert_name}")
+                f"recurrence {d.name}({p.shift_var}, {p.sum_var}) := "
+                f"[{coeffs}] * {d.term_name} cert {d.cert_name}"
+                + _clauses_str(p.errata, p.base_case, d.aliases))
         elif isinstance(d, CheckDef):
             rng = f" [{d.range[0]}, {d.range[1]}]" if d.range else ""
             lines.append(f"check {d.kind} {d.target}{rng}")

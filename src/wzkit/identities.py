@@ -33,20 +33,21 @@ evaluation whenever the running value is zero or a ratio denominator
 vanishes.  The line walk, the incremental path and plain term
 evaluation are checked against each other in the test suite.
 
-The registry itself ships as DSL files under ``data/``; the two
-boundary lemmas whose summands step by floor(m/2) live here as direct
-summations -- the DSL's binomial arguments are deliberately affine-only.
-Several registry entries exist in literal and corrected variants
-because the literal statements fail; the aliases map a public id plus a
-mode to the concrete entry and the errata strings name what was fixed.
+The registry is built by ``build_registry`` from parsed DSL documents:
+the bundled files under ``data/``, then any ``--spec`` overlay.  Each
+definition brings its own facts (errata, base case, public-id aliases)
+as DSL clauses, and a later document replaces earlier definitions,
+aliases and check ranges.  The boundary lemmas whose summands step by
+floor(m/2) live here as direct summations -- the DSL's binomial
+arguments are deliberately affine-only -- in the one table ``LEMMAS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import binomial
 from .hyperterm import HyperTerm
@@ -59,6 +60,10 @@ class UnknownIdentityError(KeyError):
 
     def __str__(self) -> str:  # KeyError would print only the quoted id
         return f"unknown id {self.args[0]!r}"
+
+
+class RangeError(ValueError):
+    """A parameter below the ``valid_from`` of the identity asked for."""
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ def _inner_sum(t: HyperTerm, fixed: Mapping[str, int], var: str,
 def eval_sum(case: IdentityCase, n: int) -> Fraction:
     """Exact nested summation at parameter value ``n`` (empty ranges give 0)."""
     if n < case.valid_from:
-        raise ValueError(
+        raise RangeError(
             f"{case.case_id} is asserted for {case.param} >= {case.valid_from}, got {n}")
     outer: dict[str, int] = {case.param: n}
     if len(case.loops) == 1:
@@ -408,11 +413,11 @@ def _value_key(case: IdentityCase) -> tuple:
 def values(case: IdentityCase, lo: int, hi: int) -> list[Fraction]:
     """Exact sums of ``case`` at n = lo..hi, memoized per (case value, n).
 
-    Raises like ``eval_sum``: ``ValueError`` below ``valid_from`` and
+    Raises like ``eval_sum``: ``RangeError`` below ``valid_from`` and
     ``UnsupportedArgumentError`` for a negative binomial top.
     """
     if lo < case.valid_from:
-        raise ValueError(
+        raise RangeError(
             f"{case.case_id} is asserted for {case.param} >= {case.valid_from}, got {lo}")
     memo = _VALUES.setdefault(_value_key(case), {})
     todo = [n for n in range(lo, hi + 1) if n not in memo]
@@ -430,7 +435,7 @@ def check_identity(case: IdentityCase, lo: int, hi: int
                    ) -> list[tuple[int, Fraction, Fraction]]:
     """All (n, lhs, rhs) where the sum disagrees with the closed form."""
     if lo < case.valid_from:
-        raise ValueError(
+        raise RangeError(
             f"range starts below validFrom={case.valid_from} of {case.case_id}")
     failures = []
     for n, lhs in enumerate(values(case, lo, hi), lo):
@@ -459,11 +464,6 @@ def boundary_flat_rhs(n: int) -> Fraction:
     return Fraction(1 + _sgn(n), 2) - (n + 1) * _sgn(n)
 
 
-def lemma_boundary_flat(n: int) -> bool:
-    """Closed form of the flat-top boundary sum, exact equality."""
-    return boundary_flat_sum(n) == boundary_flat_rhs(n)
-
-
 def boundary_stepped_sum(n: int) -> Fraction:
     """sum_{m=2}^{2n} binom(n+floor(m/2)+1, m) 2^(m-1) (-1)^(m+floor(m/2)+n+1)."""
     return Fraction(sum(
@@ -476,41 +476,69 @@ def boundary_stepped_rhs(n: int) -> Fraction:
             + (n + 1) - (n + 1) * _sgn(n) - 2 ** (2 * n))
 
 
-def lemma_boundary_stepped(n: int) -> bool:
-    """Closed form of the stepped-top boundary sum, exact equality."""
-    return boundary_stepped_sum(n) == boundary_stepped_rhs(n)
-
-
-def thm3_difference(n: int) -> bool:
-    """S(n+1) - S(n) = 2(n+1) for the reversed-order thm3 sum."""
-    s0, s1 = values(registry().case("thm3_eq6"), n, n + 1)
-    return s1 - s0 == 2 * (n + 1)
-
-
 def boundary_gap(n: int) -> Fraction:
-    """Stepped-top minus flat-top boundary sums.
+    """Stepped-top minus flat-top boundary sums; it equals 2(n+1) - 3*4^n.
 
-    The one-line telescoping bookkeeping would make this equal
-    S(n+1) - S(n) = 2(n+1); the actual value is 2(n+1) - 3*4^n.  The
-    gap is documented and asserted, not repaired: the final difference
-    claim is verified directly by ``thm3_difference``.
+    Telescoping thm3_eq6's double sum S(n) one step in n leaves these two
+    boundary sums, and the one-line bookkeeping would make their
+    difference S(n+1) - S(n) = 2(n+1).  The missing 3*4^n is exactly the
+    two terms that S(n+1) gains when m's range grows from 2n to 2n+2:
+    4^n at (m, k) = (2n+1, n-1) and 2*4^n at (2n+2, n).  The lemma report
+    pins the value 2(n+1) - 3*4^n; ``thm3_difference`` checks the
+    difference of the sums directly.
     """
     return boundary_stepped_sum(n) - boundary_flat_sum(n)
 
 
-LEMMA_IDS: dict[str, Callable[[int], bool]] = {
-    "boundary_flat": lemma_boundary_flat,
-    "boundary_stepped": lemma_boundary_stepped,
-    "sum_difference": thm3_difference,
-    "boundary_gap": lambda n: boundary_gap(n) == 2 * (n + 1) - 3 * 4**n,
+def _sum_difference(reg: Registry, lo: int, hi: int
+                    ) -> list[tuple[Fraction, Fraction]]:
+    s = values(reg.case("thm3_eq6"), lo, hi + 1)
+    return [(s[i + 1] - s[i], Fraction(2 * (n + 1)))
+            for i, n in enumerate(range(lo, hi + 1))]
+
+
+def _per_n(lhs: Callable[[int], Fraction], rhs: Callable[[int], Fraction]):
+    return lambda _reg, lo, hi: [(lhs(n), rhs(n)) for n in range(lo, hi + 1)]
+
+
+#: the lemmas: name -> (registry, lo, hi) -> [(lhs, rhs) at n = lo..hi]
+LEMMAS: dict[str, Callable[[Registry, int, int], list[tuple[Fraction, Fraction]]]] = {
+    "boundary_flat": _per_n(boundary_flat_sum, boundary_flat_rhs),
+    "boundary_stepped": _per_n(boundary_stepped_sum, boundary_stepped_rhs),
+    "sum_difference": _sum_difference,
+    "boundary_gap": _per_n(boundary_gap, lambda n: Fraction(2 * (n + 1) - 3 * 4**n)),
 }
+
+
+def _lemma_holds(name: str, n: int) -> bool:
+    ((lhs, rhs),) = LEMMAS[name](registry(), n, n)
+    return lhs == rhs
+
+
+def lemma_boundary_flat(n: int) -> bool:
+    """Closed form of the flat-top boundary sum, exact equality."""
+    return _lemma_holds("boundary_flat", n)
+
+
+def lemma_boundary_stepped(n: int) -> bool:
+    """Closed form of the stepped-top boundary sum, exact equality."""
+    return _lemma_holds("boundary_stepped", n)
+
+
+def thm3_difference(n: int) -> bool:
+    """S(n+1) - S(n) = 2(n+1) for the reversed-order thm3 sum."""
+    return _lemma_holds("sum_difference", n)
 
 
 # ---------------------------------------------------------------------------
 # derivation cross-checks for the corollaries
 
 
-def corollary_derivations(limit: int = 40, reg: Registry | None = None
+#: the n range [0, DERIVATION_LIMIT] that ``corollary_derivations`` checks
+DERIVATION_LIMIT = 40
+
+
+def corollary_derivations(limit: int = DERIVATION_LIMIT, reg: Registry | None = None
                           ) -> dict[str, list[int]]:
     """Re-derive each corollary from theorem oracle values; list mismatches.
 
@@ -550,112 +578,68 @@ def corollary_derivations(limit: int = 40, reg: Registry | None = None
 # registry
 
 
-ORACLE_ALIASES = {
-    ("thm3", "literal"): "thm3_printed",
-    ("thm3", "corrected"): "thm3_eq6",
-}
-
-PROBLEM_ALIASES = {
-    ("thm1", "literal"): "wz_thm1_literal",
-    ("thm1", "corrected"): "wz_thm1_corrected",
-    ("thm2", "literal"): "wz_thm2",
-    ("thm2", "corrected"): "wz_thm2",
-    ("thm3", "literal"): "wz_thm3",
-    ("thm3", "corrected"): "wz_thm3",
-}
-
-_CASE_ERRATA = {
-    "thm3_printed": (
-        "literal double sum with sign (-1)^(m+k) equals (-1)^(n+1) n(n+1), "
-        "failing against n(n+1) at every even n; the reversed-order form "
-        "with sign (-1)^(m+k+n+1) (see thm3_eq6) is the consistent one",
-    ),
-}
-
-_WZ_META: dict[str, dict] = {
-    "wz_thm1_literal": dict(
-        base_case=(0, Fraction(1)),
-        errata=(
-            "literal pair: plus-sign recurrence F(n+1,k) + F(n,k) with "
-            "certificate -k(2k+1)/((n+1-k)(n+2)) does not telescope "
-            "(witness n=2, k=1: lhs -14/3 vs boundary difference 46/3)",
-            "literal summand sign (-1)^(k+n+1) makes S(0) = -1, not the "
-            "claimed S(0) = 1",
-        ),
-    ),
-    "wz_thm1_corrected": dict(
-        base_case=(0, Fraction(1)),
-        errata=(
-            "corrected variant: recurrence sign flipped to "
-            "F(n+1,k) - F(n,k), certificate sign flipped to "
-            "+k(2k+1)/((n+1-k)(n+2)), summand sign corrected to (-1)^(k+n)",
-        ),
-    ),
-    "wz_thm2": dict(base_case=(-1, Fraction(1)), errata=()),
-    "wz_thm3": dict(base_case=None, errata=()),
-}
+#: the bundled documents, in the paper's order
+BUNDLED = ("thm1.wz", "thm2.wz", "thm3.wz", "corollaries.wz", "lemmas.wz",
+           "involutions.wz")
 
 
 @dataclass(eq=False)
 class Registry:
-    documents: tuple
+    documents: tuple  # (name, SpecDocument) pairs, in the order applied
     cases: dict[str, IdentityCase]
     problems: dict[str, WZProblem]
-    checks: tuple
+    #: (kind, public id, mode) -> definition name; kind is "sum" or "recurrence"
+    aliases: dict[tuple[str, str, str], str]
+    #: (check kind, target) -> CheckDef, in declaration order
+    checks: dict[tuple[str, str], object]
 
     def case(self, ident: str, mode: str = "corrected") -> IdentityCase:
-        key = ORACLE_ALIASES.get((ident, mode), ident)
+        key = self.aliases.get(("sum", ident, mode), ident)
         if key not in self.cases:
             raise UnknownIdentityError(ident)
         return self.cases[key]
 
     def problem(self, ident: str, mode: str = "corrected") -> WZProblem:
-        key = PROBLEM_ALIASES.get((ident, mode), ident)
+        key = self.aliases.get(("recurrence", ident, mode), ident)
         if key not in self.problems:
             raise UnknownIdentityError(ident)
         return self.problems[key]
 
+    def mode_of(self, kind: str, name: str, mode: str) -> str:
+        """``literal`` for a definition aliased only in literal mode, else ``mode``."""
+        modes = {m for (k, _, m), target in self.aliases.items()
+                 if k == kind and target == name}
+        return "literal" if modes == {"literal"} else mode
+
     def oracle_ids(self) -> list[str]:
         return sorted(self.cases)
 
-    def problem_ids(self) -> list[str]:
-        return sorted(self.problems)
+
+def build_registry(documents: Sequence[tuple[str, object]]) -> Registry:
+    """Fold parsed (name, SpecDocument) pairs in order into one registry."""
+    cases: dict[str, IdentityCase] = {}
+    problems: dict[str, WZProblem] = {}
+    aliases: dict[tuple[str, str, str], str] = {}
+    checks: dict[tuple[str, str], object] = {}
+    for _, doc in documents:
+        cases.update((d.name, d.case) for d in doc.sums.values())
+        problems.update((d.name, d.problem) for d in doc.recurrences.values())
+        for kind, defs in (("sum", doc.sums), ("recurrence", doc.recurrences)):
+            for d in defs.values():
+                for ident, mode in d.aliases:
+                    for m in (mode,) if mode else ("literal", "corrected"):
+                        aliases[(kind, ident, m)] = d.name
+        checks.update(((c.kind, c.target), c) for c in doc.checks)
+    return Registry(tuple(documents), cases, problems, aliases, checks)
 
 
 @lru_cache(maxsize=1)
 def registry() -> Registry:
-    """Parse the bundled DSL files into the in-memory registry (cached)."""
+    """The registry of the bundled DSL files (parsed once)."""
     from importlib.resources import files
 
     from . import dsl  # deferred: dsl imports this module's types
 
-    docs = []
     data = files("wzkit").joinpath("data")
-    for entry in sorted(data.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".wz"):
-            docs.append((entry.name, dsl.parse_document(entry.read_text())))
-    cases: dict[str, IdentityCase] = {}
-    problems: dict[str, WZProblem] = {}
-    checks = []
-    for _, doc in docs:
-        for d in doc.definitions:
-            if isinstance(d, dsl.SumDef):
-                case = d.case
-                if case.case_id in _CASE_ERRATA:
-                    case = replace(case, errata=_CASE_ERRATA[case.case_id])
-                cases[case.case_id] = case
-            elif isinstance(d, dsl.RecurrenceDef):
-                meta = _WZ_META.get(d.name, {})
-                problems[d.name] = WZProblem(
-                    problem_id=d.name,
-                    term=doc.terms[d.term_name].term,
-                    shift_var=d.shift_var,
-                    sum_var=d.sum_var,
-                    coeffs=d.coeffs,
-                    certificate=doc.certs[d.cert_name].rf,
-                    base_case=meta.get("base_case"),
-                    errata=tuple(meta.get("errata", ())),
-                )
-            elif isinstance(d, dsl.CheckDef):
-                checks.append(d)
-    return Registry(tuple(docs), cases, problems, tuple(checks))
+    return build_registry([(name, dsl.parse_document(data.joinpath(name).read_text()))
+                           for name in BUNDLED])

@@ -31,6 +31,7 @@ from typing import Iterator
 from .exactnum import binomial
 
 ALPHABET = ("a", "b", "c")
+MODELS = ("thm1", "thm2", "thm3")
 
 #: words are plain strings over the three-letter alphabet
 Word = str
@@ -66,7 +67,7 @@ class WordModel:
     n: int
 
     def __post_init__(self):
-        if self.model_id not in ("thm1", "thm2", "thm3"):
+        if self.model_id not in MODELS:
             raise ValueError(f"unknown model {self.model_id!r}")
 
     @property
@@ -283,3 +284,33 @@ def check_involution(model: WordModel) -> InvolutionReport:
         rep.stratum_counts[k] = count
         rep.total_words += count
     return rep
+
+
+def unmet_expectations(rep: InvolutionReport) -> list[tuple[int, int, int]]:
+    """(n, got, want) for each count of ``rep`` that misses the paper's claim.
+
+    Scan models: fixed and total signed sums 2n+2 (thm1) or 2n+3 (thm2) and
+    binomial stratum sizes; thm3: 2n(n+1) fixed words of weight (-1)^(n+1).
+    Violations of any kind add (n, their number, 0).
+    """
+    n = rep.n
+    bad: list[tuple[int, int, int]] = []
+    if rep.model_id in ("thm1", "thm2"):
+        want = 2 * n + 2 if rep.model_id == "thm1" else 2 * n + 3
+        bad += [(n, got, want) for got in (rep.fixed_signed_sum, rep.total_signed_sum)
+                if got != want]
+        model = WordModel(rep.model_id, n)
+        bad += [(n, count, model.expected_stratum_count(k))
+                for k, count in rep.stratum_counts.items()
+                if count != model.expected_stratum_count(k)]
+    else:
+        fixed = 2 * n * (n + 1)
+        bad += [(n, got, want) for got, want in (
+            (rep.fixed_count, fixed),
+            (rep.fixed_signed_sum, -fixed if n % 2 == 0 else fixed))
+            if got != want]
+    violations = (len(rep.closure_violations) + len(rep.involutivity_violations)
+                  + len(rep.sign_violations))
+    if violations:
+        bad.append((n, violations, 0))
+    return bad

@@ -45,7 +45,7 @@ from .hyperterm import HyperTerm, SupportBound, lower_support, upper_support
 from .symalg import MultiPoly, RationalFunction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WZProblem:
     """A term, a recurrence sum_j a_j F(n+j, k), and a certificate R."""
 

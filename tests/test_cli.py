@@ -6,7 +6,7 @@ import pytest
 from wzkit import involution as inv
 from wzkit.cli import (UsageError, _effective_jobs, _runtime_registry, main,
                        run_command)
-from wzkit.identities import corollary_derivations
+from wzkit.identities import corollary_derivations, registry
 from wzkit.reports import render, report_schema
 
 
@@ -235,3 +235,72 @@ def test_jobs_below_one_exit_two(capsys):
             ["oracle", "--id", "thm1", "--n-max", "3", "--jobs", jobs])
         assert code == 2 and reports == []
         assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+_THM1_AGAIN = ("term T(n, k) := sign(n + k) * binom(n + k + 1, 2*k + 1) * pow(2, 2*k)\n"
+               "sum thm1(n) := sum(k, 0, n, T) == n + 1 for n >= 0\n")
+
+
+def test_spec_overlay_check_ranges_replace_bundled(tmp_path):
+    spec = tmp_path / "thm1.wz"
+    spec.write_text(_THM1_AGAIN + "check oracle thm1 [0, 5]\n"
+                    "check involution thm1 [0, 2]\n"
+                    "check lemma boundary_gap [1, 3]\n")
+    overlay = ["--spec", str(spec)]
+    code, reports = run_command(["oracle", "--id", "thm1", *overlay])
+    assert code == 0 and reports[0].range == (0, 5)
+    code, reports = run_command(["involution", "--id", "thm1", *overlay])
+    assert code == 0 and reports[0].range == (0, 2)
+    code, reports = run_command(["lemmas", *overlay])
+    assert code == 0
+    assert {r.subject_id: r.range for r in reports} == {
+        "boundary_flat": (1, 200), "boundary_stepped": (1, 200),
+        "sum_difference": (1, 200), "boundary_gap": (1, 3)}
+
+
+def test_spec_overlay_redefinition_keeps_only_its_own_erratum(tmp_path):
+    spec = tmp_path / "thm3.wz"
+    spec.write_text(
+        "term T(n, k, m) := sign(m + k) * binom(n + k + 1, m) * pow(2, m - 1)\n"
+        "sum thm3_printed(n) := sum(k, 0, n - 1, T) sum(m, 2*k + 2, n + 1 + k, T)"
+        " == n^2 + n for n >= 1\n"
+        '    erratum "overlay: the sign is (-1)^(n+1) times the closed form"\n')
+    for ident, mode in (("thm3_printed", "corrected"), ("thm3", "literal")):
+        # the bundled (thm3, literal) alias now reaches the overlay's sum
+        code, reports = run_command(
+            ["oracle", "--id", ident, "--mode", mode, "--n-max", "4",
+             "--spec", str(spec)])
+        rep = reports[0]
+        assert code == 1 and rep.subject_id == "thm3_printed"
+        assert rep.mode == "literal"
+        assert rep.errata == [
+            "overlay: the sign is (-1)^(n+1) times the closed form"]
+        assert [f.n for f in rep.failures] == [2, 4]
+
+
+def test_spec_overlay_redefined_pair_inherits_no_bundled_facts(tmp_path):
+    spec = tmp_path / "wz.wz"
+    spec.write_text(
+        "term F(n, k) := binom(n + k + 1, 2*k + 1) * pow(2, 2*k) * sign(k + n)"
+        " / (n + 2)\n"
+        "cert R(n, k) := (k*(2*k + 1)) / ((n + 1 - k)*(n + 2))\n"
+        "recurrence wz_thm1_corrected(n, k) := [-1, 1] * F cert R\n")
+    reg = _runtime_registry(str(spec))
+    problem = reg.problem("thm1")  # the alias survives the redefinition
+    assert problem.problem_id == "wz_thm1_corrected"
+    assert problem.errata == () and problem.base_case is None
+    assert reg.problem("thm1", "literal").errata  # bundled pair untouched
+    assert registry().problem("thm1").base_case == (0, 1)
+
+
+@pytest.mark.parametrize("text", [
+    'sum s(n) := sum(k, 0, n, T) == 1\n    erratum "no closing quote\n',
+    'erratum "out of place"\n',
+    "term A(n) := (n)\nas thm1\n",
+])
+def test_bad_clause_spec_exit_two(tmp_path, capsys, text):
+    spec = tmp_path / "bad.wz"
+    spec.write_text(text)
+    code, reports = run_command(["oracle", "--id", "thm1", "--spec", str(spec)])
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err.startswith("wzkit: spec error: ")

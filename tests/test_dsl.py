@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzkit.dsl import (ParseError, SpecDocument, parse_document,
                        parse_spec, print_document)
@@ -156,3 +158,117 @@ def test_registry_bundles_parse():
     reg = registry()
     assert len(reg.documents) >= 5
     assert "thm1" in reg.cases and "wz_thm2" in reg.problems
+
+
+# ---------------------------------------------------------------------------
+# trailing clauses: erratum, base, as
+
+
+_PAIR = ("term F(n, k) := binom(n + k, k) * pow(2, k) / (n + 1)\n"
+         "cert R(n, k) := k / (n + 1)\n")
+
+
+def test_clauses_land_in_the_problem_and_the_case():
+    doc = parse_document(
+        _PAIR + "recurrence w(n, k) := [-1, 1] * F cert R\n"
+        '  as pub  erratum "first: (-1)^(n+1) # not a comment"  base -1 == -3\n'
+        '  erratum ""  as pub2 literal\n'
+        "term T(n, k) := binom(n, k)\n"
+        'sum s(n) := sum(k, 0, n, T) == pow(2, n) erratum "x" as s2 corrected\n')
+    rec = doc.recurrences["w"]
+    assert rec.problem.errata == ("first: (-1)^(n+1) # not a comment", "")
+    assert rec.problem.base_case == (-1, Fraction(-3))
+    assert rec.aliases == (("pub", None), ("pub2", "literal"))
+    assert doc.sums["s"].case.errata == ("x",)
+    assert doc.sums["s"].aliases == (("s2", "corrected"),)
+    printed = print_document(doc)
+    assert parse_document(printed) == doc
+    assert 'erratum "first: (-1)^(n+1) # not a comment"' in printed
+
+
+def test_clause_changes_break_document_equality():
+    base = _PAIR + "recurrence w(n, k) := [-1, 1] * F cert R"
+    docs = [parse_document(base + tail) for tail in (
+        "", ' erratum "a"', " base 0 == 1", " base 0 == 2", " as w1",
+        " as w1 literal")]
+    assert all(a != b for i, a in enumerate(docs) for b in docs[i + 1:])
+
+
+@pytest.mark.parametrize("text, line, col, words", [
+    ('erratum "x"\n', 1, 1, "expected term"),
+    (_PAIR + 'recurrence w(n, k) := [1] * F cert R erratum "a\nb"\n', 3, 46,
+     "unterminated string"),
+    (_PAIR + 'recurrence w(n, k) := [1] * F cert R erratum "open', 3, 46,
+     "unterminated string"),
+    (_PAIR + "recurrence w(n, k) := [1] * F cert R erratum x\n", 3, 46, "STRING"),
+    (_PAIR + "recurrence w(n, k) := [1] * F cert R base 0 == 1 base 1 == 1\n",
+     3, 50, "second base"),
+    (_PAIR + "recurrence w(n, k) := [1] * F cert R base 0 == 1/2\n", 3, 49,
+     "statement keyword"),
+    ("term T(n, k) := binom(n, k)\nsum s(n) := sum(k, 0, n, T) == 1 base 0 == 1\n",
+     2, 34, "belongs to a recurrence"),
+    ("term T(n, k) := binom(n, k)\nsum s(n) := sum(k, 0, n, T) == 1 as sum\n",
+     2, 37, "reserved"),
+    ("term A(n) := (n)^65\n", 1, 18, "exponent above"),
+    ("term A(n) := (n) * \u00b2\n", 1, 20, "unexpected character"),
+    ("term A(n) := (n) * " + "9" * 5000 + "\n", 1, 20, "too long"),
+    ("term A(n) := " + "(" * 400 + "n" + ")" * 400 + "\n", 1, 1,
+     "nested too deeply"),
+])
+def test_clause_and_guard_errors_carry_positions(text, line, col, words):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert words in err.value.message
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any text parses or raises ParseError with a position
+
+
+_FUZZ_TOKENS = (
+    "term", "cert", "sum", "recurrence", "check", "for", "binom", "pow",
+    "sign", "floor2", "erratum", "base", "as", "literal", "corrected",
+    "oracle", "verify", "involution", "lemma", "n", "k", "m", "T", "R", "w",
+    "thm1", "boundary_gap", "0", "1", "2", "12", "99999999999999999999",
+    ":=", "==", ">=", "(", ")", "[", "]", ",", "+", "-", "*", "/", "^",
+    '"', '"x"', '"a b"', '"no end', '"a\nb"', "\n", " ", "\t", "# c\n",
+    "\u00b2", "\u00e9", "@", "'",
+)
+_FUZZ_DOCS = (
+    "term T(n, k) := sign(n + k) * binom(n + k + 1, 2*k + 1) * pow(2, 2*k)\n"
+    'sum s(n) := sum(k, 0, n, T) == n + 1 for n >= 0 erratum "e" as thm1 literal\n'
+    "check oracle s [0, 5]\ncheck lemma boundary_gap [1, 3]\n",
+    _PAIR + 'recurrence w(n, k) := [-1, 1] * F cert R erratum "a b" base 0 == 2\n'
+    "  as thm2\ncheck verify w\ncheck involution thm3 [1, 2]\n",
+)
+_fuzz_atom = st.one_of(st.sampled_from(_FUZZ_TOKENS), st.text(max_size=4))
+
+
+@st.composite
+def _fuzz_text(draw):
+    """A well-formed document with a few words inserted, dropped or replaced."""
+    base = draw(st.sampled_from(_FUZZ_DOCS + tuple(sorted(_bundled_texts().values()))))
+    words = base.split(" ")
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(("insert", "drop", "replace")))
+        if edit == "insert" or at == len(words):
+            words.insert(at, draw(_fuzz_atom))
+        elif edit == "drop":
+            del words[at]
+        else:
+            words[at] = draw(_fuzz_atom)
+    return " ".join(words)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_fuzz_text(), st.lists(_fuzz_atom, max_size=30).map(" ".join)))
+def test_parse_document_fuzz(text):
+    try:
+        doc = parse_document(text)
+    except ParseError as err:
+        assert 1 <= err.line <= text.count("\n") + 1
+        assert err.col >= 1
+    else:
+        assert parse_document(print_document(doc)) == doc

@@ -253,6 +253,16 @@ def test_gap_plus_growth_recovers_difference():
         assert boundary_gap(n) + 3 * 4**n == 2 * (n + 1)
 
 
+def test_gap_is_the_two_new_edge_terms_of_the_next_sum():
+    # S(n+1) gains m in {2n+1, 2n+2}; its terms there make up the gap
+    summand = registry().case("thm3_eq6").summand
+    for n in range(1, 60):
+        edge = (summand.eval({"n": n + 1, "m": 2 * n + 1, "k": n - 1})
+                + summand.eval({"n": n + 1, "m": 2 * n + 2, "k": n}))
+        assert edge == 3 * 4**n
+        assert boundary_gap(n) + edge == 2 * (n + 1)
+
+
 # ---------------------------------------------------------------------------
 # corollary derivation recipes
 
