@@ -1,29 +1,36 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands, each with the options it reads:
 
 * ``oracle``      -- exact range check of a registry identity.
+                     ``--id --mode --n-min --n-max --spec --format --jobs``
 * ``verify``      -- certificate check plus the full proof pipeline
                      (boundaries, base case, summed and prefix
                      cross-checks, seeded mutation sensitivity).
+                     ``--id --mode --n-min --n-max --spec --format --seed``
 * ``involution``  -- exhaustive word-model checks, violations reported
                      verbatim.
+                     ``--id --n-min --n-max --spec --format --jobs``
 * ``discover``    -- order-J certificate discovery via parameterized
-                     Gosper.
+                     Gosper.  ``--id --mode --order --spec --format``
 * ``lemmas``      -- the boundary lemmas, the sum difference, and the
                      documented telescoping gap.
+                     ``--n-min --n-max --spec --format``
 * ``all``         -- every ``check`` line of the registry, in
                      declaration order grouped by kind, plus the
                      corollary derivations and certificate discovery; a
                      target aliased only in literal mode must fail the
-                     way its erratum says.
+                     way its erratum says.  ``--spec --format --jobs --seed``
 
-Exit codes: 0 all pass, 1 a mathematical failure was found, 2 usage or
-parse errors.  ``--format json`` emits an array of report objects that
-validate against the bundled schema; the text format renders the same
-facts.  A command's default range is the ``check`` line declared for
-its target.  ``--spec`` appends one more document to the bundled ones.
-``--jobs`` parallelizes per-n work for oracles and involutions; a value
+An option a subcommand does not read is a usage error.  Exit codes: 0
+all pass, 1 a mathematical failure was found, 2 usage or parse errors,
+or an argument outside what the engine supports (a parameter below an
+identity's ``valid_from``, a negative binomial top in a ``--spec`` sum).
+``--format json`` emits an array of report objects that validate
+against the bundled schema; the text format renders the same facts.  A
+command's default range is the ``check`` line declared for its target.
+``--spec`` appends one more document to the bundled ones.  ``--jobs``
+parallelizes per-n work for oracles, involutions and ``all``; a value
 below 1 is a usage error, and one above the CPUs this process may run on
 is lowered to that count (with a note on stderr).
 """
@@ -39,6 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import involution as inv
 from . import wzengine
 from .dsl import ParseError, parse_document
+from .exactnum import UnsupportedArgumentError
 from .identities import (DERIVATION_LIMIT, LEMMAS, IdentityCase, RangeError,
                          Registry, UnknownIdentityError, build_registry,
                          check_identity, corollary_derivations, registry)
@@ -360,33 +368,40 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
 # argument parsing and dispatch
 
 
+#: each subcommand's help and the options it reads
+_COMMANDS = {
+    "oracle": ("range-check an identity",
+               "--id --mode --n-min --n-max --spec --format --jobs"),
+    "verify": ("verify a WZ certificate and proof",
+               "--id --mode --n-min --n-max --spec --format --seed"),
+    "involution": ("check a word model", "--id --n-min --n-max --spec --format --jobs"),
+    "discover": ("order-J certificate discovery", "--id --mode --order --spec --format"),
+    "lemmas": ("boundary lemmas and the gap", "--n-min --n-max --spec --format"),
+    "all": ("full acceptance suite", "--spec --format --jobs --seed"),
+}
+
+_OPTIONS = {
+    "--id": dict(required=True, help="registry identifier"),
+    "--mode": dict(choices=("literal", "corrected"), default="corrected"),
+    "--n-min": dict(type=int, default=None),
+    "--n-max": dict(type=int, default=None),
+    "--spec": dict(default=None, help="overlay DSL spec file"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--jobs": dict(type=int, default=1),
+    "--seed": dict(type=int, default=0),
+    "--order": dict(type=int, default=1),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wzkit",
         description="Exact verification toolkit for binomial-sum identities")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_id: bool = True):
-        if with_id:
-            p.add_argument("--id", required=True, help="registry identifier")
-        p.add_argument("--mode", choices=("literal", "corrected"),
-                       default="corrected")
-        p.add_argument("--n-min", type=int, default=None)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--spec", default=None, help="overlay DSL spec file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-
-    common(sub.add_parser("oracle", help="range-check an identity"))
-    common(sub.add_parser("verify", help="verify a WZ certificate and proof"))
-    common(sub.add_parser("involution", help="check a word model"))
-    d = sub.add_parser("discover", help="order-J certificate discovery")
-    common(d)
-    d.add_argument("--order", type=int, default=1)
-    common(sub.add_parser("lemmas", help="boundary lemmas and the gap"),
-           with_id=False)
-    common(sub.add_parser("all", help="full acceptance suite"), with_id=False)
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -397,9 +412,10 @@ def run_command(argv: list[str]) -> tuple[int, list[Report]]:
 
 def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
     try:
-        jobs = _effective_jobs(args.jobs)
-        if jobs < args.jobs:
-            print(f"wzkit: note: --jobs {args.jobs} lowered to the {jobs} "
+        requested = getattr(args, "jobs", 1)  # commands without --jobs run serially
+        jobs = _effective_jobs(requested)
+        if jobs < requested:
+            print(f"wzkit: note: --jobs {requested} lowered to the {jobs} "
                   "available CPUs", file=sys.stderr)
         reg = _runtime_registry(args.spec)
         if args.command == "oracle":
@@ -420,14 +436,12 @@ def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
                        for name in LEMMAS]
         else:
             reports = _run_all(reg, args.seed, jobs)
-    except (UnknownIdentityError, UsageError, RangeError) as exc:
+    except (UnknownIdentityError, UsageError, RangeError,
+            UnsupportedArgumentError, inv.SizeLimitError) as exc:
         print(f"wzkit: error: {exc}", file=sys.stderr)
         return 2, []
     except (ParseError, OSError) as exc:
         print(f"wzkit: spec error: {exc}", file=sys.stderr)
-        return 2, []
-    except inv.SizeLimitError as exc:
-        print(f"wzkit: error: {exc}", file=sys.stderr)
         return 2, []
     return exit_code(reports), reports
 

@@ -10,28 +10,28 @@ Summation.  ``values(case, lo, hi)`` is the primitive every consumer
 reads (the range oracle, the ``sum_difference`` lemma, the corollary
 derivations); it memoizes each sum per (case value, n), so a ``--spec``
 overlay that redefines an id never reads another definition's numbers.
-A double sum with one binomial and a constant prefactor is evaluated
-for the whole range in one pass.  Re-indexed by the binomial argument
-whose coefficient in the inner variable is 1, every inner sum is a
-contiguous segment of one lattice line of Pascal's triangle (a row, a
-column, or a slope-2 line such as cor5's), scaled by a sign and power
-factor that does not depend on the inner variable.  The lines are
-walked one at a time: each line's weighted prefix sums are built once
-by the binomial ratio step, every (n, outer) pair that lands on the line
-is answered by a difference of two prefix sums, and the line is then
-dropped.  Every other shape (single sums, several binomials, a
-non-constant prefactor, no unit coefficient, a power exponent that
-falls along the inner variable) falls back to per-n ``eval_sum``,
-which raises exactly where the line walk does (a negative binomial top
-inside the summation region, n below ``valid_from``).
+There are two paths.
 
-``eval_sum`` is the uncached naive reference.  It keeps an incremental
-inner path for a constant prefactor: along the innermost loop each
-binomial is updated through the rising-product ratio (two big-integer
-multiplications instead of a fresh binomial), falling back to a fresh
-evaluation whenever the running value is zero or a ratio denominator
-vanishes.  The line walk, the incremental path and plain term
-evaluation are checked against each other in the test suite.
+The line walk evaluates a sum with one binomial and a constant
+prefactor for the whole range in one pass; a single sum is taken as a
+double sum whose outer loop runs over one point.  Re-indexed by the
+binomial argument whose coefficient in the inner variable is 1, every
+inner sum is a contiguous segment of one lattice line of Pascal's
+triangle (a row, a column, or a slope-2 line such as thm1's and cor5's),
+scaled by a sign and power factor that does not depend on the inner
+variable.  The lines are walked one at a time: each line's weighted
+prefix sums are built once by the binomial ratio step, every
+(n, outer) pair that lands on the line is answered by a difference of
+two prefix sums, and the line is then dropped.  Every bundled sum takes
+this path.
+
+``eval_sum`` is the uncached term-by-term reference: the literal nested
+sum of ``HyperTerm.eval`` values.  The test suite checks the line walk
+against it, and ``values`` falls back to it per n for the shapes the
+walk does not take (several binomials, a non-constant prefactor, no
+unit coefficient, a power exponent that falls along the inner
+variable).  Both paths raise at the same inputs: a negative binomial top
+inside the summation region, and n below ``valid_from``.
 
 The registry is built by ``build_registry`` from parsed DSL documents:
 the bundled files under ``data/``, then any ``--spec`` overlay.  Each
@@ -157,80 +157,30 @@ def _binom_step(top: int, bottom: int, dp: int, dq: int, value: int) -> int:
     return value * num // den
 
 
-def _inner_sum_fast(t: HyperTerm, fixed: Mapping[str, int], var: str,
-                    lo: int, hi: int) -> Fraction | None:
-    """Incremental integer-path sum over the innermost loop; None if inapplicable."""
-    if not t.prefactor.is_const():
-        return None
-    pref = t.prefactor.as_fraction()
-    pt = dict(fixed)
-    pt[var] = lo
-    pows = []
-    for base, exp in t.powers:
-        step = exp.coeff(var)
-        e0 = exp.eval(pt)
-        if e0 < 0 or step < 0:
-            return None
-        pows.append([base**e0, base**step])
-    bins = []
-    for top, bottom in t.binomials:
-        tv, bv = top.eval(pt), bottom.eval(pt)
-        bins.append([tv, bv, top.coeff(var), bottom.coeff(var), binomial(tv, bv)])
-    parity = t.sign_exp.eval(pt) & 1
-    pstep = t.sign_exp.coeff(var) & 1
-    acc = 0
-    for i in range(hi - lo + 1):
-        if i:
-            for pw in pows:
-                pw[0] *= pw[1]
-            for bn in bins:
-                tv, bv, dp, dq, v = bn
-                if tv + dp < 0:
-                    binomial(tv + dp, bv + dq)  # raise exactly like the slow path
-                bn[4] = _binom_step(tv, bv, dp, dq, v)
-                bn[0], bn[1] = tv + dp, bv + dq
-            parity ^= pstep
-        cur = 1
-        for pw in pows:
-            cur *= pw[0]
-        for bn in bins:
-            cur *= bn[4]
-        acc += -cur if parity else cur
-    return pref * acc
-
-
-def _inner_sum(t: HyperTerm, fixed: Mapping[str, int], var: str,
-               lo: int, hi: int) -> Fraction:
-    if hi < lo:
-        return Fraction(0)
-    fast = _inner_sum_fast(t, fixed, var, lo, hi)
-    if fast is not None:
-        return fast
-    pt = dict(fixed)
+def _nested_sum(t: HyperTerm, point: Mapping[str, int],
+                loops: tuple[Loop, ...]) -> Fraction:
+    """Sum of ``t`` over ``loops`` (outermost first), with ``point`` fixed."""
+    if not loops:
+        return t.eval(point)
+    loop, rest = loops[0], loops[1:]
     total = Fraction(0)
-    for v in range(lo, hi + 1):
-        pt[var] = v
-        total += t.eval(pt)
+    for v in range(loop.lower.eval(point), loop.upper.eval(point) + 1):
+        total += _nested_sum(t, {**point, loop.var: v}, rest)
     return total
 
 
 def eval_sum(case: IdentityCase, n: int) -> Fraction:
-    """Exact nested summation at parameter value ``n`` (empty ranges give 0)."""
+    """Exact nested sum at parameter value ``n``, term by term (empty ranges give 0).
+
+    The plain definition: every ``HyperTerm.eval`` value of the summation
+    region, added up.  It is the reference the line walk is tested
+    against, and the per-n fallback of ``values`` for the shapes the walk
+    does not take.
+    """
     if n < case.valid_from:
         raise RangeError(
             f"{case.case_id} is asserted for {case.param} >= {case.valid_from}, got {n}")
-    outer: dict[str, int] = {case.param: n}
-    if len(case.loops) == 1:
-        loop = case.loops[0]
-        return _inner_sum(case.summand, outer, loop.var,
-                          loop.lower.eval(outer), loop.upper.eval(outer))
-    first, inner = case.loops
-    total = Fraction(0)
-    for v in range(first.lower.eval(outer), first.upper.eval(outer) + 1):
-        outer[first.var] = v
-        total += _inner_sum(case.summand, outer, inner.var,
-                            inner.lower.eval(outer), inner.upper.eval(outer))
-    return total
+    return _nested_sum(case.summand, {case.param: n}, case.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +188,10 @@ def eval_sum(case: IdentityCase, n: int) -> Fraction:
 
 
 class _LinePlan(NamedTuple):
-    """How the summand of a double sum lies along lines of Pascal's triangle.
+    """How the summand of a sum lies along lines of Pascal's triangle.
 
-    Affine forms are coefficient tuples over (param, outer, inner, 1).
+    Affine forms are coefficient tuples over (param, outer, inner, 1); a
+    single sum's outer loop is ``_loop_pair``'s one-point loop.
     Along a line the index j is the binomial argument with inner
     coefficient 1 (the top when ``by_top``, else the bottom) and the
     other argument is ``slope*j + c``, where c = ``line`` at (n, outer).
@@ -257,13 +208,20 @@ class _LinePlan(NamedTuple):
     weight_step: int  # summand ratio for one step of j at fixed (n, outer)
 
 
+def _loop_pair(case: IdentityCase) -> tuple[Loop, Loop]:
+    """(outer, inner) loops; a single sum's outer loop runs over one point."""
+    if len(case.loops) == 2:
+        return case.loops
+    point = SumBound("affine", LinearForm.const_form(0))
+    return Loop("", point, point), case.loops[0]  # "" is never a DSL name
+
+
 def _line_plan(case: IdentityCase) -> _LinePlan | None:
     """The line-walk plan of ``case``, or None when it needs per-n summation."""
     t = case.summand
-    if (len(case.loops) != 2 or len(t.binomials) != 1
-            or not t.prefactor.is_const()):
+    if len(t.binomials) != 1 or not t.prefactor.is_const():
         return None
-    outer, inner = case.loops
+    outer, inner = _loop_pair(case)
     names = (case.param, outer.var, inner.var)
 
     def coeffs(form: LinearForm) -> tuple[int, ...] | None:
@@ -298,7 +256,7 @@ def _line_plan(case: IdentityCase) -> _LinePlan | None:
 def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                ) -> dict[int, Fraction]:
     """Exact sums of ``case`` at every n in ``ns`` by walking Pascal lines."""
-    outer = case.loops[0]
+    outer, _ = _loop_pair(case)
     bounds = {}
     for n in ns:
         pt = {case.param: n}

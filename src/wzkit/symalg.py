@@ -169,10 +169,6 @@ class MultiPoly:
     def var(name: str) -> "MultiPoly":
         return MultiPoly((name,), {(1,): Fraction(1)})
 
-    @staticmethod
-    def from_linear(lf: LinearForm) -> "MultiPoly":
-        return lf.to_poly()
-
     # -- introspection ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -191,9 +187,6 @@ class MultiPoly:
             return 0
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def lead(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) under lex order on ``vars``."""

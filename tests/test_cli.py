@@ -185,9 +185,31 @@ def test_jobs_parallel_matches_sequential():
 
 
 def test_usage_error_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        run_command(["oracle"])  # --id is required
-    assert exc.value.code == 2
+    for argv in (
+        ["oracle"],  # --id is required
+        # options the subcommand does not read
+        ["discover", "--id", "thm2", "--n-min", "9", "--n-max", "3", "--jobs", "2"],
+        ["involution", "--id", "thm1", "--mode", "literal", "--seed", "3"],
+        ["lemmas", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_command(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_negative_binomial_top_exit_two(tmp_path, capsys):
+    spec = tmp_path / "neg.wz"
+    spec.write_text(
+        "term T(n, k) := binom(k - n - 1, k)\n"
+        "sum neg(n) := sum(k, 0, n, T) == 1 for n >= 0\n"
+        "term N2(n, k, m) := binom(n - 2*k, m) * pow(3, m + k)\n"
+        "sum negative_top_row(n) := sum(k, 0, n, N2) sum(m, 0, k, N2) == 0 for n >= 0\n")
+    for ident in ("neg", "negative_top_row"):  # a single and a double sum
+        code, reports = run_command(
+            ["oracle", "--id", ident, "--spec", str(spec), "--n-max", "1"])
+        assert code == 2 and reports == []
+        assert capsys.readouterr().err == (
+            "wzkit: error: binomial top must be >= 0, got -1\n"), ident
 
 
 def test_spec_overlay_redefines_thm3_eq6(tmp_path):

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,7 @@ from wzkit.identities import (SumBound, boundary_flat_rhs, boundary_flat_sum,
                               corollary_derivations, eval_sum,
                               lemma_boundary_flat, lemma_boundary_stepped,
                               registry, thm3_difference, values)
-from wzkit.identities import _VALUES, _inner_sum_fast, _line_plan
+from wzkit.identities import _VALUES, _line_plan
 from wzkit.symalg import LinearForm
 
 
@@ -67,34 +66,11 @@ def test_mode_aliases():
     assert reg.case("thm3_printed").errata  # erratum attached to the variant
 
 
-def test_fast_and_slow_paths_agree():
-    reg = registry()
-    for cid in reg.oracle_ids():
-        case = reg.case(cid)
-        inner = case.loops[-1]
-        for n in range(case.valid_from, case.valid_from + 6):
-            outer = {case.param: n}
-            loops = case.loops
-            frames = [outer] if len(loops) == 1 else [
-                dict(outer, **{loops[0].var: v})
-                for v in range(loops[0].lower.eval(outer),
-                               loops[0].upper.eval(outer) + 1)]
-            for fixed in frames:
-                lo, hi = inner.lower.eval(fixed), inner.upper.eval(fixed)
-                if hi < lo:
-                    continue
-                fast = _inner_sum_fast(case.summand, fixed, inner.var, lo, hi)
-                assert fast is not None
-                slow = Fraction(0)
-                for v in range(lo, hi + 1):
-                    slow += case.summand.eval(dict(fixed, **{inner.var: v}))
-                assert fast == slow, (cid, fixed)
-
-
 # ---------------------------------------------------------------------------
 # range evaluation: the Pascal-line walk against per-n eval_sum
 
-_LINE_CASES = ("thm3_eq6", "thm3_printed", "cor1", "cor2", "cor3", "cor4", "cor5")
+_REGISTRY_SUMS = ("thm1", "thm2", "thm3_eq6", "thm3_printed", "cor1", "cor2", "cor3",
+                  "cor4", "cor5", "boundary_flat_case")
 
 _SPEC = """
 term W(n, k, m) := sign(k + m) * binom(n + k, m) * binom(n, k) * pow(2, m)
@@ -111,6 +87,14 @@ term N1(n, k, m) := sign(k) * binom(m - k, m) * pow(2, m)
 sum negative_top_column(n) := sum(k, 0, n, N1) sum(m, 0, n, N1) == 0 for n >= 0
 term N2(n, k, m) := binom(n - 2*k, m) * pow(3, m + k)
 sum negative_top_row(n) := sum(k, 0, n, N2) sum(m, 0, k, N2) == 0 for n >= 0
+term S1(n, k) := sign(k) * binom(n, k - 2) * pow(2, k)
+sum single_below_support(n) := sum(k, 0, n + 3, S1) == 0 for n >= 0
+term S2(n, k) := sign(n + k) * binom(n + k, k) * pow(2, k - 3)
+sum single_negative_power(n) := sum(k, 0, n, S2) == 0 for n >= 0
+term S3(n, k) := sign(k) * binom(n + k, 2*k) * pow(3, k) * 4 / 7
+sum single_slope_two(n) := sum(k, 0, n, S3) == 0 for n >= 0
+term S4(n, k) := binom(k - n, k) * pow(2, k)
+sum single_negative_top(n) := sum(k, 0, n, S4) == 0 for n >= 0
 """
 
 
@@ -124,9 +108,11 @@ def _per_n(case, lo, hi):
 
 
 def test_line_walk_takes_every_registry_double_sum():
+    # and every single sum: all ten registry sums get a plan
     reg = registry()
+    assert sorted(_REGISTRY_SUMS) == reg.oracle_ids()
     for cid in reg.oracle_ids():
-        assert (_line_plan(reg.case(cid)) is not None) == (cid in _LINE_CASES), cid
+        assert _line_plan(reg.case(cid)) is not None, cid
 
 
 def test_values_match_eval_sum_on_first_30_n():
@@ -138,8 +124,8 @@ def test_values_match_eval_sum_on_first_30_n():
         assert values(case, lo, lo + 29) == _per_n(case, lo, lo + 29), cid
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(_LINE_CASES), st.integers(0, 25), st.integers(0, 12),
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_REGISTRY_SUMS), st.integers(0, 25), st.integers(0, 12),
        st.integers(0, 12))
 def test_values_match_eval_sum_on_subranges(cid, start, length, warm_at):
     case = registry().case(cid)
@@ -166,9 +152,10 @@ def test_values_fallback_shapes_match_eval_sum():
 def test_line_walk_edge_shapes_match_eval_sum():
     # a power exponent below 0 where a line starts, a line named by n alone
     # with inner lower bounds below the binomial's support, and a slope-2
-    # line under a non-unit constant prefactor
+    # line under a non-unit constant prefactor; as double and single sums
     cases = _spec_cases()
-    for cid in ("negative_power", "line_of_n", "slope_two"):
+    for cid in ("negative_power", "line_of_n", "slope_two", "single_below_support",
+                "single_negative_power", "single_slope_two"):
         case = cases[cid]
         assert _line_plan(case) is not None, cid
         lo = case.valid_from
@@ -178,7 +165,7 @@ def test_line_walk_edge_shapes_match_eval_sum():
 
 def test_negative_binomial_top_raises_on_both_paths():
     cases = _spec_cases()
-    for cid in ("negative_top_column", "negative_top_row"):
+    for cid in ("negative_top_column", "negative_top_row", "single_negative_top"):
         case = cases[cid]
         assert _line_plan(case) is not None, cid
         _VALUES.clear()
