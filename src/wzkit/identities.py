@@ -7,10 +7,10 @@ evaluates sums exactly (big integers and ``Fraction`` only) and checks
 the closed form by direct equality over a range of the parameter.
 
 Summation.  ``values(case, lo, hi)`` is the primitive every consumer
-reads (the range oracle, the ``sum_difference`` lemma, the corollary
-derivations); it memoizes each sum per (case value, n), so a ``--spec``
-overlay that redefines an id never reads another definition's numbers.
-There are two paths.
+reads (the range oracle, the lemmas, the corollary derivations), and no
+sum is computed any other way.  It memoizes each sum per (case value,
+n), so a ``--spec`` overlay that redefines an id never reads another
+definition's numbers.  There are two paths.
 
 The line walk evaluates a sum with one binomial and a constant
 prefactor for the whole range in one pass; a single sum is taken as a
@@ -31,15 +31,17 @@ against it, and ``values`` falls back to it per n for the shapes the
 walk does not take (several binomials, a non-constant prefactor, no
 unit coefficient, a power exponent that falls along the inner
 variable).  Both paths raise at the same inputs: a negative binomial top
-inside the summation region, and n below ``valid_from``.
+inside the summation region (naming the smallest such n), and n below
+``valid_from``.
 
 The registry is built by ``build_registry`` from parsed DSL documents:
 the bundled files under ``data/``, then any ``--spec`` overlay.  Each
 definition brings its own facts (errata, base case, public-id aliases)
 as DSL clauses, and a later document replaces earlier definitions,
-aliases and check ranges.  The boundary lemmas whose summands step by
-floor(m/2) live here as direct summations -- the DSL's binomial
-arguments are deliberately affine-only -- in the one table ``LEMMAS``.
+aliases and check ranges.  The lemmas in ``LEMMAS`` compare registry
+sums with closed forms too: the stepped boundary sum, whose binomial
+top steps by floor(m/2), is written in ``lemmas.wz`` with a one-point
+inner loop j = floor(m/2), since binomial arguments are affine.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .exactnum import binomial
+from .exactnum import UnsupportedArgumentError, binomial
 from .hyperterm import HyperTerm
 from .symalg import LinearForm, MultiPoly
 from .wzengine import WZProblem
@@ -104,10 +106,6 @@ class ClosedForm:
                 t = -t
             total += t
         return total
-
-    @staticmethod
-    def polynomial(param: str, poly: MultiPoly) -> "ClosedForm":
-        return ClosedForm(param, ((1, 0, poly),))
 
 
 @dataclass(frozen=True)
@@ -255,7 +253,11 @@ def _line_plan(case: IdentityCase) -> _LinePlan | None:
 
 def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                ) -> dict[int, Fraction]:
-    """Exact sums of ``case`` at every n in ``ns`` by walking Pascal lines."""
+    """Exact sums of ``case`` at every n in ``ns`` by walking Pascal lines.
+
+    A negative binomial top raises ``UnsupportedArgumentError`` after the
+    walk, naming the smallest n where one lies in the summation region.
+    """
     outer, _ = _loop_pair(case)
     bounds = {}
     for n in ns:
@@ -271,6 +273,7 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                                                            plan.inner_upper)
     sn, sa, sb, s0 = plan.sign
     by_top, slope = plan.by_top, plan.slope
+    bad = None  # (n, top) for the smallest n with a negative top
     for c in range(min(ends, default=0), max(ends, default=-1) + 1):
         # every (n, outer, j-segment) whose inner sum lies on line c
         pairs = []
@@ -298,7 +301,9 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                 jlo, jhi = blo + i0, bhi + i0
                 low_top = jlo if by_top else min(slope * jlo, slope * jhi) + c
                 if low_top < 0:
-                    binomial(low_top, 0)  # raise exactly like the slow path
+                    if bad is None or (n, low_top) < bad:
+                        bad = (n, low_top)
+                    continue
                 pairs.append((n, a, i0, jlo, jhi))
         if not pairs:
             continue
@@ -353,6 +358,9 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                 acc[n] += seg
             else:
                 rest[n] += Fraction(seg, den)
+    if bad is not None:
+        raise UnsupportedArgumentError(
+            f"binomial top must be >= 0, got {bad[1]} at {case.param}={bad[0]}")
     pref = case.summand.prefactor.as_fraction()
     return {n: pref * (acc[n] + rest[n]) for n in ns}
 
@@ -392,9 +400,6 @@ def values(case: IdentityCase, lo: int, hi: int) -> list[Fraction]:
 def check_identity(case: IdentityCase, lo: int, hi: int
                    ) -> list[tuple[int, Fraction, Fraction]]:
     """All (n, lhs, rhs) where the sum disagrees with the closed form."""
-    if lo < case.valid_from:
-        raise RangeError(
-            f"range starts below validFrom={case.valid_from} of {case.case_id}")
     failures = []
     for n, lhs in enumerate(values(case, lo, hi), lo):
         rhs = case.rhs.eval(n)
@@ -404,34 +409,22 @@ def check_identity(case: IdentityCase, lo: int, hi: int
 
 
 # ---------------------------------------------------------------------------
-# boundary lemmas (floored-half arguments, so direct summation)
+# lemmas: registry sums against closed forms
 
 
-def _sgn(e: int) -> int:
-    return -1 if e % 2 else 1
+def _closed_form(cid: str):
+    """The lemma that registry sum ``cid`` equals its DSL closed form."""
+    def lemma(reg: Registry, lo: int, hi: int) -> list[tuple[Fraction, Fraction]]:
+        case = reg.case(cid)
+        return [(s, case.rhs.eval(n)) for n, s in enumerate(values(case, lo, hi), lo)]
+    return lemma
 
 
-def boundary_flat_sum(n: int) -> Fraction:
-    """sum_{m=2}^{2n} binom(n+1, m) 2^(m-1) (-1)^(m+n+1)."""
-    return Fraction(sum(
-        binomial(n + 1, m) * 2 ** (m - 1) * _sgn(m + n + 1)
-        for m in range(2, 2 * n + 1)))
-
-
-def boundary_flat_rhs(n: int) -> Fraction:
-    return Fraction(1 + _sgn(n), 2) - (n + 1) * _sgn(n)
-
-
-def boundary_stepped_sum(n: int) -> Fraction:
-    """sum_{m=2}^{2n} binom(n+floor(m/2)+1, m) 2^(m-1) (-1)^(m+floor(m/2)+n+1)."""
-    return Fraction(sum(
-        binomial(n + m // 2 + 1, m) * 2 ** (m - 1) * _sgn(m + m // 2 + n + 1)
-        for m in range(2, 2 * n + 1)))
-
-
-def boundary_stepped_rhs(n: int) -> Fraction:
-    return (n + Fraction(3, 2) - 2 ** (2 * n + 1) + Fraction(_sgn(n), 2)
-            + (n + 1) - (n + 1) * _sgn(n) - 2 ** (2 * n))
+def _boundary_gap(reg: Registry, lo: int, hi: int) -> list[tuple[Fraction, Fraction]]:
+    stepped = values(reg.case("boundary_stepped_case"), lo, hi)
+    flat = values(reg.case("boundary_flat_case"), lo, hi)
+    return [(s - f, Fraction(2 * (n + 1) - 3 * 4**n))
+            for n, s, f in zip(range(lo, hi + 1), stepped, flat)]
 
 
 def boundary_gap(n: int) -> Fraction:
@@ -445,7 +438,8 @@ def boundary_gap(n: int) -> Fraction:
     pins the value 2(n+1) - 3*4^n; ``thm3_difference`` checks the
     difference of the sums directly.
     """
-    return boundary_stepped_sum(n) - boundary_flat_sum(n)
+    ((gap, _),) = _boundary_gap(registry(), n, n)
+    return gap
 
 
 def _sum_difference(reg: Registry, lo: int, hi: int
@@ -455,16 +449,12 @@ def _sum_difference(reg: Registry, lo: int, hi: int
             for i, n in enumerate(range(lo, hi + 1))]
 
 
-def _per_n(lhs: Callable[[int], Fraction], rhs: Callable[[int], Fraction]):
-    return lambda _reg, lo, hi: [(lhs(n), rhs(n)) for n in range(lo, hi + 1)]
-
-
 #: the lemmas: name -> (registry, lo, hi) -> [(lhs, rhs) at n = lo..hi]
 LEMMAS: dict[str, Callable[[Registry, int, int], list[tuple[Fraction, Fraction]]]] = {
-    "boundary_flat": _per_n(boundary_flat_sum, boundary_flat_rhs),
-    "boundary_stepped": _per_n(boundary_stepped_sum, boundary_stepped_rhs),
+    "boundary_flat": _closed_form("boundary_flat_case"),
+    "boundary_stepped": _closed_form("boundary_stepped_case"),
     "sum_difference": _sum_difference,
-    "boundary_gap": _per_n(boundary_gap, lambda n: Fraction(2 * (n + 1) - 3 * 4**n)),
+    "boundary_gap": _boundary_gap,
 }
 
 

@@ -311,9 +311,6 @@ class MultiPoly:
             den = lcm(den, c.denominator)
         return Fraction(num, den)
 
-    def primitive(self) -> "MultiPoly":
-        return self.scaled(1 / self.content())
-
     def divexact(self, other: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises if the division has a remainder."""
         if other.is_zero():

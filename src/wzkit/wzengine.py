@@ -55,7 +55,6 @@ class WZProblem:
     sum_var: str
     coeffs: tuple[RationalFunction, ...]
     certificate: RationalFunction
-    sum_lower: int = 0
     base_case: tuple[int, Fraction] | None = None
     errata: tuple[str, ...] = ()
 
@@ -109,8 +108,8 @@ def verify_certificate(p: WZProblem) -> CertCheck:
     qk = p.term.shift_quotient(p.sum_var)
     r = p.certificate
     residual = residual - (r.shifted(p.sum_var, 1) * qk - r)
-    num_low = r.num.subst_int(p.sum_var, p.sum_lower)
-    den_low = r.den.subst_int(p.sum_var, p.sum_lower)
+    num_low = r.num.subst_int(p.sum_var, 0)
+    den_low = r.den.subst_int(p.sum_var, 0)
     lower_ok = num_low.is_zero() and not den_low.is_zero()
     uppers = tuple(b for b in p.term.support_bounds(p.sum_var) if b.direction == "upper")
     return CertCheck(
@@ -148,7 +147,7 @@ def summed_recurrence_value(p: WZProblem, n: int,
                 f"term of {p.problem_id} has no finite upper support in {p.sum_var}")
         uppers.append(u)
         low = lower_support(p.term, p.sum_var, pt)
-        lowers.append(p.sum_lower if low is None else low)
+        lowers.append(0 if low is None else low)
     a_vals = _coeff_values(p, base)
     total = Fraction(0)
     for k in range(min(lowers), max(uppers) + 1):
@@ -169,7 +168,7 @@ def telescope_first_mismatch(p: WZProblem, n: int,
                              ) -> tuple[int, Fraction, Fraction] | None:
     """First prefix where the telescoped form disagrees, or None.
 
-    Checks sum_{k=lower}^{kappa} sum_j a_j F(n+j,k) = G(n,kappa+1) - G(n,lower)
+    Checks sum_{k=0}^{kappa} sum_j a_j F(n+j,k) = G(n,kappa+1) - G(n,0)
     over every pole-free prefix: kappa+1 stays strictly below the first
     zero of R's denominator in the summation variable.  G values use
     absorb semantics, so a pole inside the checked region raises rather
@@ -178,20 +177,20 @@ def telescope_first_mismatch(p: WZProblem, n: int,
     base = dict(extra or {})
     base[p.shift_var] = n
     u = upper_support(p.term, p.sum_var, base)
-    limit = kappa_cap if u is None else max(u + p.order + 2, p.sum_lower)
+    limit = kappa_cap if u is None else max(u + p.order + 2, 0)
     first_pole = None
-    for k in range(p.sum_lower, limit + 2):
+    for k in range(limit + 2):
         if p.certificate.den.eval(dict(base, **{p.sum_var: k})) == 0:
             first_pole = k
             break
     kappa_max = limit if first_pole is None else first_pole - 2
     g_term = p.term.absorb(p.certificate)
-    if kappa_max >= p.sum_lower - 1:
-        g_low = g_term.eval(dict(base, **{p.sum_var: p.sum_lower}))
+    if kappa_max >= -1:
+        g_low = g_term.eval(dict(base, **{p.sum_var: 0}))
     a_vals = _coeff_values(p, base)
     lhs = Fraction(0)
-    for kappa in range(p.sum_lower - 1, kappa_max + 1):
-        if kappa >= p.sum_lower:
+    for kappa in range(-1, kappa_max + 1):
+        if kappa >= 0:
             for j in range(p.order + 1):
                 pt = dict(base, **{p.shift_var: n + j, p.sum_var: kappa})
                 lhs += a_vals[j] * p.term.eval(pt)
@@ -224,7 +223,7 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
         hi = (u if u is not None else n + 2) + p.order + 1
         a_vals = _coeff_values(p, base)
         g_term = p.term.absorb(p.certificate)
-        for k in range(p.sum_lower, hi + 1):
+        for k in range(hi + 1):
             den_here = p.certificate.den.eval(dict(base, **{p.sum_var: k}))
             den_next = p.certificate.den.eval(dict(base, **{p.sum_var: k + 1}))
             if den_here == 0 or den_next == 0:
@@ -249,7 +248,7 @@ def sum_over_support(p: WZProblem, n: int,
     if u is None:
         raise ValueError(f"term of {p.problem_id} has no finite upper support")
     low = lower_support(p.term, p.sum_var, pt)
-    low = p.sum_lower if low is None else low
+    low = 0 if low is None else low
     return sum((p.term.eval(dict(pt, **{p.sum_var: k})) for k in range(low, u + 1)),
                Fraction(0))
 

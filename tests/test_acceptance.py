@@ -20,6 +20,7 @@ paper's printed sigma has the same gap is not settled here.
 import itertools
 import json
 import time
+from pathlib import Path
 
 import jsonschema
 
@@ -277,7 +278,8 @@ def test_criterion_11_dsl_cli_contract():
     c2, _ = run_command(["oracle", "--id", "no_such_identity"])
     codes_ok = (c0, c1, c2) == (0, 1, 2)
 
-    # the full suite: schema-valid reports, exit code consistent, < 60 s
+    # the full suite: schema-valid reports, exit code consistent, < 60 s,
+    # and the same reports as the golden file (which omits the timings)
     t0 = time.perf_counter()
     code, reports = run_command(["all"])
     elapsed = time.perf_counter() - t0
@@ -286,11 +288,16 @@ def test_criterion_11_dsl_cli_contract():
     for obj in payload:
         jsonschema.validate(obj, schema)
     consistent = code == exit_code(reports) and code in (0, 1)
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "all_reports.json").read_text())
+    unchanged = [{k: v for k, v in obj.items() if k != "ms"}
+                 for obj in payload] == golden
 
-    ok = roundtrip and codes_ok and consistent and elapsed < 60.0
+    ok = roundtrip and codes_ok and consistent and unchanged and elapsed < 60.0
     assert _line("11", ok,
                  f"round-trip, schema, exit codes; all in {elapsed:.1f}s")
     assert roundtrip
     assert codes_ok
     assert consistent
+    assert unchanged
     assert elapsed < 60.0

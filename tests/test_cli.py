@@ -102,7 +102,7 @@ def test_malformed_range_exit_two():
         ["oracle", "--id", "thm3_eq6", "--n-min", "0", "--n-max", "5"])
     assert code == 2  # below validFrom
     code, _ = run_command(["lemmas", "--n-min", "0", "--n-max", "3"])
-    assert code == 2  # sum_difference reads thm3_eq6 below its validFrom
+    assert code == 2  # the lemmas read registry sums below their validFrom
 
 
 def test_bad_spec_file_exit_two(tmp_path):
@@ -204,12 +204,15 @@ def test_negative_binomial_top_exit_two(tmp_path, capsys):
         "sum neg(n) := sum(k, 0, n, T) == 1 for n >= 0\n"
         "term N2(n, k, m) := binom(n - 2*k, m) * pow(3, m + k)\n"
         "sum negative_top_row(n) := sum(k, 0, n, N2) sum(m, 0, k, N2) == 0 for n >= 0\n")
-    for ident in ("neg", "negative_top_row"):  # a single and a double sum
+    # a single and a double sum, then the double sum on its default range
+    for ident, n_max, n in (("neg", ["--n-max", "1"], 0),
+                            ("negative_top_row", ["--n-max", "1"], 1),
+                            ("negative_top_row", [], 1)):
         code, reports = run_command(
-            ["oracle", "--id", ident, "--spec", str(spec), "--n-max", "1"])
+            ["oracle", "--id", ident, "--spec", str(spec), *n_max])
         assert code == 2 and reports == []
         assert capsys.readouterr().err == (
-            "wzkit: error: binomial top must be >= 0, got -1\n"), ident
+            f"wzkit: error: binomial top must be >= 0, got -1 at n={n}\n"), ident
 
 
 def test_spec_overlay_redefines_thm3_eq6(tmp_path):
@@ -232,6 +235,27 @@ def test_spec_overlay_redefines_thm3_eq6(tmp_path):
     assert fails == {"cor1": [2, 4, 6], "cor2": [2, 4, 6], "cor3": [],
                      "cor4": [], "cor5": []}
     assert not any(corollary_derivations(limit=6).values())
+
+
+def test_spec_overlay_redefines_a_lemma_sum(tmp_path):
+    # the lemmas read registry sums, so flipping the stepped sum's sign
+    # breaks exactly the two lemmas built on it
+    spec = tmp_path / "lemmas.wz"
+    spec.write_text(
+        "term BS(n, m, j) := sign(m + j + n) * binom(n + j + 1, m) * pow(2, m - 1)\n"
+        "sum boundary_stepped_case(n) := sum(m, 2, 2*n, BS)"
+        " sum(j, floor2(m), floor2(m), BS)"
+        " == 2*n + 5/2 - (n + 1/2)*sign(n) - 3*pow(4, n) for n >= 1\n")
+    bundled = ["lemmas", "--n-min", "1", "--n-max", "6"]
+    code, reports = run_command(bundled + ["--spec", str(spec)])
+    assert code == 1
+    status = {r.subject_id: r.status for r in reports}
+    assert status == {"boundary_flat": "pass", "boundary_stepped": "fail",
+                      "sum_difference": "pass", "boundary_gap": "fail"}
+    stepped = next(r for r in reports if r.subject_id == "boundary_stepped")
+    assert [f.n for f in stepped.failures] == [1, 2, 3, 4, 5, 6]
+    assert (stepped.failures[0].lhs, stepped.failures[0].rhs) == ("6", "-6")
+    assert run_command(bundled)[0] == 0
 
 
 def test_format_json_in_every_spelling(capsys):

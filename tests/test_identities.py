@@ -1,14 +1,13 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzkit.dsl import SumDef, parse_document
-from wzkit.exactnum import UnsupportedArgumentError
-from wzkit.identities import (SumBound, boundary_flat_rhs, boundary_flat_sum,
-                              boundary_gap, boundary_stepped_rhs,
-                              boundary_stepped_sum, check_identity,
+from wzkit.exactnum import UnsupportedArgumentError, binomial
+from wzkit.identities import (SumBound, boundary_gap, check_identity,
                               corollary_derivations, eval_sum,
                               lemma_boundary_flat, lemma_boundary_stepped,
                               registry, thm3_difference, values)
@@ -43,6 +42,7 @@ def test_check_identity_small_ranges():
     for i in range(1, 6):
         assert check_identity(reg.case(f"cor{i}"), 0, 25) == []
     assert check_identity(reg.case("boundary_flat_case"), 1, 40) == []
+    assert check_identity(reg.case("boundary_stepped_case"), 1, 40) == []
 
 
 def test_thm3_printed_fails_exactly_at_even_n():
@@ -70,7 +70,7 @@ def test_mode_aliases():
 # range evaluation: the Pascal-line walk against per-n eval_sum
 
 _REGISTRY_SUMS = ("thm1", "thm2", "thm3_eq6", "thm3_printed", "cor1", "cor2", "cor3",
-                  "cor4", "cor5", "boundary_flat_case")
+                  "cor4", "cor5", "boundary_flat_case", "boundary_stepped_case")
 
 _SPEC = """
 term W(n, k, m) := sign(k + m) * binom(n + k, m) * binom(n, k) * pow(2, m)
@@ -108,7 +108,8 @@ def _per_n(case, lo, hi):
 
 
 def test_line_walk_takes_every_registry_double_sum():
-    # and every single sum: all ten registry sums get a plan
+    # and every single sum: all eleven registry sums get a plan, the
+    # stepped boundary sum with its one-point inner loop j = floor(m/2)
     reg = registry()
     assert sorted(_REGISTRY_SUMS) == reg.oracle_ids()
     for cid in reg.oracle_ids():
@@ -173,7 +174,7 @@ def test_negative_binomial_top_raises_on_both_paths():
         with pytest.raises(UnsupportedArgumentError):
             eval_sum(case, 1)
         for lo in (0, 1):
-            with pytest.raises(UnsupportedArgumentError):
+            with pytest.raises(UnsupportedArgumentError, match=" at n=1$"):
                 values(case, lo, 4)
 
 
@@ -192,13 +193,53 @@ def test_clamped_limits_match_printed_limits():
 
 
 def test_closed_form_eval():
-    rhs = registry().case("boundary_flat_case").rhs
+    reg = registry()
+    flat, stepped = reg.case("boundary_flat_case").rhs, reg.case("boundary_stepped_case").rhs
     for n in range(1, 30):
-        assert rhs.eval(n) == boundary_flat_rhs(n)
+        assert flat.eval(n) == boundary_flat_rhs(n)
+        assert stepped.eval(n) == boundary_stepped_rhs(n)
 
 
 # ---------------------------------------------------------------------------
 # lemmas
+#
+# Independent references for the boundary sums: the literal comprehensions,
+# with floor(m/2) written as m // 2, and the closed forms as first derived.
+
+
+def _sgn(e):
+    return -1 if e % 2 else 1
+
+
+def boundary_flat_sum(n):
+    """sum_{m=2}^{2n} binom(n+1, m) 2^(m-1) (-1)^(m+n+1)."""
+    return Fraction(sum(
+        binomial(n + 1, m) * 2 ** (m - 1) * _sgn(m + n + 1)
+        for m in range(2, 2 * n + 1)))
+
+
+def boundary_flat_rhs(n):
+    return Fraction(1 + _sgn(n), 2) - (n + 1) * _sgn(n)
+
+
+def boundary_stepped_sum(n):
+    """sum_{m=2}^{2n} binom(n+floor(m/2)+1, m) 2^(m-1) (-1)^(m+floor(m/2)+n+1)."""
+    return Fraction(sum(
+        binomial(n + m // 2 + 1, m) * 2 ** (m - 1) * _sgn(m + m // 2 + n + 1)
+        for m in range(2, 2 * n + 1)))
+
+
+def boundary_stepped_rhs(n):
+    return (n + Fraction(3, 2) - 2 ** (2 * n + 1) + Fraction(_sgn(n), 2)
+            + (n + 1) - (n + 1) * _sgn(n) - 2 ** (2 * n))
+
+
+def test_boundary_sums_match_references():
+    reg = registry()
+    for cid, ref in (("boundary_flat_case", boundary_flat_sum),
+                     ("boundary_stepped_case", boundary_stepped_sum)):
+        _VALUES.clear()
+        assert values(reg.case(cid), 1, 200) == [ref(n) for n in range(1, 201)], cid
 
 
 def test_boundary_flat_examples():
