@@ -32,7 +32,8 @@ command's default range is the ``check`` line declared for its target.
 ``--spec`` appends one more document to the bundled ones.  ``--jobs``
 parallelizes per-n work for oracles, involutions and ``all``; a value
 below 1 is a usage error, and one above the CPUs this process may run on
-is lowered to that count (with a note on stderr).
+is lowered to that count (with a note on stderr).  Per-n involution
+tasks start with the largest n, whose word set is the biggest.
 """
 
 from __future__ import annotations
@@ -237,8 +238,9 @@ def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
     for n in range(rng[0], rng[1] + 1):  # refuse the range before enumerating
         inv.WordModel(ident, n).check_size()
     t0 = time.perf_counter()
+    # largest n first: its task dominates, so no worker starts it last
     results = _pmap(_involution_task,
-                    [(ident, n) for n in range(rng[0], rng[1] + 1)], jobs)
+                    [(ident, n) for n in range(rng[1], rng[0] - 1, -1)], jobs)
     failures: list[Failure] = []
     errata: list[str] = []
     for n, rep in sorted(results, key=lambda r: r[0]):

@@ -43,9 +43,9 @@ class SizeLimitError(ValueError):
 
 #: caps keep one exhaustive check near a minute or less.  Words are
 #: streamed, so only recorded violations take memory.  At the caps, on a
-#: 2-vCPU host, single process: thm2 n=8 (cost 18) is 6.6M words in about
-#: 39 s, thm1 n=8 2.7M words in about 20 s, and thm3 n=7 330k words with
-#: 237k recorded violations in 2 s and 61 MB peak RSS
+#: 2-vCPU host, single process, one run each: thm2 n=8 (cost 18) is 6.6M
+#: words in about 11 s, thm1 n=8 2.7M words in about 5 s, and thm3 n=7
+#: 330k words with 237k recorded violations in 0.6 s and 62 MB peak RSS
 MAX_COST = 18          # thm1/thm2: 2#a + #b + #c
 MAX_THM3_N = 7
 
@@ -65,19 +65,22 @@ class WordModel:
 
     model_id: str  # thm1 | thm2 | thm3
     n: int
+    # the scan models' target cost, None for thm3; set once so that
+    # contains() makes no model test per word
+    _cost: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model_id not in MODELS:
             raise ValueError(f"unknown model {self.model_id!r}")
+        object.__setattr__(self, "_cost", {"thm1": 2 * self.n + 1,
+                                           "thm2": 2 * self.n + 2}.get(self.model_id))
 
     @property
     def cost(self) -> int:
         """Target 2#a + #b + #c for the scan models."""
-        if self.model_id == "thm1":
-            return 2 * self.n + 1
-        if self.model_id == "thm2":
-            return 2 * self.n + 2
-        raise ValueError("thm3 words are stratified by length, not cost")
+        if self._cost is None:
+            raise ValueError("thm3 words are stratified by length, not cost")
+        return self._cost
 
     def check_size(self) -> None:
         if self.model_id in ("thm1", "thm2"):
@@ -94,8 +97,8 @@ class WordModel:
         # alphabet; past that test, len + #a is word_cost(w)
         if w.strip("abc"):
             return False
-        if self.model_id in ("thm1", "thm2"):
-            return len(w) + w.count("a") == self.cost
+        if self._cost is not None:
+            return len(w) + w.count("a") == self._cost
         k = len(w) - (self.n + 1)
         if not 0 <= k <= self.n - 1:
             return False
@@ -176,11 +179,12 @@ def scan_involution(w: str) -> str | None:
     """
     ia = w.find("a")
     ibc = w.find("bc")
-    if ia < 0 and ibc < 0:
-        return None
-    if ibc < 0 or (0 <= ia < ibc):
-        return w[:ia] + "bc" + w[ia + 1:]
-    return w[:ibc] + "a" + w[ibc + 2:]
+    # replace(..., 1) rewrites exactly the first occurrence find() located
+    if ia >= 0 and (ia < ibc or ibc < 0):
+        return w.replace("a", "bc", 1)
+    if ibc >= 0:
+        return w.replace("bc", "a", 1)
+    return None
 
 
 def sigma(w: str) -> str | None:
@@ -199,16 +203,18 @@ def sigma(w: str) -> str | None:
     three a's; that first happens at n = 6, with k = 2 and exactly three
     a's (64 chains x aa y a z -> x a y a z -> x y a z).
     """
-    idx = [i for i, ch in enumerate(w) if ch != "a"]
-    if len(idx) < 3:
+    rest = w.lstrip("a")        # x a^p y a^q z ...
+    mid = rest[1:].lstrip("a")  # y a^q z ...
+    tail = mid[1:].lstrip("a")  # z ...
+    if not tail:
         return None
-    p = idx[1] - idx[0] - 1
-    q = idx[2] - idx[1] - 1
+    p = len(rest) - len(mid) - 1
+    q = len(mid) - len(tail) - 1
     if (p % 2) == (q % 2):
         grow = p != 1
     else:
         grow = p == 0
-    cut = idx[0] + 1
+    cut = len(w) - len(rest) + 1
     if grow:
         return w[:cut] + "a" + w[cut:]
     return w[:cut] + w[cut + 1:]
@@ -251,38 +257,47 @@ def check_involution(model: WordModel) -> InvolutionReport:
     Checks, per word: closure (image in S), involutivity (map twice
     returns the word, whenever both applications are defined and their
     images stay in S), sign reversal, and fixed-set membership.  All
-    violations are reported verbatim.
+    violations are reported verbatim.  The involutivity test runs as
+    ``back is not None and back != w and contains(back)``: the same
+    conjunction, with the membership test skipped only when back == w,
+    where it cannot change the outcome.
     """
     model.check_size()
     mapper = scan_involution if model.model_id in ("thm1", "thm2") else sigma
+    contains = model.contains  # a wrapper set on the class still applies
     rep = InvolutionReport(model_id=model.model_id, n=model.n)
+    total = signed = fixed = fixed_signed_sum = paired = 0
     for k in model.strata():
         count = 0
         for w in model.stratum_words(k):
             count += 1
-            wt = weight(w)
-            rep.total_signed_sum += wt
+            odd = w.count("a") & 1  # weight(w) = -1 exactly when odd
+            signed += -1 if odd else 1
             img = mapper(w)
             if img is None:
-                rep.fixed_count += 1
-                rep.fixed_signed_sum += wt
+                fixed += 1
+                fixed_signed_sum += -1 if odd else 1
+                continue
+            if not contains(img):
+                rep.closure_violations.append((w, img))
                 continue
             ok = True
-            if not model.contains(img):
-                rep.closure_violations.append((w, img))
+            if (img.count("a") & 1) == odd:  # same weight
+                rep.sign_violations.append((w, img))
                 ok = False
-            else:
-                if weight(img) != -wt:
-                    rep.sign_violations.append((w, img))
-                    ok = False
-                back = mapper(img)
-                if back is not None and model.contains(back) and back != w:
-                    rep.involutivity_violations.append((w, img, back))
-                    ok = False
+            back = mapper(img)
+            if back is not None and back != w and contains(back):
+                rep.involutivity_violations.append((w, img, back))
+                ok = False
             if ok:
-                rep.paired_count += 1
+                paired += 1
         rep.stratum_counts[k] = count
-        rep.total_words += count
+        total += count
+    rep.total_words = total
+    rep.total_signed_sum = signed
+    rep.fixed_count = fixed
+    rep.fixed_signed_sum = fixed_signed_sum
+    rep.paired_count = paired
     return rep
 
 

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from wzkit import cli
 from wzkit import involution as inv
 from wzkit.cli import (UsageError, _effective_jobs, _runtime_registry, main,
                        run_command)
@@ -182,6 +183,28 @@ def test_jobs_parallel_matches_sequential():
     assert seq[0].status == par[0].status == "pass"
     assert [f.__dict__ for f in seq[0].failures] == \
         [f.__dict__ for f in par[0].failures]
+
+
+@pytest.mark.parametrize("ident, lo, hi", [("thm3", "1", "6"), ("thm2", "-1", "5")])
+def test_involution_jobs_matches_sequential(monkeypatch, ident, lo, hi):
+    argv = ["involution", "--id", ident, "--n-min", lo, "--n-max", hi]
+    code, seq = run_command(argv)
+    submitted = []
+    pmap = cli._pmap
+
+    def recording_pmap(fn, tasks, jobs):
+        submitted.append([n for _, n in tasks])
+        return pmap(fn, tasks, jobs)
+
+    monkeypatch.setattr(cli, "_pmap", recording_pmap)
+    par_code, par = run_command(argv + ["--jobs", "2"])
+    assert submitted == [list(range(int(hi), int(lo) - 1, -1))]  # largest n first
+    assert code == par_code == (1 if ident == "thm3" else 0)
+    assert seq[0].status == par[0].status
+    assert [f.__dict__ for f in seq[0].failures] == \
+        [f.__dict__ for f in par[0].failures]
+    assert seq[0].errata == par[0].errata
+    assert bool(seq[0].errata) == (ident == "thm3")
 
 
 def test_usage_error_exit_two():

@@ -1,15 +1,16 @@
+import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wzkit import involution
 from wzkit.exactnum import binomial
 from wzkit.identities import eval_sum, registry
-from wzkit.involution import (ALPHABET, SizeLimitError, WordModel,
-                              check_involution, enum_words, scan_involution,
-                              sigma, weight, word_cost)
+from wzkit.involution import (ALPHABET, InvolutionReport, SizeLimitError,
+                              WordModel, check_involution, enum_words,
+                              scan_involution, sigma, weight, word_cost)
 
 
 def test_weight_examples():
@@ -233,6 +234,104 @@ def test_contains_matches_reference(w):
         assert model.contains(w) == _contains_reference(model, w), (model, w)
 
 
+def _scan_involution_reference(w):
+    """The scan map built from two slices and a concatenation."""
+    ia = w.find("a")
+    ibc = w.find("bc")
+    if ia < 0 and ibc < 0:
+        return None
+    if ibc < 0 or (0 <= ia < ibc):
+        return w[:ia] + "bc" + w[ia + 1:]
+    return w[:ibc] + "a" + w[ibc + 2:]
+
+
+def _sigma_reference(w):
+    """sigma with the positions of the non-a letters listed one by one."""
+    idx = [i for i, ch in enumerate(w) if ch != "a"]
+    if len(idx) < 3:
+        return None
+    p = idx[1] - idx[0] - 1
+    q = idx[2] - idx[1] - 1
+    if (p % 2) == (q % 2):
+        grow = p != 1
+    else:
+        grow = p == 0
+    cut = idx[0] + 1
+    if grow:
+        return w[:cut] + "a" + w[cut:]
+    return w[:cut] + w[cut + 1:]
+
+
+def _check_involution_reference(model):
+    """The checker with ``weight()``, attribute counters on the report and
+    the involutivity conjunction in its plain order, over the reference maps."""
+    model.check_size()
+    mapper = (_scan_involution_reference if model.model_id in ("thm1", "thm2")
+              else _sigma_reference)
+    rep = InvolutionReport(model_id=model.model_id, n=model.n)
+    for k in model.strata():
+        count = 0
+        for w in model.stratum_words(k):
+            count += 1
+            wt = weight(w)
+            rep.total_signed_sum += wt
+            img = mapper(w)
+            if img is None:
+                rep.fixed_count += 1
+                rep.fixed_signed_sum += wt
+                continue
+            ok = True
+            if not model.contains(img):
+                rep.closure_violations.append((w, img))
+                ok = False
+            else:
+                if weight(img) != -wt:
+                    rep.sign_violations.append((w, img))
+                    ok = False
+                back = mapper(img)
+                if back is not None and model.contains(back) and back != w:
+                    rep.involutivity_violations.append((w, img, back))
+                    ok = False
+            if ok:
+                rep.paired_count += 1
+        rep.stratum_counts[k] = count
+        rep.total_words += count
+    return rep
+
+
+_REFERENCE_MODELS = ([WordModel("thm1", n) for n in range(0, 7)]
+                     + [WordModel("thm2", n) for n in range(-1, 7)]
+                     + [WordModel("thm3", n) for n in range(1, 7)])
+
+
+def test_check_involution_matches_reference():
+    # field for field, each violation list in the same order
+    for model in _REFERENCE_MODELS:
+        assert (dataclasses.asdict(check_involution(model))
+                == dataclasses.asdict(_check_involution_reference(model))), model
+
+
+def test_maps_match_references_on_model_words():
+    for model in _REFERENCE_MODELS:
+        fast, ref = ((scan_involution, _scan_involution_reference)
+                     if model.model_id in ("thm1", "thm2")
+                     else (sigma, _sigma_reference))
+        for w in enum_words(model):
+            assert fast(w) == ref(w), (model, w)
+
+
+@given(st.text(alphabet="abcx", max_size=16))
+@example("")
+def test_scan_involution_matches_reference(w):
+    assert scan_involution(w) == _scan_involution_reference(w)
+
+
+@given(st.text(alphabet="abcx", max_size=16) | st.text(alphabet="aab", max_size=16))
+@example("")
+def test_sigma_matches_reference(w):
+    assert sigma(w) == _sigma_reference(w)
+
+
 # ---------------------------------------------------------------------------
 # every per-word check still fires
 
@@ -242,15 +341,23 @@ def _scan_then_reverse(w):
     return None if img is None else img[::-1]
 
 
+def _scan_when_even(w):
+    """The scan map on words of even weight; odd ones grow by a ``b``."""
+    return scan_involution(w) if w.count("a") % 2 == 0 else w + "b"
+
+
 @pytest.mark.parametrize("broken, kind", [
     (lambda w: w + "b", "closure"),            # cost grows by one
     (lambda w: w[::-1], "sign"),               # same cost, same weight
     (_scan_then_reverse, "involutivity"),      # cost kept, sign flipped
+    # an even word's image is in S, and the image's image leaves S: no
+    # involutivity violation, however the conjunction is ordered
+    (_scan_when_even, "closure"),
 ])
 def test_each_check_records_its_own_violations(monkeypatch, broken, kind):
     model = WordModel("thm2", 3)
     words = list(enum_words(model))
-    closure, sign, involutivity = [], [], []
+    closure, sign, involutivity, escaped = [], [], [], []
     for w in words:
         img = broken(w)
         if img is None:
@@ -263,8 +370,12 @@ def test_each_check_records_its_own_violations(monkeypatch, broken, kind):
         back = broken(img)
         if back is not None and _contains_reference(model, back) and back != w:
             involutivity.append((w, img, back))
+        elif back is not None and back != w:
+            escaped.append((w, img, back))
     expected = {"closure": closure, "sign": sign, "involutivity": involutivity}
     assert expected[kind] and all(v == [] for k, v in expected.items() if k != kind)
+    if broken is _scan_when_even:
+        assert escaped  # the case the membership test of ``back`` decides
 
     monkeypatch.setattr(involution, "scan_involution", broken)
     rep = check_involution(model)
