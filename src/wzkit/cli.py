@@ -25,7 +25,9 @@ Subcommands, each with the options it reads:
 An option a subcommand does not read is a usage error.  Exit codes: 0
 all pass, 1 a mathematical failure was found, 2 usage or parse errors,
 or an argument outside what the engine supports (a parameter below an
-identity's ``valid_from``, a negative binomial top in a ``--spec`` sum).
+identity's ``valid_from``, a negative binomial top in a ``--spec`` sum,
+a range that meets a pole of the term or a coefficient, a negative
+``--order``).
 ``--format json`` emits an array of report objects that validate
 against the bundled schema; the text format renders the same facts.  A
 command's default range is the ``check`` line declared for its target.
@@ -52,7 +54,7 @@ from .identities import (DERIVATION_LIMIT, LEMMAS, IdentityCase, RangeError,
                          Registry, UnknownIdentityError, build_registry,
                          check_identity, corollary_derivations, registry)
 from .reports import Failure, Report, exit_code, frac_str, render
-from .symalg import rf_equal
+from .symalg import PoleError, rf_equal
 
 _EXTRA_VAR_GRID = (2, 10)  # symbolic leftover variables get this value range
 
@@ -275,6 +277,8 @@ def _run_lemma(reg: Registry, name: str, rng: tuple[int, int]) -> Report:
 
 
 def _run_discover(reg: Registry, ident: str, mode: str, order: int) -> Report:
+    if order < 0:
+        raise UsageError(f"--order must be at least 0, got {order}")
     base = reg.problem(ident, mode)
     t0 = time.perf_counter()
     found = wzengine.discover_certificate(
@@ -439,7 +443,7 @@ def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
         else:
             reports = _run_all(reg, args.seed, jobs)
     except (UnknownIdentityError, UsageError, RangeError,
-            UnsupportedArgumentError, inv.SizeLimitError) as exc:
+            UnsupportedArgumentError, PoleError, inv.SizeLimitError) as exc:
         print(f"wzkit: error: {exc}", file=sys.stderr)
         return 2, []
     except (ParseError, OSError) as exc:

@@ -10,8 +10,9 @@ variable as the polynomial indeterminate.  The pieces:
   ``gcd(a(k), b(k+g)) != 1``, found exactly: the resultant
   ``Res_k(a(k), b(k+h))`` is computed symbolically (fraction-free
   Bareiss over integer polynomials in the parameters and ``h``), a
-  nonzero rational slice of it bounds the integer roots, and every
-  candidate is confirmed by an actual gcd.
+  nonzero rational slice of it bounds the integer roots, the slice's
+  denominators are cleared once so its roots are scanned in ``int``
+  arithmetic, and every candidate is confirmed by an actual gcd.
 * ``gosper_normal`` -- ``r/s = Z * (A/B) * (C(k+1)/C(k))`` with
   ``gcd(A(k), B(k+g)) = 1`` for every integer ``g >= 0``; ``Z`` is
   folded into ``A``.
@@ -26,6 +27,7 @@ variable as the polynomial indeterminate.  The pieces:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .symalg import MultiPoly, RationalFunction
 
@@ -247,10 +249,11 @@ def _sylvester_resultant_shifted(a: UPoly, b: UPoly) -> MultiPoly:
     return _det_bareiss(rows)
 
 
-def shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
-    """Nonnegative integers ``g`` with ``gcd(a(k), b(k+g))`` nontrivial."""
-    if a.degree < 1 or b.degree < 1:
-        return []
+def _resultant_slice(a: UPoly, b: UPoly) -> dict[int, Fraction]:
+    """Power -> coefficient of a nonzero univariate slice of the shifted resultant.
+
+    Every integer ``g`` with ``gcd(a(k), b(k+g))`` nontrivial is a root.
+    """
     res = _sylvester_resultant_shifted(a, b)
     if res.is_zero():
         raise ValueError("degenerate resultant (inputs share a factor for all shifts)")
@@ -267,14 +270,30 @@ def shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
             break
     if phi is None:
         raise ValueError("could not find a nonzero resultant slice")
-    coeffs: dict[int, Fraction] = {e[0] if phi.vars else 0: c for e, c in phi.terms.items()}
+    return {e[0] if phi.vars else 0: c for e, c in phi.terms.items()}
+
+
+def shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
+    """Nonnegative integers ``g`` with ``gcd(a(k), b(k+g))`` nontrivial."""
+    if a.degree < 1 or b.degree < 1:
+        return []
+    coeffs = _resultant_slice(a, b)
     degree = max(coeffs)
     lead = abs(coeffs[degree])
     cauchy = 1 + max(abs(c) / lead for c in coeffs.values())
     bound = min(int(cauchy) + 1, limit)
+    # the slice times the lcm of its denominators has the same roots;
+    # its integer coefficients, leading first, feed an int Horner scan
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    horner = [0] * (degree + 1)
+    for e, c in coeffs.items():
+        horner[degree - e] = c.numerator * (den // c.denominator)
 
-    def phi_at(g: int) -> Fraction:
-        return sum(c * g**e for e, c in coeffs.items())
+    def phi_at(g: int) -> int:
+        value = 0
+        for c in horner:
+            value = value * g + c
+        return value
 
     out = []
     for g in range(0, bound + 1):

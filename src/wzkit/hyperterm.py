@@ -73,31 +73,40 @@ class HyperTerm:
     def eval(self, point: Mapping[str, int]) -> Fraction:
         """Exact value at an integer point.
 
-        Raises ``PoleError`` if the prefactor denominator vanishes
-        (checked before any zero binomial can short-circuit) and
+        The value is accumulated as an integer numerator and
+        denominator: the prefactor's two integer ratios, the sign,
+        ``base**e`` (into the denominator for ``e < 0``) and the
+        binomials; one ``Fraction`` is built at the end.  Raises
+        ``PoleError`` if the prefactor denominator vanishes (checked
+        before any zero binomial can short-circuit) and
         ``UnsupportedArgumentError`` for a negative binomial top.
         """
-        pref_den = self.prefactor.den.eval(point)
-        if pref_den == 0:
+        pref = self.prefactor
+        dv, dd = pref.den.eval_ratio(point)
+        if dv == 0:
             raise PoleError(
-                f"prefactor denominator {self.prefactor.den} vanishes at {dict(point)}")
+                f"prefactor denominator {pref.den} vanishes at {dict(point)}")
         tops = [(t.eval(point), b.eval(point)) for t, b in self.binomials]
         for tv, _ in tops:
             if tv < 0:
                 raise UnsupportedArgumentError(
                     f"binomial top {tv} < 0 at {dict(point)}")
-        value = Fraction(self.prefactor.num.eval(point), pref_den)
+        nv, nd = pref.num.eval_ratio(point)
+        num, den = nv * dd, nd * dv
         if self.sign_exp.eval(point) % 2:
-            value = -value
+            num = -num
         for base, exp in self.powers:
             e = exp.eval(point)
-            value *= Fraction(base) ** e
+            if e >= 0:
+                num *= base**e
+            else:
+                den *= base**-e
         for tv, bv in tops:
             c = binomial(tv, bv)
             if c == 0:
                 return Fraction(0)
-            value *= c
-        return value
+            num *= c
+        return Fraction(num, den)
 
     # -- shift quotient ---------------------------------------------------
 

@@ -1,13 +1,19 @@
 """Exact multivariate polynomial and rational-function algebra.
 
-Everything is computed over ``Fraction`` with a fixed global variable
-order (plain lexicographic order on variable names), so a polynomial's
+Coefficients are ``Fraction``s, kept in a fixed global variable order
+(plain lexicographic order on variable names), so a polynomial's
 canonical representation is unique and equality is representation
-equality.  Rational functions are *not* gcd-reduced: equality is decided
-by cross-multiplication, which is exact and immune to missed
-cancellations.  Normalization only guarantees a nonzero denominator,
-integer-coefficient numerator and denominator with coprime contents,
-and a positive leading denominator coefficient.
+equality.  The hot paths run on integer kernels: a product of two
+integral polynomials (every normalized rational function has integral
+parts) multiplies the numerators as ``int``s, and evaluation at an
+all-``int`` point uses the integer coefficients over one common
+denominator, computed on first use and cached per polynomial, so it
+builds one ``Fraction`` per call.  Points with ``Fraction`` values take
+the ``Fraction`` path.  Rational functions are *not* gcd-reduced:
+equality is decided by cross-multiplication, which is exact and immune
+to missed cancellations.  Normalization only guarantees a nonzero
+denominator, integer-coefficient numerator and denominator with coprime
+contents, and a positive leading denominator coefficient.
 
 The only substitutions ever needed are integer shifts ``var -> var + c``
 and the occasional replacement of a variable by another linear form, so
@@ -20,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -98,10 +105,13 @@ class LinearForm:
         return LinearForm(self.coeffs, self.const + self.coeff(var) * offset)
 
     def eval(self, point: Mapping[str, int]) -> int:
+        value = self.const
         try:
-            return self.const + sum(c * point[v] for v, c in self.coeffs)
+            for v, c in self.coeffs:
+                value += c * point[v]
         except KeyError as exc:
             raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from exc
+        return value
 
     def to_poly(self) -> "MultiPoly":
         p = MultiPoly.const(self.const)
@@ -135,10 +145,12 @@ class MultiPoly:
     ``terms`` maps exponent tuples (aligned with the sorted ``vars``
     tuple) to nonzero coefficients.  Construction canonicalizes: unused
     variables are dropped, so two equal polynomials always have the same
-    representation.
+    representation.  ``_int`` caches the integer coefficients over their
+    common denominator once the polynomial is evaluated at an integer
+    point.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_int")
 
     def __init__(self, vars: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
         vs = tuple(vars)
@@ -154,6 +166,7 @@ class MultiPoly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", tm)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_int", None)
 
     # -- constructors -------------------------------------------------
 
@@ -237,11 +250,17 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         vs, ta, tb = MultiPoly._align(self, other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
+        ia, ib = ta.items(), tb.items()
+        if (all(c.denominator == 1 for c in ta.values())
+                and all(c.denominator == 1 for c in tb.values())):
+            # integral operands: multiply the numerators as ints
+            ia = [(e, c.numerator) for e, c in ia]
+            ib = [(e, c.numerator) for e, c in ib]
+        out: dict[tuple[int, ...], Fraction | int] = {}
+        for ea, ca in ia:
+            for eb, cb in ib:
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
         return MultiPoly(vs, out)
 
     def scaled(self, c: Fraction | int) -> "MultiPoly":
@@ -264,18 +283,46 @@ class MultiPoly:
 
     def eval(self, point: Mapping[str, int | Fraction]) -> Fraction:
         """Exact value at a full assignment of the variables."""
-        for v in self.vars:
-            if v not in point:
-                raise MissingVariableError(f"no value for variable {v!r}")
-        vals = [Fraction(point[v]) for v in self.vars]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
+        num, den = self.eval_ratio(point)
+        return Fraction(num, den)
+
+    def eval_ratio(self, point: Mapping[str, int | Fraction]
+                   ) -> tuple[int | Fraction, int]:
+        """The value as ``(numerator, denominator)``, not reduced.
+
+        At an all-``int`` point both are ``int``s: the integer
+        coefficients over their common denominator, evaluated in
+        ``int`` arithmetic.  At a point with a ``Fraction`` value the
+        numerator is the value itself and the denominator is 1.
+        """
+        try:
+            vals = [point[v] for v in self.vars]
+        except KeyError as exc:
+            raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from None
+        if all(type(x) is int for x in vals):
+            terms, den = self._int_terms()
+        else:
+            vals = [Fraction(x) for x in vals]
+            terms, den = self.terms.items(), 1
+        total = 0
+        for e, c in terms:
             for x, p in zip(vals, e):
                 if p:
-                    t *= x**p
-            total += t
-        return total
+                    c *= x**p
+            total += c
+        return total, den
+
+    def _int_terms(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+        """(exponent, integer coefficient) pairs and their common denominator."""
+        cached = self._int
+        if cached is None:
+            den = 1
+            for c in self.terms.values():
+                den = lcm(den, c.denominator)
+            cached = ([(e, c.numerator * (den // c.denominator))
+                       for e, c in self.terms.items()], den)
+            object.__setattr__(self, "_int", cached)
+        return cached
 
     def subst(self, var: str, repl: "MultiPoly") -> "MultiPoly":
         """Substitute ``var -> repl`` (polynomial replacement)."""
@@ -475,10 +522,11 @@ class RationalFunction:
         return RationalFunction(self.num.subst(var, repl), self.den.subst(var, repl))
 
     def eval(self, point: Mapping[str, int | Fraction]) -> Fraction:
-        d = self.den.eval(point)
+        d, dd = self.den.eval_ratio(point)
         if d == 0:
             raise PoleError(f"denominator {self.den} vanishes at {dict(point)}")
-        return self.num.eval(point) / d
+        n, nd = self.num.eval_ratio(point)
+        return Fraction(n * dd, d * nd)
 
     # -- equality ---------------------------------------------------------
 

@@ -99,15 +99,20 @@ def shift_quotients(p: WZProblem) -> list[RationalFunction]:
     return out
 
 
-def verify_certificate(p: WZProblem) -> CertCheck:
-    """Decide the certificate identity exactly; no numerics involved."""
-    qs = shift_quotients(p)
+def _residual(p: WZProblem, qs: list[RationalFunction],
+              qk: RationalFunction) -> RationalFunction:
+    """sum_j a_j q_j - (R(n, k+1) q_k - R(n, k)), given the term's quotients."""
     residual = RationalFunction.const(0)
     for a, q in zip(p.coeffs, qs):
         residual = residual + a * q
-    qk = p.term.shift_quotient(p.sum_var)
     r = p.certificate
-    residual = residual - (r.shifted(p.sum_var, 1) * qk - r)
+    return residual - (r.shifted(p.sum_var, 1) * qk - r)
+
+
+def verify_certificate(p: WZProblem) -> CertCheck:
+    """Decide the certificate identity exactly; no numerics involved."""
+    residual = _residual(p, shift_quotients(p), p.term.shift_quotient(p.sum_var))
+    r = p.certificate
     num_low = r.num.subst_int(p.sum_var, 0)
     den_low = r.den.subst_int(p.sum_var, 0)
     lower_ok = num_low.is_zero() and not den_low.is_zero()
@@ -217,12 +222,12 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
     """
     if set(p.term.variables) - {p.shift_var, p.sum_var}:
         return None
+    g_term = p.term.absorb(p.certificate)
     for n in range(n_lo, n_hi + 1):
         base = {p.shift_var: n}
         u = upper_support(p.term, p.sum_var, base)
         hi = (u if u is not None else n + 2) + p.order + 1
         a_vals = _coeff_values(p, base)
-        g_term = p.term.absorb(p.certificate)
         for k in range(hi + 1):
             den_here = p.certificate.den.eval(dict(base, **{p.sum_var: k}))
             den_next = p.certificate.den.eval(dict(base, **{p.sum_var: k + 1}))
@@ -377,9 +382,16 @@ def mutate_problem(p: WZProblem, rng: random.Random) -> WZProblem:
 
 
 def mutation_check(p: WZProblem, count: int = 20, seed: int = 0) -> list[bool]:
-    """Returns one flag per mutant: True means the mutant certificate fails."""
+    """Returns one flag per mutant: True means the mutant certificate fails.
+
+    A mutant changes only the certificate or the coefficients, so the
+    term's shift quotients are computed once and shared by every
+    mutant's residual; a flag is ``not verify_certificate(mutant).status``.
+    """
     rng = random.Random(seed)
-    return [not verify_certificate(mutate_problem(p, rng)).status
+    qs = shift_quotients(p)
+    qk = p.term.shift_quotient(p.sum_var)
+    return [not _residual(mutate_problem(p, rng), qs, qk).is_zero()
             for _ in range(count)]
 
 

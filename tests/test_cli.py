@@ -306,6 +306,20 @@ def test_jobs_below_one_exit_two(capsys):
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_negative_order_exit_two(capsys):
+    code, reports = run_command(["discover", "--id", "thm1", "--order", "-1"])
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == "wzkit: error: --order must be at least 0, got -1\n"
+
+
+def test_range_through_a_pole_exit_two(capsys):
+    # the corrected pair's summand carries 1/(n+1), and n = -1 is in the range
+    code, reports = run_command(["verify", "--id", "thm1", "--n-min", "-5", "--n-max", "2"])
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == (
+        "wzkit: error: prefactor denominator n + 1 vanishes at {'n': -1, 'k': 0}\n")
+
+
 _THM1_AGAIN = ("term T(n, k) := sign(n + k) * binom(n + k + 1, 2*k + 1) * pow(2, 2*k)\n"
                "sum thm1(n) := sum(k, 0, n, T) == n + 1 for n >= 0\n")
 

@@ -1,0 +1,311 @@
+"""Integer kernels against the ``Fraction`` code they replaced.
+
+Each fast path of ``symalg``, ``hyperterm``, ``gosper`` and ``wzengine``
+keeps its naive reference here, one ``Fraction`` per operation, and a
+test compares the two: polynomial and rational-function evaluation at
+integer and ``Fraction`` points, polynomial products, hypergeometric
+term evaluation at integer points (the only points a term is defined
+on), the integer root scan of ``shift_candidates``, and the mutation
+check that shares the term's shift quotients across mutants.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wzkit import gosper, wzengine
+from wzkit.exactnum import UnsupportedArgumentError, binomial
+from wzkit.gosper import UPoly, shift_candidates
+from wzkit.hyperterm import HyperTerm
+from wzkit.identities import registry
+from wzkit.symalg import (LinearForm, MissingVariableError, MultiPoly,
+                          PoleError, RationalFunction)
+from wzkit.wzengine import (WZProblem, mutate_problem, mutation_check,
+                            verify_certificate)
+
+# ---------------------------------------------------------------------------
+# the Fraction references
+
+
+def ref_poly_eval(p: MultiPoly, point) -> Fraction:
+    for v in p.vars:
+        if v not in point:
+            raise MissingVariableError(f"no value for variable {v!r}")
+    vals = [Fraction(point[v]) for v in p.vars]
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        t = c
+        for x, q in zip(vals, e):
+            if q:
+                t *= x**q
+        total += t
+    return total
+
+
+def ref_rf_eval(f: RationalFunction, point) -> Fraction:
+    d = ref_poly_eval(f.den, point)
+    if d == 0:
+        raise PoleError(f"denominator {f.den} vanishes at {dict(point)}")
+    return ref_poly_eval(f.num, point) / d
+
+
+def ref_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    vs, ta, tb = MultiPoly._align(p, q)
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return MultiPoly(vs, out)
+
+
+def ref_term_eval(t: HyperTerm, point) -> Fraction:
+    pref_den = ref_poly_eval(t.prefactor.den, point)
+    if pref_den == 0:
+        raise PoleError(
+            f"prefactor denominator {t.prefactor.den} vanishes at {dict(point)}")
+    tops = [(top.eval(point), bottom.eval(point)) for top, bottom in t.binomials]
+    for tv, _ in tops:
+        if tv < 0:
+            raise UnsupportedArgumentError(f"binomial top {tv} < 0 at {dict(point)}")
+    value = Fraction(ref_poly_eval(t.prefactor.num, point), pref_den)
+    if t.sign_exp.eval(point) % 2:
+        value = -value
+    for base, exp in t.powers:
+        value *= Fraction(base) ** exp.eval(point)
+    for tv, bv in tops:
+        c = binomial(tv, bv)
+        if c == 0:
+            return Fraction(0)
+        value *= c
+    return value
+
+
+def ref_shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
+    if a.degree < 1 or b.degree < 1:
+        return []
+    coeffs = gosper._resultant_slice(a, b)
+    degree = max(coeffs)
+    lead = abs(coeffs[degree])
+    cauchy = 1 + max(abs(c) / lead for c in coeffs.values())
+    bound = min(int(cauchy) + 1, limit)
+    return [g for g in range(bound + 1)
+            if sum(c * g**e for e, c in coeffs.items()) == 0
+            and a.gcd(b.shifted(g)).degree > 0]
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+int_coeffs = st.integers(-4, 4).map(Fraction)
+
+
+def polys_over(vs, coeffs):
+    exps = st.tuples(*[st.integers(0, 3)] * len(vs))
+    return st.dictionaries(exps, coeffs, max_size=4).map(lambda d: MultiPoly(vs, d))
+
+
+def polys(coeffs):
+    return st.sampled_from([("k",), ("n",), ("k", "n")]).flatmap(
+        lambda vs: polys_over(vs, coeffs))
+
+
+any_polys = polys(int_coeffs) | polys(small_fracs)
+nonzero_polys = any_polys.filter(lambda p: not p.is_zero())
+int_points = st.fixed_dictionaries({"k": st.integers(-5, 5), "n": st.integers(-5, 5)})
+values = st.integers(-5, 5) | small_fracs
+points = int_points | st.fixed_dictionaries({"k": values, "n": values})
+forms = st.builds(lambda c, a, b: LinearForm.make({"k": a, "n": b}, c),
+                  st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
+terms = st.builds(
+    lambda sign, powers, binoms, num, den: HyperTerm.build(
+        ("k", "n"), sign_exp=sign, powers=powers, binomials=binoms,
+        prefactor=RationalFunction(num, den)),
+    forms,
+    st.lists(st.tuples(st.integers(2, 4), forms), max_size=2),
+    st.lists(st.tuples(forms, forms), max_size=2),
+    any_polys, nonzero_polys)
+
+
+# ---------------------------------------------------------------------------
+# polynomial and rational-function kernels
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_polys, points)
+def test_poly_eval_matches_reference(p, point):
+    assert outcome(p.eval, point) == ref_poly_eval(p, point)
+    assert outcome(p.eval, point) == ref_poly_eval(p, point)  # cached coefficients
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_polys)
+def test_poly_eval_missing_variable_matches_reference(p):
+    point = {"m": 1}
+    assert outcome(p.eval, point) == outcome(ref_poly_eval, p, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_polys, nonzero_polys, points)
+def test_rf_eval_matches_reference(num, den, point):
+    f = RationalFunction(num, den)
+    assert outcome(f.eval, point) == outcome(ref_rf_eval, f, point)
+
+
+def test_rf_eval_pole_matches_reference():
+    k, n = MultiPoly.var("k"), MultiPoly.var("n")
+    f = RationalFunction(k, k - n)
+    for point in ({"k": 2, "n": 2}, {"k": Fraction(1, 2), "n": Fraction(1, 2)}):
+        got = outcome(f.eval, point)
+        assert got[0] is PoleError
+        assert got == outcome(ref_rf_eval, f, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_polys, any_polys)
+def test_mul_matches_fraction_loop(p, q):
+    prod = p * q
+    assert prod == ref_mul(p, q)
+    assert all(type(c) is Fraction for c in prod.terms.values())
+
+
+def test_mul_int_and_fraction_paths_agree():
+    k, n = MultiPoly.var("k"), MultiPoly.var("n")
+    integral = (k + n).scaled(3) * (k - MultiPoly.const(2))
+    half = (k + n).scaled(Fraction(1, 2))
+    for p, q in ((integral, integral), (integral, half), (half, half)):
+        assert p * q == ref_mul(p, q) == q * p
+
+
+# ---------------------------------------------------------------------------
+# hypergeometric terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms, int_points)
+def test_term_eval_matches_reference(t, point):
+    assert outcome(t.eval, point) == outcome(ref_term_eval, t, point)
+
+
+def _lf(const=0, **coeffs):
+    return LinearForm.make(coeffs, const)
+
+
+@pytest.mark.parametrize("term,point,expected", [
+    # 2^(k-n) with k < n puts the power in the denominator
+    (HyperTerm.build(("k", "n"), powers=((2, _lf(k=1, n=-1)),)),
+     {"k": 1, "n": 4}, Fraction(1, 8)),
+    # binom(n, k) is zero past the top
+    (HyperTerm.build(("k", "n"), binomials=((_lf(n=1), _lf(k=1)),)),
+     {"k": 5, "n": 3}, Fraction(0)),
+    # a pole of the prefactor wins over a zero binomial
+    (HyperTerm.build(("k", "n"), binomials=((_lf(n=1), _lf(k=1)),),
+                     prefactor=RationalFunction(MultiPoly.const(1), _lf(1, n=1).to_poly())),
+     {"k": 5, "n": -1}, PoleError),
+    # a negative binomial top is refused
+    (HyperTerm.build(("k", "n"), binomials=((_lf(n=1), _lf(k=1)),)),
+     {"k": 0, "n": -2}, UnsupportedArgumentError),
+])
+def test_term_eval_edge_cases_match_reference(term, point, expected):
+    got = outcome(term.eval, point)
+    assert got == outcome(ref_term_eval, term, point)
+    assert (got[0] if isinstance(got, tuple) else got) == expected
+
+
+def test_registry_summands_match_reference():
+    for case in registry().cases.values():
+        t = case.summand
+        extra = {v: 3 for v in t.variables}
+        for n in range(0, 6):
+            for k in range(-1, 8):
+                point = dict(extra, **{case.param: n, case.loops[-1].var: k})
+                assert outcome(t.eval, point) == outcome(ref_term_eval, t, point)
+
+
+# ---------------------------------------------------------------------------
+# the integer root scan of shift_candidates
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_shift_candidates_match_fraction_scan_on_registry_inputs(monkeypatch):
+    # discovery hands r and s to gosper_normal, which makes them monic and
+    # scans them; capture every registry summand's pair at orders 0 and 1
+    seen = []
+
+    def capture(r, s):
+        seen.append((r.monic(), s.monic()))
+        raise _Captured
+
+    monkeypatch.setattr(wzengine, "gosper_normal", capture)
+    for case in registry().cases.values():
+        for order in (0, 1):
+            for loop in case.loops:
+                with pytest.raises(_Captured):
+                    wzengine.discover_certificate(case.summand, case.param,
+                                                  loop.var, order)
+    assert len(seen) >= 2 * len(registry().cases)
+    nonempty = 0
+    for a, b in seen:
+        got = shift_candidates(a, b)
+        assert got == ref_shift_candidates(a, b), (a, b)
+        nonempty += bool(got)
+    assert nonempty >= 10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(small_fracs, min_size=1, max_size=2),
+       st.lists(small_fracs, min_size=1, max_size=2), small_fracs)
+def test_shift_candidates_match_fraction_scan_on_rational_roots(ra, rb, scale):
+    def from_roots(roots, c):
+        p = UPoly("k", [RationalFunction.const(c or 1)])
+        for r in roots:
+            p = p * UPoly("k", [RationalFunction.const(-r), RationalFunction.const(1)])
+        return p
+
+    a, b = from_roots(ra, scale), from_roots(rb, 1)
+    assert shift_candidates(a, b) == ref_shift_candidates(a, b)
+
+
+# ---------------------------------------------------------------------------
+# mutation check with shared shift quotients
+
+
+def _constant_problem() -> WZProblem:
+    """F = 1, F(n+1, k) - F(n, k) = 0 with R = 0: a mutant of R's
+    denominator (1 -> 2) still verifies, a mutant of a coefficient does not."""
+    return WZProblem("constant", HyperTerm.build(("n", "k")), "n", "k",
+                     (RationalFunction.const(-1), RationalFunction.const(1)),
+                     RationalFunction.const(0))
+
+
+@pytest.mark.parametrize("key", ["thm1", "thm2", "thm3", "constant"])
+def test_mutation_check_matches_per_mutant_verification(key):
+    p = _constant_problem() if key == "constant" else registry().problem(key)
+    flags = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        expected = [not verify_certificate(mutate_problem(p, rng)).status
+                    for _ in range(20)]
+        assert mutation_check(p, count=20, seed=seed) == expected, seed
+        flags += expected
+    # the registry certificates kill every mutant; the constant problem
+    # has survivors too, so a check that flags everything fails here
+    assert all(flags) == (key != "constant") and any(flags)
