@@ -19,11 +19,12 @@ binomial argument whose coefficient in the inner variable is 1, every
 inner sum is a contiguous segment of one lattice line of Pascal's
 triangle (a row, a column, or a slope-2 line such as thm1's and cor5's),
 scaled by a sign and power factor that does not depend on the inner
-variable.  The lines are walked one at a time: each line's weighted
-prefix sums are built once by the binomial ratio step, every
-(n, outer) pair that lands on the line is answered by a difference of
-two prefix sums, and the line is then dropped.  Every bundled sum takes
-this path.
+variable.  The lines are walked one at a time, in ascending order, and
+each visits only the n whose outer range reaches it.  A line's weighted
+terms come from one ``binomial`` call and an exact integer recurrence,
+every (n, outer) pair that lands on the line is answered by a difference
+of two prefix sums, and the line is then dropped.  Every bundled sum
+takes this path.
 
 ``eval_sum`` is the uncached term-by-term reference: the literal nested
 sum of ``HyperTerm.eval`` values.  The test suite checks the line walk
@@ -49,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import UnsupportedArgumentError, binomial
@@ -123,38 +125,6 @@ class IdentityCase:
 # exact summation
 
 
-def _binom_step(top: int, bottom: int, dp: int, dq: int, value: int) -> int:
-    """binomial(top+dp, bottom+dq) from value = binomial(top, bottom)."""
-    if value == 0:
-        return binomial(top + dp, bottom + dq)
-    num = den = 1
-    if dp >= 0:
-        for i in range(dp):
-            num *= top + 1 + i
-    else:
-        for i in range(1, -dp + 1):
-            den *= top + 1 - i
-    if dq >= 0:
-        for i in range(dq):
-            den *= bottom + 1 + i
-    else:
-        for i in range(1, -dq + 1):
-            num *= bottom + 1 - i
-    dd = dp - dq
-    base = top - bottom + 1
-    if dd >= 0:
-        for i in range(dd):
-            den *= base + i
-    else:
-        for i in range(1, -dd + 1):
-            num *= base - i
-    if num == 0:
-        return 0
-    if den == 0:
-        return binomial(top + dp, bottom + dq)
-    return value * num // den
-
-
 def _nested_sum(t: HyperTerm, point: Mapping[str, int],
                 loops: tuple[Loop, ...]) -> Fraction:
     """Sum of ``t`` over ``loops`` (outermost first), with ``point`` fixed."""
@@ -183,6 +153,14 @@ def eval_sum(case: IdentityCase, n: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # range evaluation: Pascal-line prefix sums shared across n
+#
+# Along a line the weighted term binom(t, b) * weight_step**j follows
+# term' = term * weight_step * N // D, with N and D products of affine
+# factors of (t, b) worked out once per step shape (dt, db).  The
+# division is exact on the support 0 <= b <= t, to which every line is
+# clipped: there binom' * D = binom * N and D >= 1.  The lines are swept
+# in ascending order with the set of n whose outer range covers the
+# current line, so no line scans the whole range of n.
 
 
 class _LinePlan(NamedTuple):
@@ -193,6 +171,9 @@ class _LinePlan(NamedTuple):
     Along a line the index j is the binomial argument with inner
     coefficient 1 (the top when ``by_top``, else the bottom) and the
     other argument is ``slope*j + c``, where c = ``line`` at (n, outer).
+    One step of j moves (top, bottom) by (1, slope) when ``by_top``, else
+    by (slope, 1): the step shape whose ``_step_factors`` give the term
+    recurrence, the same on every line of the sum.
     """
 
     by_top: bool
@@ -251,21 +232,80 @@ def _line_plan(case: IdentityCase) -> _LinePlan | None:
         sign=forms[4], powers=tuple(powers), weight_step=weight_step)
 
 
+def _step_factors(dt: int, db: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The affine factors (N, D) of binom(t+dt, b+db) / binom(t, b).
+
+    Each factor (p, q, r) stands for p*t + q*b + r, and N and D are the
+    products of their factors.  The ratio is (t+dt)!/t! * b!/(b+db)! *
+    (t-b)!/(t-b+dt-db)!, so binom(t+dt, b+db) * D = binom(t, b) * N
+    whenever both binomials lie in the support 0 <= b <= t.  There every
+    factor of D is at least 1: it is t - i with t - i > t + dt >= 0, or
+    b + i or t - b + i with i >= 1.
+    """
+    num: list[tuple[int, int, int]] = []
+    den: list[tuple[int, int, int]] = []
+    # x -> x + d multiplies x! by (x+1)...(x+d), or divides it by x(x-1)...(x+d+1)
+    for (p, q), d, over, under in (((1, 0), dt, num, den), ((0, 1), db, den, num),
+                                   ((1, -1), dt - db, den, num)):
+        if d >= 0:
+            over.extend((p, q, i) for i in range(1, d + 1))
+        else:
+            under.extend((p, q, -i) for i in range(-d))
+    return tuple(num), tuple(den)
+
+
+def _line_terms(top: int, bottom: int, dt: int, db: int, steps: int,
+                weight_step: int, factors) -> list[int]:
+    """binom(top + i*dt, bottom + i*db) * weight_step**i for i = 0..steps.
+
+    One ``binomial`` call gives the first term and each later one is
+    term * weight_step * N // D, with ``factors`` = ``_step_factors(dt,
+    db)`` at the previous point; every point must lie in the support.
+    """
+    cols = []
+    for first, fs in zip((weight_step, 1), factors):
+        col = [first] * steps
+        for p, q, r in fs:  # affine in i: its values along the line are a range
+            x, dx = p * top + q * bottom + r, p * dt + q * db
+            if dx:
+                col = [v * y for v, y in zip(col, range(x, x + dx * steps, dx))]
+            elif x != 1:
+                col = [v * x for v in col]
+        cols.append(col)
+    term = binomial(top, bottom)
+    terms = [term]
+    for num, den in zip(*cols):
+        term = term * num // den
+        terms.append(term)
+    return terms
+
+
 def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                ) -> dict[int, Fraction]:
     """Exact sums of ``case`` at every n in ``ns`` by walking Pascal lines.
+
+    The outer range [alo, ahi] of each n covers an interval of line
+    indices c = gn*n + ga*a + g0.  The intervals are sorted once, and as c
+    ascends a line visits only the n whose interval covers it (the
+    active n); lines no n reaches are skipped.  Each line's terms come
+    from ``_line_terms`` over the part of the line where the binomial is
+    nonzero; its prefix sums answer every (n, outer) pair on it, and then
+    the line is dropped.
 
     A negative binomial top raises ``UnsupportedArgumentError`` after the
     walk, naming the smallest n where one lies in the summation region.
     """
     outer, _ = _loop_pair(case)
-    bounds = {}
+    gn, ga, _, g0 = plan.line
+    spans = []  # (first line, last line, n, alo, ahi, line at outer 0)
     for n in ns:
         pt = {case.param: n}
-        bounds[n] = (outer.lower.eval(pt), outer.upper.eval(pt))
-    gn, ga, _, g0 = plan.line
-    ends = [gn * n + ga * a + g0 for n, (alo, ahi) in bounds.items()
-            if alo <= ahi for a in (alo, ahi)]
+        alo, ahi = outer.lower.eval(pt), outer.upper.eval(pt)
+        if alo <= ahi:
+            line0 = gn * n + g0
+            first, last = sorted((line0 + ga * alo, line0 + ga * ahi))
+            spans.append((first, last, n, alo, ahi, line0))
+    spans.sort(reverse=True)  # the next span to open is spans[-1]
     acc = dict.fromkeys(ns, 0)
     rest = dict.fromkeys(ns, 0)  # terms with a negative power exponent
     xn, xa, _, x0 = plan.index
@@ -273,19 +313,28 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                                                            plan.inner_upper)
     sn, sa, sb, s0 = plan.sign
     by_top, slope = plan.by_top, plan.slope
+    dt, db = (1, slope) if by_top else (slope, 1)
+    factors = _step_factors(dt, db)
     bad = None  # (n, top) for the smallest n with a negative top
-    for c in range(min(ends, default=0), max(ends, default=-1) + 1):
+    active: list[tuple] = []
+    next_c = 0
+    while True:
+        active = [s for s in active if s[1] >= next_c]
+        if not active:
+            if not spans:
+                break
+            next_c = spans[-1][0]
+        while spans and spans[-1][0] <= next_c:
+            active.append(spans.pop())
+        c, next_c = next_c, next_c + 1
         # every (n, outer, j-segment) whose inner sum lies on line c
         pairs = []
-        for n, (alo, ahi) in bounds.items():
-            r = c - gn * n - g0
+        for _, _, n, alo, ahi, line0 in active:
             if ga:
-                a, rem = divmod(r, ga)
-                if rem or a < alo or a > ahi:
+                a, rem = divmod(c - line0, ga)
+                if rem:
                     continue
                 outs = (a,)
-            elif r:
-                continue
             else:
                 outs = range(alo, ahi + 1)
             for a in outs:
@@ -325,17 +374,12 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
         if end < start:
             continue
         if by_top:
-            top, bot, dt, db = start, slope * start + c, 1, slope
+            top, bot = start, slope * start + c
         else:
-            top, bot, dt, db = slope * start + c, start, slope, 1
-        value = binomial(top, bot)
-        weight = 1
-        prefix = [0, value]
-        for _ in range(end - start):
-            value = _binom_step(top, bot, dt, db, value)
-            top, bot = top + dt, bot + db
-            weight *= plan.weight_step
-            prefix.append(prefix[-1] + value * weight)
+            top, bot = slope * start + c, start
+        prefix = list(accumulate(
+            _line_terms(top, bot, dt, db, end - start, plan.weight_step, factors),
+            initial=0))
         for n, a, i0, jlo, jhi in pairs:
             lo_j = jlo if jlo > start else start
             hi_j = jhi if jhi < end else end
@@ -379,8 +423,11 @@ def _value_key(case: IdentityCase) -> tuple:
 def values(case: IdentityCase, lo: int, hi: int) -> list[Fraction]:
     """Exact sums of ``case`` at n = lo..hi, memoized per (case value, n).
 
-    Raises like ``eval_sum``: ``RangeError`` below ``valid_from`` and
-    ``UnsupportedArgumentError`` for a negative binomial top.
+    The n not in the memo are summed together: by one sweep of the line
+    walk (``_line_sums``) when ``_line_plan`` gives a plan, else by one
+    ``eval_sum`` per n.  Raises like ``eval_sum``: ``RangeError`` below
+    ``valid_from`` and ``UnsupportedArgumentError`` for a negative
+    binomial top.
     """
     if lo < case.valid_from:
         raise RangeError(

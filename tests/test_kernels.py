@@ -7,6 +7,13 @@ integer and ``Fraction`` points, polynomial products, hypergeometric
 term evaluation at integer points (the only points a term is defined
 on), the integer root scan of ``shift_candidates``, and the mutation
 check that shares the term's shift quotients across mutants.
+
+The Pascal-line walk of ``identities`` keeps its naive form here too:
+one generic binomial ratio step and one weight multiply per point, and
+every n of the range scanned for every line.  ``values`` must equal it
+exactly on every declared check range and on the edge shapes of
+``test_identities``.  The per-line term recurrence of the walk is
+compared with ``binomial`` on its own.
 """
 
 import random
@@ -16,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzkit import gosper, wzengine
+from wzkit import gosper, identities, wzengine
 from wzkit.exactnum import UnsupportedArgumentError, binomial
 from wzkit.gosper import UPoly, shift_candidates
 from wzkit.hyperterm import HyperTerm
-from wzkit.identities import registry
+from wzkit.identities import (_VALUES, _line_plan, _line_terms, _loop_pair,
+                              _step_factors, registry)
 from wzkit.symalg import (LinearForm, MissingVariableError, MultiPoly,
                           PoleError, RationalFunction)
 from wzkit.wzengine import (WZProblem, mutate_problem, mutation_check,
@@ -97,13 +105,156 @@ def ref_shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
             and a.gcd(b.shifted(g)).degree > 0]
 
 
+def ref_binom_step(top: int, bottom: int, dp: int, dq: int, value: int) -> int:
+    """binomial(top+dp, bottom+dq) from value = binomial(top, bottom)."""
+    if value == 0:
+        return binomial(top + dp, bottom + dq)
+    num = den = 1
+    if dp >= 0:
+        for i in range(dp):
+            num *= top + 1 + i
+    else:
+        for i in range(1, -dp + 1):
+            den *= top + 1 - i
+    if dq >= 0:
+        for i in range(dq):
+            den *= bottom + 1 + i
+    else:
+        for i in range(1, -dq + 1):
+            num *= bottom + 1 - i
+    dd = dp - dq
+    base = top - bottom + 1
+    if dd >= 0:
+        for i in range(dd):
+            den *= base + i
+    else:
+        for i in range(1, -dd + 1):
+            num *= base - i
+    if num == 0:
+        return 0
+    if den == 0:
+        return binomial(top + dp, bottom + dq)
+    return value * num // den
+
+
+def ref_line_sums(case, plan, ns: list[int]) -> dict[int, Fraction]:
+    """The line walk with a generic step per point, scanning every n per line."""
+    outer, _ = _loop_pair(case)
+    bounds = {}
+    for n in ns:
+        pt = {case.param: n}
+        bounds[n] = (outer.lower.eval(pt), outer.upper.eval(pt))
+    gn, ga, _, g0 = plan.line
+    ends = [gn * n + ga * a + g0 for n, (alo, ahi) in bounds.items()
+            if alo <= ahi for a in (alo, ahi)]
+    acc = dict.fromkeys(ns, 0)
+    rest = dict.fromkeys(ns, 0)
+    xn, xa, _, x0 = plan.index
+    (lhalf, (ln, la, _, l0)), (uhalf, (un, ua, _, u0)) = (plan.inner_lower,
+                                                           plan.inner_upper)
+    sn, sa, sb, s0 = plan.sign
+    by_top, slope = plan.by_top, plan.slope
+    bad = None
+    for c in range(min(ends, default=0), max(ends, default=-1) + 1):
+        pairs = []
+        for n, (alo, ahi) in bounds.items():
+            r = c - gn * n - g0
+            if ga:
+                a, rem = divmod(r, ga)
+                if rem or a < alo or a > ahi:
+                    continue
+                outs = (a,)
+            elif r:
+                continue
+            else:
+                outs = range(alo, ahi + 1)
+            for a in outs:
+                blo = ln * n + la * a + l0
+                bhi = un * n + ua * a + u0
+                if lhalf:
+                    blo //= 2
+                if uhalf:
+                    bhi //= 2
+                if bhi < blo:
+                    continue
+                i0 = xn * n + xa * a + x0
+                jlo, jhi = blo + i0, bhi + i0
+                low_top = jlo if by_top else min(slope * jlo, slope * jhi) + c
+                if low_top < 0:
+                    if bad is None or (n, low_top) < bad:
+                        bad = (n, low_top)
+                    continue
+                pairs.append((n, a, i0, jlo, jhi))
+        if not pairs:
+            continue
+        start = min(p[3] for p in pairs)
+        end = max(p[4] for p in pairs)
+        if by_top:
+            constraints = ((slope, c), (1 - slope, -c))
+        else:
+            constraints = ((1, 0), (slope - 1, c))
+        for u, v in constraints:
+            if u > 0:
+                start = max(start, -(v // u))
+            elif u < 0:
+                end = min(end, v // -u)
+            elif v < 0:
+                end = start - 1
+        if end < start:
+            continue
+        if by_top:
+            top, bot, dt, db = start, slope * start + c, 1, slope
+        else:
+            top, bot, dt, db = slope * start + c, start, slope, 1
+        value = binomial(top, bot)
+        weight = 1
+        prefix = [0, value]
+        for _ in range(end - start):
+            value = ref_binom_step(top, bot, dt, db, value)
+            top, bot = top + dt, bot + db
+            weight *= plan.weight_step
+            prefix.append(prefix[-1] + value * weight)
+        for n, a, i0, jlo, jhi in pairs:
+            lo_j = jlo if jlo > start else start
+            hi_j = jhi if jhi < end else end
+            if hi_j < lo_j:
+                continue
+            seg = prefix[hi_j - start + 1] - prefix[lo_j - start]
+            if not seg:
+                continue
+            b0 = start - i0
+            if (sn * n + sa * a + sb * b0 + s0) % 2:
+                seg = -seg
+            den = 1
+            for base, (en, ea, eb, e0) in plan.powers:
+                e = en * n + ea * a + eb * b0 + e0
+                if e >= 0:
+                    seg *= base**e
+                else:
+                    den *= base**-e
+            if den == 1:
+                acc[n] += seg
+            else:
+                rest[n] += Fraction(seg, den)
+    if bad is not None:
+        raise UnsupportedArgumentError(
+            f"binomial top must be >= 0, got {bad[1]} at {case.param}={bad[0]}")
+    pref = case.summand.prefactor.as_fraction()
+    return {n: pref * (acc[n] + rest[n]) for n in ns}
+
+
+def ref_values(case, lo: int, hi: int) -> list[Fraction]:
+    sums = ref_line_sums(case, _line_plan(case), list(range(lo, hi + 1)))
+    return [sums[n] for n in range(lo, hi + 1)]
+
+
 def outcome(fn, *args):
     """The value, or the type and message of the exception raised."""
     try:
         value = fn(*args)
     except (ArithmeticError, ValueError, KeyError) as exc:
         return type(exc), str(exc)
-    assert type(value) is Fraction
+    assert all(type(v) is Fraction for v in (value if type(value) is list else [value]))
     return value
 
 
@@ -309,3 +460,99 @@ def test_mutation_check_matches_per_mutant_verification(key):
     # the registry certificates kill every mutant; the constant problem
     # has survivors too, so a check that flags everything fails here
     assert all(flags) == (key != "constant") and any(flags)
+
+
+# ---------------------------------------------------------------------------
+# the Pascal-line walk
+
+
+def _line_point(by_top: bool, slope: int, c: int, j: int) -> tuple[int, int]:
+    """(top, bottom) at index j of line c."""
+    return (j, slope * j + c) if by_top else (slope * j + c, j)
+
+
+@pytest.mark.parametrize("by_top", [True, False])
+@pytest.mark.parametrize("slope", range(-3, 4))
+def test_line_terms_match_binomial(by_top, slope):
+    dt, db = (1, slope) if by_top else (slope, 1)
+    factors = _step_factors(dt, db)
+    lines = 0
+    for c in range(-7, 8):
+        support = [j for j in range(-12, 13)
+                   if 0 <= _line_point(by_top, slope, c, j)[1]
+                   <= _line_point(by_top, slope, c, j)[0]]
+        if not support:
+            continue
+        lines += 1
+        # the support along a line is one interval, and no factor of D
+        # vanishes at a step inside it
+        assert support == list(range(support[0], support[-1] + 1)), c
+        for j in support[:-1]:
+            top, bottom = _line_point(by_top, slope, c, j)
+            assert all(p * top + q * bottom + r >= 1 for p, q, r in factors[1]), (c, j)
+        for start in support:
+            top, bottom = _line_point(by_top, slope, c, start)
+            for steps in sorted({0, 1, support[-1] - start}):
+                if start + steps > support[-1]:
+                    continue
+                for weight in (1, -1, 2, -4):
+                    want = [binomial(*_line_point(by_top, slope, c, start + i)) * weight**i
+                            for i in range(steps + 1)]
+                    got = _line_terms(top, bottom, dt, db, steps, weight, factors)
+                    assert got == want, (c, start, steps, weight)
+    assert lines >= 5
+
+
+def test_step_factors_match_generic_step():
+    # binom(t+dt, b+db) * D = binom(t, b) * N on a grid of the support
+    for dt in range(-3, 4):
+        for db in range(-3, 4):
+            num, den = _step_factors(dt, db)
+            for t in range(0, 9):
+                for b in range(0, t + 1):
+                    if not 0 <= b + db <= t + dt:
+                        continue
+                    n = d = 1
+                    for p, q, r in num:
+                        n *= p * t + q * b + r
+                    for p, q, r in den:
+                        d *= p * t + q * b + r
+                    assert d >= 1
+                    assert binomial(t + dt, b + db) * d == binomial(t, b) * n
+                    assert ref_binom_step(t, b, dt, db, binomial(t, b)) == \
+                        binomial(t + dt, b + db)
+
+
+def _declared_ranges(reg) -> dict[str, tuple[int, int]]:
+    """Every registry sum's check range, as ``wzkit all`` reads it."""
+    ranges = {c.target: c.range for (kind, _), c in reg.checks.items() if kind == "oracle"}
+    # sum_difference reads thm3_eq6 one n past its lemma range; the
+    # boundary lemmas read the stepped sum on their own range
+    ranges["thm3_eq6"] = (1, 301)
+    ranges["boundary_stepped_case"] = (1, 200)
+    return ranges
+
+
+def test_values_match_naive_walk_on_declared_ranges():
+    reg = registry()
+    ranges = _declared_ranges(reg)
+    assert sorted(ranges) == reg.oracle_ids()
+    for cid, (lo, hi) in ranges.items():
+        case = reg.case(cid)
+        _VALUES.clear()
+        assert identities.values(case, lo, hi) == ref_values(case, lo, hi), cid
+
+
+def test_values_match_naive_walk_on_edge_shapes():
+    from test_identities import _spec_cases
+
+    walked = 0
+    for cid, case in _spec_cases().items():
+        if _line_plan(case) is None:
+            continue
+        walked += 1
+        for lo, hi in ((case.valid_from, case.valid_from + 15),
+                       (case.valid_from + 3, case.valid_from + 9)):
+            _VALUES.clear()
+            assert outcome(identities.values, case, lo, hi) == outcome(ref_values, case, lo, hi), cid
+    assert walked == 9

@@ -1,8 +1,10 @@
 """Differential tests of ``symalg`` against sympy on random inputs.
 
 sympy is an independent implementation of the same exact algebra:
-polynomial products and evaluation, and rational-function arithmetic,
-shifts and evaluation, must agree with it.  The module is skipped when
+polynomial products and evaluation; rational-function arithmetic,
+shifts and evaluation; the division with remainder and gcds of
+univariate polynomials; fraction-free determinants; and the integer
+shifts that make two polynomials share a factor must agree with it.  The module is skipped when
 sympy is not installed; wzkit itself never imports it.
 """
 
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzkit.symalg import MultiPoly, PoleError, RationalFunction, rf_arith
+from wzkit.gosper import UPoly, _det_bareiss, shift_candidates
+from wzkit.symalg import MultiPoly, PoleError, RationalFunction, _upoly_gcd, rf_arith
 
 sympy = pytest.importorskip("sympy")
 
@@ -91,3 +94,107 @@ def test_rf_shift_matches_sympy(f, var, offset):
     sym = SYMBOLS[var]
     want = rf_to_sympy(f).subs(sym, sym + offset)
     assert sympy.cancel(rf_to_sympy(f.shifted(var, offset)) - want) == 0
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials, determinants and shift candidates of gosper
+
+QQ_N = sympy.QQ.frac_field(N)
+n_polys = st.dictionaries(st.tuples(st.integers(0, 2)), coeffs, max_size=3).map(
+    lambda d: MultiPoly(("n",), d))
+const_rfs = coeffs.map(RationalFunction.const)
+n_rfs = const_rfs | st.builds(RationalFunction, n_polys,
+                              n_polys.filter(lambda p: not p.is_zero()))
+
+
+def upolys(coeff_rfs, max_degree=3):
+    return st.lists(coeff_rfs, max_size=max_degree + 1).map(lambda cs: UPoly("k", cs))
+
+
+def upoly_to_sympy(p: UPoly):
+    expr = sum((rf_to_sympy(c) * K**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+    return sympy.Poly(expr, K, domain=QQ_N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(upolys(n_rfs), upolys(n_rfs).filter(lambda p: not p.is_zero()))
+def test_upoly_divmod_matches_sympy(a, b):
+    q, r = a.divmod(b)
+    want_q, want_r = upoly_to_sympy(a).div(upoly_to_sympy(b))
+    assert upoly_to_sympy(q) == want_q
+    assert upoly_to_sympy(r) == want_r
+
+
+@settings(max_examples=40, deadline=None)
+@given(upolys(n_rfs, 2), upolys(n_rfs, 2), upolys(const_rfs, 2))
+def test_upoly_gcd_matches_sympy(a, b, common):
+    a, b = a * common, b * common  # a nontrivial gcd more often than not
+    got = a.gcd(b)
+    want = upoly_to_sympy(a).gcd(upoly_to_sympy(b))
+    assert upoly_to_sympy(got) == (want.monic() if not want.is_zero else want)
+
+
+k_polys = st.dictionaries(st.tuples(st.integers(0, 4)), coeffs, max_size=4).map(
+    lambda d: MultiPoly(("k",), d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_polys, k_polys, k_polys)
+def test_upoly_gcd_of_multipolys_matches_sympy(a, b, common):
+    a, b = a * common, b * common
+    got = to_sympy(_upoly_gcd(a, b, "k"))
+    want = sympy.Poly(to_sympy(a), K, domain=sympy.QQ).gcd(
+        sympy.Poly(to_sympy(b), K, domain=sympy.QQ))
+    assert sympy.Poly(got, K, domain=sympy.QQ) == (want.monic() if not want.is_zero else want)
+
+
+small_polys = st.dictionaries(exps, st.integers(-3, 3).map(Fraction) | coeffs,
+                              max_size=3).map(lambda d: MultiPoly(("k", "n"), d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda size: st.lists(st.lists(small_polys, min_size=size, max_size=size),
+                          min_size=size, max_size=size)))
+def test_det_bareiss_matches_sympy(mat):
+    want = sympy.Matrix(len(mat), len(mat),
+                        [to_sympy(p) for row in mat for p in row]).det(method="berkowitz")
+    assert sympy.expand(to_sympy(_det_bareiss(mat)) - want) == 0
+
+
+# a root r + s*n with r a small rational and s in {0, 1}
+roots = st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=2),
+                  st.integers(0, 1))
+
+
+def from_roots(rs) -> UPoly:
+    p = UPoly.one("k")
+    for r, s in rs:
+        root = RationalFunction.const(r) + RationalFunction.var("n") * RationalFunction.const(s)
+        p = p * UPoly("k", [-root, RationalFunction.const(1)])
+    return p
+
+
+def sympy_shifts(a: UPoly, b: UPoly) -> list[int]:
+    """Integers g >= 0 where a(k) and b(k+g) share a factor for every n."""
+    h = sympy.Symbol("h")
+    ea, eb = upoly_to_sympy(a).as_expr(), upoly_to_sympy(b).as_expr()
+    res = sympy.numer(sympy.together(sympy.resultant(ea, eb.subs(K, K + h), K)))
+    # g must be a root of every coefficient in n
+    common = sympy.gcd_list(sympy.Poly(res, N).all_coeffs())
+    return sorted(int(g) for g in sympy.Poly(common, h).ground_roots()
+                  if g.is_integer and g >= 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(roots, min_size=1, max_size=3), st.lists(roots, min_size=1, max_size=2))
+def test_shift_candidates_match_sympy_integer_roots(ra, rb):
+    a, b = from_roots(ra), from_roots(rb)
+    assert shift_candidates(a, b) == sympy_shifts(a, b)
+
+
+def test_shift_candidates_match_sympy_on_parametric_roots():
+    # roots n+3 against n and n+5: only the shift 2 aligns a pair for every n
+    a = from_roots([(Fraction(3), 1)])
+    b = from_roots([(Fraction(0), 1), (Fraction(5), 1), (Fraction(4), 0)])
+    assert shift_candidates(a, b) == sympy_shifts(a, b) == [2]
