@@ -32,10 +32,12 @@ a range that meets a pole of the term or a coefficient, a negative
 against the bundled schema; the text format renders the same facts.  A
 command's default range is the ``check`` line declared for its target.
 ``--spec`` appends one more document to the bundled ones.  ``--jobs``
-parallelizes per-n work for oracles, involutions and ``all``; a value
-below 1 is a usage error, and one above the CPUs this process may run on
-is lowered to that count (with a note on stderr).  Per-n involution
-tasks start with the largest n, whose word set is the biggest.
+spreads the involution checks of ``involution`` and ``all`` over a pool
+of spawned worker processes, one task per stratum of each n: n from the
+largest down, and within each n the strata, largest first; oracles run
+in one process.  A value below 1 is a usage error, and one above the
+CPUs this process may run on is lowered to that count (with a note on
+stderr).  A range with a single stratum in all opens no pool.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import involution as inv
 from . import wzengine
@@ -103,21 +104,6 @@ def _pick_range(args, default: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# parallel helpers (top-level functions so they pickle)
-
-
-def _oracle_chunk(task) -> list[tuple[int, str, str]]:
-    case_id, lo, hi = task
-    case = registry().cases[case_id]
-    return [(n, frac_str(l), frac_str(r)) for n, l, r in check_identity(case, lo, hi)]
-
-
-def _involution_task(task):
-    model_id, n = task
-    return n, inv.check_involution(inv.WordModel(model_id, n))
-
-
 def _effective_jobs(jobs: int, cpus: int | None = None) -> int:
     """``--jobs`` checked and clamped to the CPUs this process may run on."""
     if jobs < 1:
@@ -130,34 +116,14 @@ def _effective_jobs(jobs: int, cpus: int | None = None) -> int:
     return min(jobs, cpus)
 
 
-def _pmap(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
-    span = hi - lo + 1
-    parts = max(1, min(jobs * 4, span))
-    size = -(-span // parts)
-    return [(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
-
-
 # ---------------------------------------------------------------------------
 # oracle
 
 
 def _run_oracle(reg: Registry, case: IdentityCase, mode: str,
-                rng: tuple[int, int], jobs: int) -> Report:
+                rng: tuple[int, int]) -> Report:
     t0 = time.perf_counter()
-    # only bundled cases can be re-fetched inside worker processes
-    if jobs > 1 and registry().cases.get(case.case_id) is case:
-        tasks = [(case.case_id, a, b) for a, b in _chunks(rng[0], rng[1], jobs)]
-        raw = [f for chunk in _pmap(_oracle_chunk, tasks, jobs) for f in chunk]
-        failures = [Failure(n, l, r) for n, l, r in raw]
-    else:
-        failures = [Failure.of(n, l, r) for n, l, r in check_identity(case, *rng)]
+    failures = [Failure.of(n, l, r) for n, l, r in check_identity(case, *rng)]
     ms = (time.perf_counter() - t0) * 1000
     return Report(
         command="oracle", subject_id=case.case_id,
@@ -240,12 +206,23 @@ def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
     for n in range(rng[0], rng[1] + 1):  # refuse the range before enumerating
         inv.WordModel(ident, n).check_size()
     t0 = time.perf_counter()
-    # largest n first: its task dominates, so no worker starts it last
-    results = _pmap(_involution_task,
-                    [(ident, n) for n in range(rng[1], rng[0] - 1, -1)], jobs)
+    # largest n first, whose strata are the biggest
+    models = [inv.WordModel(ident, n) for n in range(rng[1], rng[0] - 1, -1)]
+    tasks = sum(len(model.strata()) for model in models)
+    if jobs > 1 and tasks > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawned, not forked: a worker starts from a fresh interpreter and
+        # is a direct child, reaped when the pool shuts down
+        with ProcessPoolExecutor(min(jobs, tasks),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            reps = [inv.check_involution(model, pool) for model in models]
+    else:
+        reps = [inv.check_involution(model) for model in models]
     failures: list[Failure] = []
     errata: list[str] = []
-    for n, rep in sorted(results, key=lambda r: r[0]):
+    for rep in reversed(reps):  # in n order
         failures += [Failure.of(*bad) for bad in inv.unmet_expectations(rep)]
         if not rep.clean:
             sample = ""
@@ -253,7 +230,7 @@ def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
                 w, img = rep.closure_violations[0]
                 sample = f", e.g. {w or '<empty>'} -> {img}"
             errata.append(
-                f"{ident} n={n}: {len(rep.closure_violations)} closure, "
+                f"{ident} n={rep.n}: {len(rep.closure_violations)} closure, "
                 f"{len(rep.involutivity_violations)} involutivity, "
                 f"{len(rep.sign_violations)} sign violations{sample}")
     return _meta("involution", ident, rng, not failures, failures, errata,
@@ -333,7 +310,7 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
                 and literal == (defs is not None and
                                 reg.mode_of(defs, c.target, "corrected") == "literal")]
 
-    reports = [_run_oracle(reg, reg.cases[t], "corrected", rng, jobs)
+    reports = [_run_oracle(reg, reg.cases[t], "corrected", rng)
                for t, rng in declared("oracle")]
     reports += [_sign_erratum(reg, t, rng) for t, rng in declared("oracle", True)]
 
@@ -427,7 +404,7 @@ def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
         if args.command == "oracle":
             case = reg.case(args.id, args.mode)
             rng = _pick_range(args, _check_range(reg, "oracle", case.case_id))
-            reports = [_run_oracle(reg, case, args.mode, rng, jobs)]
+            reports = [_run_oracle(reg, case, args.mode, rng)]
         elif args.command == "verify":
             problem = reg.problem(args.id, args.mode)
             rng = _pick_range(args, _check_range(reg, "verify", problem.problem_id))

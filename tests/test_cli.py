@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -185,26 +190,73 @@ def test_jobs_parallel_matches_sequential():
         [f.__dict__ for f in par[0].failures]
 
 
-@pytest.mark.parametrize("ident, lo, hi", [("thm3", "1", "6"), ("thm2", "-1", "5")])
-def test_involution_jobs_matches_sequential(monkeypatch, ident, lo, hi):
-    argv = ["involution", "--id", ident, "--n-min", lo, "--n-max", hi]
+@pytest.fixture
+def submitted(monkeypatch):
+    """The (n, k) of every stratum task handed to a process pool."""
+    tasks = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording_submit(pool, fn, model, k):
+        tasks.append((model.n, k))
+        return submit(pool, fn, model, k)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    return tasks
+
+
+@pytest.mark.parametrize("ident, lo, hi", [
+    ("thm3", 1, 6), ("thm2", -1, 5),
+    ("thm3", 6, 6),  # one n still splits into several tasks
+])
+def test_involution_jobs_matches_sequential(submitted, ident, lo, hi):
+    argv = ["involution", "--id", ident, "--n-min", str(lo), "--n-max", str(hi)]
     code, seq = run_command(argv)
-    submitted = []
-    pmap = cli._pmap
-
-    def recording_pmap(fn, tasks, jobs):
-        submitted.append([n for _, n in tasks])
-        return pmap(fn, tasks, jobs)
-
-    monkeypatch.setattr(cli, "_pmap", recording_pmap)
+    assert submitted == []
     par_code, par = run_command(argv + ["--jobs", "2"])
-    assert submitted == [list(range(int(hi), int(lo) - 1, -1))]  # largest n first
+    # n from the largest down; within each n the largest stratum first
+    order = []
+    for n in range(hi, lo - 1, -1):
+        model = inv.WordModel(ident, n)
+        size = {k: sum(1 for _ in model.stratum_words(k)) for k in model.strata()}
+        order += [(n, k) for k in sorted(size, key=size.get, reverse=True)]
+    assert submitted == order and len(order) > 1
     assert code == par_code == (1 if ident == "thm3" else 0)
     assert seq[0].status == par[0].status
     assert [f.__dict__ for f in seq[0].failures] == \
         [f.__dict__ for f in par[0].failures]
     assert seq[0].errata == par[0].errata
     assert bool(seq[0].errata) == (ident == "thm3")
+
+
+def test_single_task_opens_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("opened a pool for a single task")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+    for ident, n in (("thm1", "0"), ("thm2", "-1")):
+        code, reports = run_command(
+            ["involution", "--id", ident, "--n-min", n, "--n-max", n, "--jobs", "2"])
+        assert code == 0 and reports[0].status == "pass"
+
+
+def test_cli_imports_no_pool_machinery():
+    # the pool modules load only when a pool is opened
+    probe = ("import sys, wzkit.cli; wzkit.cli.registry(); "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
+def test_all_jobs_matches_golden(capsys):
+    code = main(["all", "--jobs", "2", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "all_reports.json").read_text())
+    assert code == 1
+    assert [{k: v for k, v in obj.items() if k != "ms"} for obj in payload] == golden
 
 
 def test_usage_error_exit_two():

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import multiprocessing
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given
@@ -311,6 +313,14 @@ def test_check_involution_matches_reference():
                 == dataclasses.asdict(_check_involution_reference(model))), model
 
 
+def test_pool_check_matches_serial():
+    # stratum tasks on spawned workers, merged in stratum order
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        for model in _REFERENCE_MODELS:
+            assert (dataclasses.asdict(check_involution(model, pool))
+                    == dataclasses.asdict(check_involution(model))), model
+
+
 def test_maps_match_references_on_model_words():
     for model in _REFERENCE_MODELS:
         fast, ref = ((scan_involution, _scan_involution_reference)
@@ -334,6 +344,15 @@ def test_sigma_matches_reference(w):
 
 # ---------------------------------------------------------------------------
 # every per-word check still fires
+
+
+class _InlinePool(Executor):
+    """Runs each task when it is submitted, in this process."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def _scan_then_reverse(w):
@@ -378,8 +397,9 @@ def test_each_check_records_its_own_violations(monkeypatch, broken, kind):
         assert escaped  # the case the membership test of ``back`` decides
 
     monkeypatch.setattr(involution, "scan_involution", broken)
-    rep = check_involution(model)
-    assert rep.closure_violations == closure
-    assert rep.sign_violations == sign
-    assert rep.involutivity_violations == involutivity
-    assert rep.total_words == len(words)
+    # in-process stratum tasks, so the broken map also reaches the merge
+    for rep in (check_involution(model), check_involution(model, _InlinePool())):
+        assert rep.closure_violations == closure
+        assert rep.sign_violations == sign
+        assert rep.involutivity_violations == involutivity
+        assert rep.total_words == len(words)
