@@ -12,10 +12,10 @@ its brute-force oracle (``identities``), exhaustive involution checking
 from .exactnum import Rational, UnsupportedArgumentError, binomial, rat_arith
 from .hyperterm import (HyperTerm, SupportBound, absorb_rational,
                         shift_quotient, support_bounds, term_eval)
-from .identities import (ClosedForm, IdentityCase, Loop, SumBound,
-                         boundary_gap, check_identity, corollary_derivations,
-                         eval_sum, lemma_boundary_flat,
-                         lemma_boundary_stepped, registry, thm3_difference)
+from .identities import (IdentityCase, Loop, SumBound, boundary_gap,
+                         check_identity, corollary_derivations, eval_sum,
+                         lemma_boundary_flat, lemma_boundary_stepped,
+                         registry, thm3_difference)
 from .involution import (InvolutionReport, Word, WordModel, check_involution,
                          enum_words, scan_involution, sigma, weight)
 from .symalg import (LinearForm, MissingVariableError, MultiPoly, PoleError,
@@ -37,7 +37,7 @@ __all__ = [
     "WZProblem", "CertCheck", "ProofReport", "verify_certificate",
     "telescope_prefix_check", "summed_recurrence_check", "prove_constant_sum",
     "discover_certificate", "mutation_check",
-    "IdentityCase", "ClosedForm", "SumBound", "Loop", "eval_sum",
+    "IdentityCase", "SumBound", "Loop", "eval_sum",
     "check_identity", "lemma_boundary_flat", "lemma_boundary_stepped",
     "thm3_difference", "boundary_gap", "corollary_derivations", "registry",
     "Word", "WordModel", "InvolutionReport", "weight", "scan_involution",

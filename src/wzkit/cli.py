@@ -37,7 +37,8 @@ of spawned worker processes, one task per stratum of each n: n from the
 largest down, and within each n the strata, largest first; oracles run
 in one process.  A value below 1 is a usage error, and one above the
 CPUs this process may run on is lowered to that count (with a note on
-stderr).  A range with a single stratum in all opens no pool.
+stderr), or to 1 when the main module is no file the workers could
+import.  A range with a single stratum in all opens no pool.
 """
 
 from __future__ import annotations
@@ -105,7 +106,12 @@ def _pick_range(args, default: tuple[int, int]) -> tuple[int, int]:
 
 
 def _effective_jobs(jobs: int, cpus: int | None = None) -> int:
-    """``--jobs`` checked and clamped to the CPUs this process may run on."""
+    """``--jobs`` checked and lowered, with a note on stderr, to what can run.
+
+    That is the CPUs this process may run on, or 1 when the main module's
+    ``__file__`` names no file (a script fed on standard input has
+    ``<stdin>``): spawned workers re-import the main module from that path.
+    """
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if cpus is None:
@@ -113,7 +119,13 @@ def _effective_jobs(jobs: int, cpus: int | None = None) -> int:
             cpus = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity call on this platform
             cpus = os.cpu_count() or 1
-    return min(jobs, cpus)
+    limit, why = cpus, f"the {cpus} available CPUs"
+    main_file = getattr(sys.modules["__main__"], "__file__", None)
+    if main_file is not None and not os.path.isfile(main_file):
+        limit, why = 1, f"1: worker processes cannot import the main module {main_file!r}"
+    if jobs > limit:
+        print(f"wzkit: note: --jobs {jobs} lowered to {why}", file=sys.stderr)
+    return min(jobs, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +407,7 @@ def run_command(argv: list[str]) -> tuple[int, list[Report]]:
 
 def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
     try:
-        requested = getattr(args, "jobs", 1)  # commands without --jobs run serially
-        jobs = _effective_jobs(requested)
-        if jobs < requested:
-            print(f"wzkit: note: --jobs {requested} lowered to the {jobs} "
-                  "available CPUs", file=sys.stderr)
+        jobs = _effective_jobs(getattr(args, "jobs", 1))  # 1 without a --jobs option
         reg = _runtime_registry(args.spec)
         if args.command == "oracle":
             case = reg.case(args.id, args.mode)

@@ -4,12 +4,14 @@ The grammar (free-form whitespace, ``#`` line comments):
 
     document   := { statement }
     statement  := termDef | certDef | sumDef | recDef | checkDef
-    termDef    := "term" NAME "(" params ")" ":=" product
-    product    := factor { ("*" | "/") factor }
-    factor     := "binom" "(" linear "," linear ")"
+    termDef    := "term" NAME "(" params ")" ":=" expr
+    expr       := product { ("+" | "-") product }
+    product    := unary { ("*" | "/") unary }
+    unary      := "-" unary | atom [ "^" INT ]
+    atom       := "binom" "(" linear "," linear ")"
                 | "pow" "(" INT "," linear ")"
                 | "sign" "(" linear ")"
-                | "(" polyExpr ")" | polyAtom
+                | "(" expr ")" | NAME | INT
     certDef    := "cert" NAME "(" params ")" ":=" ratExpr
     sumDef     := "sum" NAME "(" NAME ")" ":=" sumCall [ sumCall ]
                   "==" closedForm [ "for" NAME ">=" SINT ] { clause }
@@ -22,13 +24,22 @@ The grammar (free-form whitespace, ``#`` line comments):
     checkDef   := "check" KIND NAME [ "[" SINT "," SINT "]" ]
     STRING     := '"' { any character except '"' and newline } '"'
 
-``sign(e)`` denotes (-1)^e and ``floor2(e)`` denotes floor(e/2).  In a
-nested sumDef the outer call comes first and both calls name the same
-summand term, whose parameters must be exactly the sum's parameter plus
-the loop variables.  Closed forms are expressions over the parameter,
-rational constants, ``pow(INT, param)`` and ``sign(param)``; they fold
-into the canonical sum-of-(poly * base^n * (-1)^(parity*n)) shape.
+``sign(e)`` denotes (-1)^e and ``floor2(e)`` denotes floor(e/2).
+``ratExpr`` and ``closedForm`` are ``expr``s, and ``linear`` is an
+affine ``expr`` with integer coefficients.  In a nested sumDef the outer
+call comes first and both calls name the same summand term, whose
+parameters must be exactly the sum's parameter plus the loop variables.
 Recurrence coefficients may only mention the shift variable.
+
+Terms and closed forms are folded by one function, ``_fold``, into a sum
+of ``HyperTerm`` parts: ``*`` distributes over ``+``, parts that differ
+only in their prefactor are added, and every divisor is a call-free
+rational expression.  A term must fold to exactly one part.  A closed
+form is an expression in the sum's parameter whose parts are checked
+after the fold: no ``binom``, a constant denominator, and pow exponents
+nondecreasing in the parameter with coefficient and constant at most
+``MAX_EXPONENT``; such an error is reported at the closed form's first
+token.
 
 Clauses hold a definition's own facts: each ``erratum`` says what a
 literal statement gets wrong or a corrected one changed; ``base n0 == v``
@@ -44,11 +55,11 @@ interpreter's recursion limit is reported at the start of its statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .hyperterm import HyperTerm
-from .identities import LEMMAS, ClosedForm, IdentityCase, Loop, SumBound
+from .identities import LEMMAS, IdentityCase, Loop, SumBound
 from .involution import MODELS
 from .symalg import LinearForm, MultiPoly, RationalFunction
 from .wzengine import WZProblem
@@ -57,8 +68,9 @@ KEYWORDS = {"term", "cert", "sum", "recurrence", "check", "for",
             "binom", "pow", "sign", "floor2", "erratum", "base", "as"}
 CHECK_KINDS = {"oracle", "verify", "involution", "lemma"}
 MODES = ("literal", "corrected")
-#: largest ``^`` exponent, and largest pow exponent in a closed form, that
-#: a document may write; each is expanded while parsing
+#: largest ``^`` exponent, which is expanded while parsing, and largest
+#: coefficient or constant of a pow exponent in a closed form's parts; pow
+#: is no longer expanded, but the guard keeps closed forms small
 MAX_EXPONENT = 64
 
 
@@ -454,9 +466,12 @@ class _Parser:
         name = self._def_name(doc)
         params = self._params()
         self.expect("SYM", ":=")
-        expr = self.parse_expr()
-        term = _TermBuilder(params).build(expr)
-        return TermDef(name.text, params, term)
+        start = self.peek()
+        parts = _fold(self.parse_expr(), params)
+        if len(parts) != 1:
+            raise self.error(
+                f"a term must fold to one product, got {len(parts)} parts", start)
+        return TermDef(name.text, params, parts[0])
 
     def parse_cert_def(self, doc: SpecDocument) -> CertDef:
         self.expect("NAME", "cert")
@@ -491,6 +506,24 @@ class _Parser:
         self._bound_vars.add(var)
         return var, lower, upper, ref.text, ref
 
+    def _closed_form(self, param: str) -> tuple[HyperTerm, ...]:
+        """The fold of a closed form, its parts checked at its first token."""
+        start = self.peek()
+        parts = _fold(self.parse_expr(), (param,))
+        for part in parts:
+            exps = [(e.coeff(param), e.const) for _, e in part.powers]
+            if part.binomials:
+                raise self.error("binom is not allowed in a closed form", start)
+            if not part.prefactor.den.is_const():
+                raise self.error("closed forms may only be divided by constants", start)
+            if any(a < 0 for a, _ in exps):
+                raise self.error(
+                    "pow exponent must be nondecreasing in the parameter", start)
+            if any(max(a, abs(b)) > MAX_EXPONENT for a, b in exps):
+                raise self.error(
+                    f"pow exponent coefficient above {MAX_EXPONENT}", start)
+        return parts
+
     def parse_sum_def(self, doc: SpecDocument) -> SumDef:
         self.expect("NAME", "sum")
         name = self._def_name(doc)
@@ -503,7 +536,7 @@ class _Parser:
         if self.peek().kind == "NAME" and self.peek().text == "sum":
             calls.append(self._parse_sum_call())
         self.expect("SYM", "==")
-        rhs = _to_closed_form(self.parse_expr(), param)
+        rhs = self._closed_form(param)
         valid_from = 0
         if self.accept("NAME", "for"):
             pt = self.expect("NAME")
@@ -600,37 +633,52 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# evaluators
+# evaluators: rational expressions, affine arguments, and the fold into terms
+
+_ONE = MultiPoly.const(1)
+
+
+def _times(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    return b if a is _ONE else a if b is _ONE else a * b
 
 
 def _to_rf(node, params: set[str]) -> RationalFunction:
+    """A call-free expression as a ``RationalFunction``, normalized once."""
+    return RationalFunction(*_rf_pair(node, params))
+
+
+def _rf_pair(node, params: set[str]) -> tuple[MultiPoly, MultiPoly]:
+    """(numerator, denominator) of a call-free expression, not normalized.
+
+    Each pair is a constant multiple of the pair that normalizing every
+    step would give, and a zero numerator has denominator 1, so the one
+    ``RationalFunction`` built from it is the same.
+    """
     if isinstance(node, ENum):
-        return RationalFunction.const(node.value)
+        return MultiPoly.const(node.value), _ONE
     if isinstance(node, EVar):
         if node.name not in params:
             raise ParseError(f"undefined name {node.name!r}", node.line, node.col)
-        return RationalFunction.var(node.name)
+        return MultiPoly.var(node.name), _ONE
     if isinstance(node, ENeg):
-        return -_to_rf(node.arg, params)
+        num, den = _rf_pair(node.arg, params)
+        return -num, den
     if isinstance(node, EBin):
-        lhs = _to_rf(node.left, params)
+        num, den = _rf_pair(node.left, params)
         if node.op == "^":
-            e = node.right.value
-            out = RationalFunction.const(1)
-            for _ in range(e):
-                out = out * lhs
-            return out
-        rhs = _to_rf(node.right, params)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
+            return num**node.right.value, den**node.right.value
+        rnum, rden = _rf_pair(node.right, params)
         if node.op == "*":
-            return lhs * rhs
-        try:
-            return lhs / rhs
-        except ZeroDivisionError:
-            raise ParseError("division by zero", node.line, node.col) from None
+            num, den = _times(num, rnum), _times(den, rden)
+        elif node.op == "/":
+            if rnum.is_zero():
+                raise ParseError("division by zero", node.line, node.col)
+            num, den = _times(num, rden), _times(den, rnum)
+        else:
+            if node.op == "-":
+                rnum = -rnum
+            num, den = _times(num, rden) + _times(rnum, den), _times(den, rden)
+        return (num, _ONE) if num.is_zero() else (num, den)
     raise ParseError(f"{node.func} is not allowed in a rational expression",
                      node.line, node.col)
 
@@ -662,164 +710,84 @@ def _to_linear(node, params: set[str]) -> LinearForm:
                      node.line, node.col)
 
 
-class _CF:
-    """Closed-form expression value: (base, parity) -> polynomial."""
-
-    def __init__(self, parts: dict[tuple[int, int], MultiPoly]):
-        self.parts = {k: p for k, p in parts.items() if not p.is_zero()}
-
-    @staticmethod
-    def const(c: Fraction | int) -> "_CF":
-        return _CF({(1, 0): MultiPoly.const(c)})
-
-    def __add__(self, other: "_CF") -> "_CF":
-        out = dict(self.parts)
-        for k, p in other.parts.items():
-            out[k] = out.get(k, MultiPoly.zero()) + p
-        return _CF(out)
-
-    def __neg__(self) -> "_CF":
-        return _CF({k: -p for k, p in self.parts.items()})
-
-    def __mul__(self, other: "_CF") -> "_CF":
-        out: dict[tuple[int, int], MultiPoly] = {}
-        for (b1, p1), q1 in self.parts.items():
-            for (b2, p2), q2 in other.parts.items():
-                k = (b1 * b2, p1 ^ p2)
-                out[k] = out.get(k, MultiPoly.zero()) + q1 * q2
-        return _CF(out)
-
-    def is_const(self) -> bool:
-        return all(k == (1, 0) and p.is_const() for k, p in self.parts.items())
-
-    def as_fraction(self) -> Fraction:
-        return self.parts.get((1, 0), MultiPoly.zero()).as_fraction()
-
-
-def _to_closed_form(node, param: str) -> ClosedForm:
-    cf = _cf_eval(node, param)
-    parts = tuple((base, parity, poly)
-                  for (base, parity), poly in sorted(cf.parts.items()))
-    return ClosedForm(param, parts)
-
-
-def _cf_eval(node, param: str) -> _CF:
-    if isinstance(node, ENum):
-        return _CF.const(node.value)
-    if isinstance(node, EVar):
-        if node.name != param:
-            raise ParseError(f"undefined name {node.name!r}", node.line, node.col)
-        return _CF({(1, 0): MultiPoly.var(param)})
-    if isinstance(node, ENeg):
-        return -_cf_eval(node.arg, param)
-    if isinstance(node, ECall):
-        if node.func not in ("pow", "sign"):
-            raise ParseError(f"{node.func} is not allowed in a closed form",
-                             node.line, node.col)
-        if node.func == "pow":
-            if len(node.args) != 2 or not isinstance(node.args[0], ENum):
-                raise ParseError("pow needs an integer base and an affine exponent",
-                                 node.line, node.col)
-            base = node.args[0].value
-            if base < 2:
-                raise ParseError("pow base must be >= 2", node.line, node.col)
-            exp = _to_linear(node.args[1], {param})
-            a, b = exp.coeff(param), exp.const
-            if a < 0:
-                raise ParseError("pow exponent must be nondecreasing in the parameter",
-                                 node.line, node.col)
-            if max(a, abs(b)) > MAX_EXPONENT:
-                raise ParseError(f"pow exponent coefficient above {MAX_EXPONENT}",
-                                 node.line, node.col)
-            scale = Fraction(base) ** b
-            return _CF({(base**a, 0): MultiPoly.const(scale)})
-        exp = _to_linear(node.args[0], {param}) if len(node.args) == 1 else None
-        if exp is None:
-            raise ParseError("sign takes one affine argument", node.line, node.col)
-        scale = -1 if exp.const % 2 else 1
-        return _CF({(1, exp.coeff(param) % 2): MultiPoly.const(scale)})
+def _has_call(node) -> bool:
     if isinstance(node, EBin):
-        lhs = _cf_eval(node.left, param)
-        if node.op == "^":
-            out = _CF.const(1)
-            for _ in range(node.right.value):
-                out = out * lhs
-            return out
-        rhs = _cf_eval(node.right, param)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs + (-rhs)
-        if node.op == "*":
-            return lhs * rhs
-        if not rhs.is_const():
-            raise ParseError("closed forms may only be divided by constants",
+        return _has_call(node.left) or _has_call(node.right)
+    if isinstance(node, ENeg):
+        return _has_call(node.arg)
+    return isinstance(node, ECall)
+
+
+def _factor(node: ECall, params: tuple[str, ...]) -> HyperTerm:
+    """A ``binom``, ``pow`` or ``sign`` call as a term."""
+    names, args = set(params), node.args
+    if node.func == "binom":
+        if len(args) != 2:
+            raise ParseError("binom takes two arguments", node.line, node.col)
+        return HyperTerm.build(params, binomials=(
+            (_to_linear(args[0], names), _to_linear(args[1], names)),))
+    if node.func == "pow":
+        if len(args) != 2 or not isinstance(args[0], ENum):
+            raise ParseError("pow needs an integer base and an affine exponent",
                              node.line, node.col)
-        c = rhs.as_fraction()
-        if c == 0:
+        if args[0].value < 2:
+            raise ParseError("pow base must be >= 2", node.line, node.col)
+        factor = HyperTerm.build(params, powers=((args[0].value,
+                                                  _to_linear(args[1], names)),))
+    elif node.func == "sign":
+        if len(args) != 1:
+            raise ParseError("sign takes one argument", node.line, node.col)
+        factor = HyperTerm.build(params, sign_exp=_to_linear(args[0], names))
+    else:
+        raise ParseError(f"unknown factor {node.func!r}", node.line, node.col)
+    return HyperTerm.build(params) * factor  # the product is in canonical form
+
+
+def _collect(parts) -> tuple[HyperTerm, ...]:
+    """Add the parts that differ only in their prefactor; drop zero parts."""
+    sums: dict[tuple, HyperTerm] = {}
+    for p in parts:
+        key = (p.sign_exp, p.powers, p.binomials)
+        q = sums.get(key)
+        sums[key] = p if q is None else replace(q, prefactor=q.prefactor + p.prefactor)
+    return tuple(p for p in sums.values() if not p.prefactor.is_zero())
+
+
+def _products(lhs, rhs) -> tuple[HyperTerm, ...]:
+    return _collect([a * b for a in lhs for b in rhs])
+
+
+def _fold(node, params: tuple[str, ...]) -> tuple[HyperTerm, ...]:
+    """An expression as a sum of ``HyperTerm``s in ``params``.
+
+    ``*`` distributes over ``+``, products are ``HyperTerm.__mul__``, and
+    ``_collect`` adds like parts.  A subtree without a call goes through
+    ``_to_rf`` whole; a divisor must be call-free.
+    """
+    if not _has_call(node):
+        rf = _to_rf(node, set(params))
+        return () if rf.is_zero() else (HyperTerm.build(params, prefactor=rf),)
+    if isinstance(node, ECall):
+        return (_factor(node, params),)
+    if isinstance(node, ENeg):
+        return tuple(p.absorb(RationalFunction.const(-1)) for p in _fold(node.arg, params))
+    lhs = _fold(node.left, params)
+    if node.op == "^":
+        out = (HyperTerm.build(params),)
+        for _ in range(node.right.value):
+            out = _products(out, lhs)
+        return out
+    if node.op == "/":
+        num, den = _rf_pair(node.right, set(params))
+        if num.is_zero():
             raise ParseError("division by zero", node.line, node.col)
-        return lhs * _CF.const(Fraction(1) / c)
-    raise ParseError("malformed closed form", node.line, node.col)
-
-
-class _TermBuilder:
-    """Folds a product expression into a HyperTerm."""
-
-    def __init__(self, params: tuple[str, ...]):
-        self.params = set(params)
-        self.param_order = params
-        self.sign = LinearForm.make()
-        self.powers: list[tuple[int, LinearForm]] = []
-        self.binomials: list[tuple[LinearForm, LinearForm]] = []
-        self.prefactor = RationalFunction.const(1)
-
-    def build(self, node) -> HyperTerm:
-        self._fold(node)
-        return HyperTerm(
-            sign_exp=self.sign,
-            powers=tuple(self.powers),
-            binomials=tuple(self.binomials),
-            prefactor=self.prefactor,
-            variables=self.param_order,
-        )
-
-    def _fold(self, node) -> None:
-        if isinstance(node, EBin) and node.op == "*":
-            self._fold(node.left)
-            self._fold(node.right)
-            return
-        if isinstance(node, EBin) and node.op == "/":
-            self._fold(node.left)
-            divisor = _to_rf(node.right, self.params)
-            if divisor.is_zero():
-                raise ParseError("division by zero", node.line, node.col)
-            self.prefactor = self.prefactor / divisor
-            return
-        if isinstance(node, ECall):
-            if node.func == "binom":
-                if len(node.args) != 2:
-                    raise ParseError("binom takes two arguments", node.line, node.col)
-                top = _to_linear(node.args[0], self.params)
-                bottom = _to_linear(node.args[1], self.params)
-                self.binomials.append((top, bottom))
-                return
-            if node.func == "pow":
-                if len(node.args) != 2 or not isinstance(node.args[0], ENum):
-                    raise ParseError("pow needs an integer base and an affine exponent",
-                                     node.line, node.col)
-                base = node.args[0].value
-                if base < 2:
-                    raise ParseError("pow base must be >= 2", node.line, node.col)
-                self.powers.append((base, _to_linear(node.args[1], self.params)))
-                return
-            if node.func == "sign":
-                if len(node.args) != 1:
-                    raise ParseError("sign takes one argument", node.line, node.col)
-                self.sign = self.sign + _to_linear(node.args[0], self.params)
-                return
-            raise ParseError(f"unknown factor {node.func!r}", node.line, node.col)
-        # plain polynomial / rational factor
-        self.prefactor = self.prefactor * _to_rf(node, self.params)
+        return tuple(p.absorb(RationalFunction(den, num)) for p in lhs)
+    rhs = _fold(node.right, params)
+    if node.op == "*":
+        return _products(lhs, rhs)
+    if node.op == "-":
+        rhs = tuple(p.absorb(RationalFunction.const(-1)) for p in rhs)
+    return _collect(lhs + rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -856,18 +824,6 @@ def _rf_str(rf: RationalFunction) -> str:
     return f"({rf.num}) / ({rf.den})"
 
 
-def _closed_form_str(cf: ClosedForm) -> str:
-    chunks = []
-    for base, parity, poly in cf.parts:
-        factors = [f"({poly})"]
-        if base != 1:
-            factors.append(f"pow({base}, {cf.param})")
-        if parity:
-            factors.append(f"sign({cf.param})")
-        chunks.append("*".join(factors))
-    return " + ".join(chunks) if chunks else "(0)"
-
-
 def _bound_str(b: SumBound) -> str:
     if b.kind == "floored-half":
         return f"floor2({b.form})"
@@ -897,7 +853,8 @@ def print_document(doc: SpecDocument) -> str:
                 f"{d.term_name})" for lp in case.loops)
             lines.append(
                 f"sum {d.name}({case.param}) := {calls} == "
-                f"{_closed_form_str(case.rhs)} for {case.param} >= {case.valid_from}"
+                f"{' + '.join(map(_term_str, case.rhs)) or '(0)'} "
+                f"for {case.param} >= {case.valid_from}"
                 + _clauses_str(case.errata, None, d.aliases))
         elif isinstance(d, RecurrenceDef):
             p = d.problem

@@ -32,6 +32,12 @@ from typing import Mapping
 from .exactnum import UnsupportedArgumentError, binomial
 from .symalg import LinearForm, MultiPoly, PoleError, RationalFunction
 
+_ONE = RationalFunction.const(1)
+
+
+def _is_one(r: RationalFunction) -> bool:
+    return r.num == _ONE.num and r.den == _ONE.den
+
 
 @dataclass(frozen=True)
 class SupportBound:
@@ -64,7 +70,7 @@ class HyperTerm:
             sign_exp=sign_exp or LinearForm.make(),
             powers=tuple((int(b), e) for b, e in powers),
             binomials=tuple(binomials),
-            prefactor=prefactor or RationalFunction.const(1),
+            prefactor=prefactor or _ONE,
             variables=tuple(variables),
         )
 
@@ -199,6 +205,28 @@ class HyperTerm:
         even where a binomial vanishes; see the module docstring.
         """
         return replace(self, prefactor=self.prefactor * r)
+
+    def __mul__(self, other: "HyperTerm") -> "HyperTerm":
+        """The product, in canonical form.
+
+        Sign exponents add, with coefficients and constant reduced mod 2;
+        powers of one base merge, sorted by base, and a zero exponent
+        drops out; binomials concatenate; prefactors multiply.  Variables
+        are ``self``'s followed by ``other``'s new ones.
+        """
+        sign = self.sign_exp + other.sign_exp
+        pa, pb = self.prefactor, other.prefactor
+        exps: dict[int, LinearForm] = {}
+        for base, exp in self.powers + other.powers:
+            exps[base] = exps[base] + exp if base in exps else exp
+        return HyperTerm(
+            sign_exp=LinearForm.make({v: c % 2 for v, c in sign.coeffs}, sign.const % 2),
+            powers=tuple((b, e) for b, e in sorted(exps.items()) if e.coeffs or e.const),
+            binomials=self.binomials + other.binomials,
+            prefactor=pb if _is_one(pa) else pa if _is_one(pb) else pa * pb,
+            variables=self.variables + tuple(
+                v for v in other.variables if v not in self.variables),
+        )
 
     def __str__(self) -> str:
         parts = []

@@ -2,7 +2,8 @@
 
 An ``IdentityCase`` is a (possibly doubly) indexed sum of a proper
 hypergeometric term over affine or floored-half bounds, equated to a
-closed form ``sum_i p_i(n) * b_i^n * (-1)^(parity_i * n)``.  The oracle
+closed form: a sum of ``HyperTerm``s in the parameter with no binomial,
+such as ``n + 1`` or ``2n + 5/2 - (n + 1/2)(-1)^n - 3*4^n``.  The oracle
 evaluates sums exactly (big integers and ``Fraction`` only) and checks
 the closed form by direct equality over a range of the parameter.
 
@@ -55,7 +56,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import UnsupportedArgumentError, binomial
 from .hyperterm import HyperTerm
-from .symalg import LinearForm, MultiPoly
+from .symalg import LinearForm
 from .wzengine import WZProblem
 
 
@@ -92,33 +93,18 @@ class Loop:
 
 
 @dataclass(frozen=True)
-class ClosedForm:
-    """sum of poly(param) * base^param * (-1)^(parity*param) entries."""
-
-    param: str
-    parts: tuple[tuple[int, int, MultiPoly], ...]  # (base, parity, poly)
-
-    def eval(self, value: int) -> Fraction:
-        total = Fraction(0)
-        for base, parity, poly in self.parts:
-            t = poly.eval({self.param: value})
-            if base != 1:
-                t *= Fraction(base) ** value
-            if parity and value % 2:
-                t = -t
-            total += t
-        return total
-
-
-@dataclass(frozen=True)
 class IdentityCase:
     case_id: str
     param: str
     loops: tuple[Loop, ...]  # outermost first, 1 or 2
     summand: HyperTerm
-    rhs: ClosedForm
+    rhs: tuple[HyperTerm, ...]  # the closed form: a sum of terms in ``param``
     valid_from: int
     errata: tuple[str, ...] = ()
+
+    def rhs_value(self, n: int) -> Fraction:
+        """The closed form at ``param = n``: the sum of its parts' values."""
+        return sum((part.eval({self.param: n}) for part in self.rhs), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +435,7 @@ def check_identity(case: IdentityCase, lo: int, hi: int
     """All (n, lhs, rhs) where the sum disagrees with the closed form."""
     failures = []
     for n, lhs in enumerate(values(case, lo, hi), lo):
-        rhs = case.rhs.eval(n)
+        rhs = case.rhs_value(n)
         if lhs != rhs:
             failures.append((n, lhs, rhs))
     return failures
@@ -463,7 +449,7 @@ def _closed_form(cid: str):
     """The lemma that registry sum ``cid`` equals its DSL closed form."""
     def lemma(reg: Registry, lo: int, hi: int) -> list[tuple[Fraction, Fraction]]:
         case = reg.case(cid)
-        return [(s, case.rhs.eval(n)) for n, s in enumerate(values(case, lo, hi), lo)]
+        return [(s, case.rhs_value(n)) for n, s in enumerate(values(case, lo, hi), lo)]
     return lemma
 
 

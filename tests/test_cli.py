@@ -250,6 +250,26 @@ def test_cli_imports_no_pool_machinery():
     assert out.stdout.strip() == "[]"
 
 
+def test_jobs_from_a_script_on_stdin_runs_serially():
+    # spawned workers re-import the main module by path, and "<stdin>" is none
+    argv = ["involution", "--id", "thm3", "--n-min", "5", "--n-max", "6"]
+    script = ("import json, sys\nfrom wzkit import cli, reports\n"
+              f"code, reps = cli.run_command({argv + ['--jobs', '2']!r})\n"
+              "print(code)\nprint(reports.render(reps, 'json'))\n")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-"], input=script, capture_output=True,
+                         text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert "--jobs 2 lowered to 1: worker processes cannot import the main module " \
+        "'<stdin>'" in out.stderr
+    code, payload = out.stdout.split("\n", 1)
+    serial_code, serial = run_command(argv)
+    assert int(code) == serial_code == 1
+    jobs2, serial = ([{k: v for k, v in o.items() if k != "ms"} for o in json.loads(text)]
+                     for text in (payload, render(serial, "json")))
+    assert jobs2 == serial and jobs2[0]["failures"]
+
+
 def test_all_jobs_matches_golden(capsys):
     code = main(["all", "--jobs", "2", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

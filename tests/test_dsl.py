@@ -1,11 +1,13 @@
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wzkit.dsl import (ParseError, SpecDocument, parse_document,
-                       parse_spec, print_document)
+from wzkit.dsl import (ECall, ENeg, ENum, EVar, ParseError, SpecDocument,
+                       _fold, _Parser, parse_document, parse_spec,
+                       print_document)
 from wzkit.identities import registry
 from wzkit.symalg import LinearForm, MultiPoly, RationalFunction, rf_equal
 
@@ -106,20 +108,24 @@ def test_closed_form_with_pow_and_sign():
     text = ("term T(n, m) := binom(n + 1, m)\n"
             "sum s(n) := sum(m, 0, n, T) == 1/2 + (1/2)*sign(n) - (n + 1)*sign(n)"
             " + 3*pow(4, n) for n >= 0\n")
-    rhs = parse_document(text).sums["s"].case.rhs
+    case = parse_document(text).sums["s"].case
     for n in range(0, 8):
         expected = (Fraction(1, 2) + Fraction(1, 2) * (-1) ** n
                     - (n + 1) * (-1) ** n + 3 * 4**n)
-        assert rhs.eval(n) == expected
+        assert case.rhs_value(n) == expected
 
 
 def test_closed_form_affine_pow_exponent():
-    # pow(2, 2n+1) folds to 2 * 4^n
+    # pow(2, 2n+1) folds to one part whose canonical power is 2^(2n+1)
     text = ("term T(n, m) := binom(n, m)\n"
             "sum s(n) := sum(m, 0, n, T) == pow(2, 2*n + 1) for n >= 0\n")
-    rhs = parse_document(text).sums["s"].case.rhs
-    assert [p[:2] for p in rhs.parts] == [(4, 0)]
-    assert rhs.eval(3) == 2 ** 7
+    case = parse_document(text).sums["s"].case
+    (part,) = case.rhs
+    assert part.powers == ((2, LinearForm.make({"n": 2}, 1)),)
+    assert part.sign_exp == LinearForm.make() and not part.binomials
+    assert rf_equal(part.prefactor, RationalFunction.const(1))
+    for n in range(0, 11):
+        assert part.eval({"n": n}) == case.rhs_value(n) == 2 ** (2 * n + 1)
 
 
 def test_unknown_statement_keyword():
@@ -272,3 +278,76 @@ def test_parse_document_fuzz(text):
         assert err.col >= 1
     else:
         assert parse_document(print_document(doc)) == doc
+
+
+# ---------------------------------------------------------------------------
+# the fold of closed forms against a reference interpreter of the AST
+
+
+def _ref(node, n):
+    """The value of a closed-form AST at n, straight from its definition."""
+    if isinstance(node, ENum):
+        return Fraction(node.value)
+    if isinstance(node, EVar):
+        return Fraction(n)
+    if isinstance(node, ENeg):
+        return -_ref(node.arg, n)
+    if isinstance(node, ECall):
+        e = _ref(node.args[-1], n)
+        if node.func == "pow":
+            return Fraction(node.args[0].value) ** int(e)
+        return Fraction(-1 if e % 2 else 1)
+    lhs, rhs = _ref(node.left, n), _ref(node.right, n)
+    return {"+": add, "-": sub, "*": mul, "/": truediv,
+            "^": lambda x, y: x ** int(y)}[node.op](lhs, rhs)
+
+
+def _int(v):
+    return f"({v})" if v < 0 else str(v)
+
+
+_cf_leaf = st.one_of(
+    st.integers(-5, 5).map(_int),
+    st.just("n"),
+    st.builds(lambda b, a, c: f"pow({b}, {a}*n + {_int(c)})", st.integers(2, 4),
+              st.integers(0, 3), st.integers(-3, 3)),
+    st.builds(lambda a, c: f"sign({_int(a)}*n + {_int(c)})", st.integers(-3, 3),
+              st.integers(-3, 3)))
+_cf_expr = st.recursive(_cf_leaf, lambda inner: st.one_of(
+    st.builds(lambda x, op, y: f"({x} {op} {y})", inner, st.sampled_from("+-*"), inner),
+    st.builds(lambda x, e: f"({x})^{e}", inner, st.integers(0, 4)),
+    st.builds(lambda x, d: f"{x} / {_int(d)}", inner,
+              st.integers(-4, 4).filter(bool))), max_leaves=8)
+
+
+def _sum_doc(closed_form):
+    return ("term T(n, k) := binom(n, k)\n"
+            f"sum s(n) := sum(k, 0, n, T) == {closed_form} for n >= 0\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cf_expr)
+def test_fold_matches_reference_interpreter(text):
+    node = _Parser(text).parse_expr()
+    parts = _fold(node, ("n",))
+    for n in range(0, 21):
+        assert sum((p.eval({"n": n}) for p in parts), Fraction(0)) == _ref(node, n)
+    assert len({(p.sign_exp, p.powers) for p in parts}) == len(parts)
+    assume(all(max(e.coeff("n"), abs(e.const)) <= 64 for p in parts for _, e in p.powers))
+    doc = parse_document(_sum_doc(text))
+    assert doc.sums["s"].case.rhs == parts
+    assert parse_document(print_document(doc)) == doc
+
+
+@pytest.mark.parametrize("closed_form, count", [
+    ("(pow(2, n) + pow(3, n))^64", 65),
+    ("(sign(n) + pow(2, n) + n)^40", 81),
+])
+def test_powers_of_sums_fold_to_few_parts(closed_form, count):
+    doc = parse_document(_sum_doc(closed_form))
+    case = doc.sums["s"].case
+    assert len(case.rhs) == count
+    assert parse_document(print_document(doc)) == doc
+    node = _Parser(closed_form).parse_expr()
+    for n in (0, 1, 2, 7):
+        assert case.rhs_value(n) == _ref(node, n)

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzkit.exactnum import UnsupportedArgumentError
 from wzkit.hyperterm import (HyperTerm, absorb_rational, shift_quotient,
@@ -247,3 +249,86 @@ def test_absorb_pole_beats_zero_binomial():
     assert term_eval(t1(), {"n": 2, "k": 3}) == 0
     with pytest.raises(PoleError):
         term_eval(g, {"n": 2, "k": 3})
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+def _value_or_error(term, point):
+    try:
+        return term_eval(term, point)
+    except (PoleError, UnsupportedArgumentError) as exc:
+        return type(exc)
+
+
+def _product_value(a, b, point):
+    """a(point) * b(point), or the error the product must raise: a pole wins."""
+    va, vb = _value_or_error(a, point), _value_or_error(b, point)
+    for err in (PoleError, UnsupportedArgumentError):
+        if err in (va, vb):
+            return err
+    return va * vb
+
+
+_forms = st.builds(lambda c, n, k: lf(c, n=n, k=k), st.integers(-3, 3),
+                   st.integers(-2, 2), st.integers(-2, 2))
+_terms = st.builds(
+    lambda sign, powers, binomials, num, den: HyperTerm.build(
+        ("n", "k"), sign_exp=sign, powers=powers, binomials=binomials,
+        prefactor=RF(num, den)),
+    _forms,
+    st.lists(st.tuples(st.sampled_from((2, 3, 4)), _forms), max_size=3),
+    st.lists(st.tuples(_forms, _forms), max_size=2),
+    _forms.filter(lambda f: f.coeffs or f.const),
+    _forms.filter(lambda f: f.coeffs or f.const))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_terms, _terms, st.integers(-3, 6), st.integers(-3, 6))
+def test_product_value_is_product_of_values(a, b, nv, kv):
+    point = {"n": nv, "k": kv}
+    want = _product_value(a, b, point)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            term_eval(a * b, point)
+    else:
+        assert term_eval(a * b, point) == want
+
+
+def test_product_of_registry_summands():
+    reg = registry()
+    terms = [reg.case(cid).summand for cid in reg.oracle_ids()]
+    terms += [p.term for p in reg.problems.values()]
+    points = [{"n": a, "k": b, "m": c, "j": 1, "l": a}
+              for a in range(0, 4) for b in range(0, 4) for c in range(0, 3)]
+    for a in terms:
+        for b in terms:
+            prod = a * b
+            assert prod.variables == a.variables + tuple(
+                v for v in b.variables if v not in a.variables)
+            for pt in points:
+                want = _product_value(a, b, pt)
+                if isinstance(want, type):
+                    with pytest.raises(want):
+                        term_eval(prod, pt)
+                else:
+                    assert term_eval(prod, pt) == want, (a, b, pt)
+
+
+def test_product_canonical_form():
+    a = HyperTerm.build(("n", "k"), sign_exp=lf(1, n=1, k=3),
+                        powers=[(4, lf(k=1)), (2, lf(-1, n=2))],
+                        binomials=[(lf(n=1), lf(k=1))], prefactor=RF(lf(n=1)))
+    b = HyperTerm.build(("k", "m"), sign_exp=lf(3, n=-1, m=1),
+                        powers=[(2, lf(1, n=-2)), (3, lf(m=1))],
+                        binomials=[(lf(m=1), lf(k=1))], prefactor=RF(lf(1), lf(2)))
+    p = a * b
+    assert p.sign_exp == lf(0, k=1, m=1)  # n + 3k + 1 - n + m + 3, mod 2
+    assert p.powers == ((3, lf(m=1)), (4, lf(k=1)))  # 2^(2n-1) * 2^(1-2n) = 1
+    assert p.binomials == ((lf(n=1), lf(k=1)), (lf(m=1), lf(k=1)))
+    assert rf_equal(p.prefactor, RF(lf(n=1), lf(2)))
+    assert p.variables == ("n", "k", "m")
+    one = HyperTerm.build(("n", "k"))
+    assert (one * t1()).prefactor.num == t1().prefactor.num
+    assert one * t1() == t1()  # the registry summands are in canonical form

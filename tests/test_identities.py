@@ -194,10 +194,10 @@ def test_clamped_limits_match_printed_limits():
 
 def test_closed_form_eval():
     reg = registry()
-    flat, stepped = reg.case("boundary_flat_case").rhs, reg.case("boundary_stepped_case").rhs
+    flat, stepped = reg.case("boundary_flat_case"), reg.case("boundary_stepped_case")
     for n in range(1, 30):
-        assert flat.eval(n) == boundary_flat_rhs(n)
-        assert stepped.eval(n) == boundary_stepped_rhs(n)
+        assert flat.rhs_value(n) == boundary_flat_rhs(n)
+        assert stepped.rhs_value(n) == boundary_stepped_rhs(n)
 
 
 # ---------------------------------------------------------------------------
