@@ -26,8 +26,9 @@ An option a subcommand does not read is a usage error.  Exit codes: 0
 all pass, 1 a mathematical failure was found, 2 usage or parse errors,
 or an argument outside what the engine supports (a parameter below an
 identity's ``valid_from``, a negative binomial top in a ``--spec`` sum,
-a range that meets a pole of the term or a coefficient, a negative
-``--order``).
+a range that meets a pole of the term or a coefficient, a term with
+no finite upper support where a recurrence sum needs one, an
+``--order`` outside [0, 1]).
 ``--format json`` emits an array of report objects that validate
 against the bundled schema; the text format renders the same facts.  A
 command's default range is the ``check`` line declared for its target.
@@ -268,6 +269,9 @@ def _run_lemma(reg: Registry, name: str, rng: tuple[int, int]) -> Report:
 def _run_discover(reg: Registry, ident: str, mode: str, order: int) -> Report:
     if order < 0:
         raise UsageError(f"--order must be at least 0, got {order}")
+    if order > 1:  # the bundled pairs are order 1; nothing above it finishes
+        raise UsageError(f"--order must be at most 1, got {order}: discovery above "
+                         "order 1 runs past 60 s on every bundled pair")
     base = reg.problem(ident, mode)
     t0 = time.perf_counter()
     found = wzengine.discover_certificate(

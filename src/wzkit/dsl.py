@@ -802,22 +802,6 @@ def parse_document(text: str) -> SpecDocument:
 parse_spec = parse_document
 
 
-def _term_str(t: HyperTerm) -> str:
-    parts: list[str] = []
-    if t.sign_exp.coeffs or t.sign_exp.const:
-        parts.append(f"sign({t.sign_exp})")
-    for base, exp in t.powers:
-        parts.append(f"pow({base}, {exp})")
-    for top, bottom in t.binomials:
-        parts.append(f"binom({top}, {bottom})")
-    if not (t.prefactor.num == MultiPoly.const(1)) or not parts:
-        parts.append(f"({t.prefactor.num})")
-    s = " * ".join(parts)
-    if not (t.prefactor.den == MultiPoly.const(1)):
-        s += f" / ({t.prefactor.den})"
-    return s
-
-
 def _rf_str(rf: RationalFunction) -> str:
     if rf.den == MultiPoly.const(1):
         return f"({rf.num})"
@@ -843,7 +827,7 @@ def print_document(doc: SpecDocument) -> str:
     lines = []
     for d in doc.definitions:
         if isinstance(d, TermDef):
-            lines.append(f"term {d.name}({', '.join(d.params)}) := {_term_str(d.term)}")
+            lines.append(f"term {d.name}({', '.join(d.params)}) := {d.term}")
         elif isinstance(d, CertDef):
             lines.append(f"cert {d.name}({', '.join(d.params)}) := {_rf_str(d.rf)}")
         elif isinstance(d, SumDef):
@@ -853,7 +837,7 @@ def print_document(doc: SpecDocument) -> str:
                 f"{d.term_name})" for lp in case.loops)
             lines.append(
                 f"sum {d.name}({case.param}) := {calls} == "
-                f"{' + '.join(map(_term_str, case.rhs)) or '(0)'} "
+                f"{' + '.join(map(str, case.rhs)) or '(0)'} "
                 f"for {case.param} >= {case.valid_from}"
                 + _clauses_str(case.errata, None, d.aliases))
         elif isinstance(d, RecurrenceDef):

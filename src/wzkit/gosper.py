@@ -219,20 +219,13 @@ def _sylvester_resultant_shifted(a: UPoly, b: UPoly) -> MultiPoly:
     ca = _clear_denominators(a)
     cb = _clear_denominators(b)
     da, db = len(ca) - 1, len(cb) - 1
-    # b(k + h): expand each (k+h)^j
-    h = MultiPoly.var(_H)
-    kh_pow: list[dict[int, MultiPoly]] = [{0: MultiPoly.const(1)}]
-    for j in range(1, db + 1):
-        prev = kh_pow[-1]
-        cur: dict[int, MultiPoly] = {}
-        for deg_k, coeff in prev.items():  # multiply by (k + h)
-            cur[deg_k + 1] = cur.get(deg_k + 1, MultiPoly.zero()) + coeff
-            cur[deg_k] = cur.get(deg_k, MultiPoly.zero()) + coeff * h
-        kh_pow.append(cur)
-    cbh = [MultiPoly.zero() for _ in range(db + 1)]
+    # b(k + h), read back as coefficients of powers of k
+    k = MultiPoly.var(b.var)
+    bk = MultiPoly.zero()
     for j, coeff in enumerate(cb):
-        for deg_k, kc in kh_pow[j].items():
-            cbh[deg_k] = cbh[deg_k] + coeff * kc
+        bk = bk + coeff * k**j
+    powers = bk.subst(b.var, k + MultiPoly.var(_H)).coeff_map(b.var)
+    cbh = [powers.get(j, MultiPoly.zero()) for j in range(db + 1)]
     # Sylvester matrix of (ca, cbh), size da + db
     n = da + db
     rows: list[list[MultiPoly]] = []

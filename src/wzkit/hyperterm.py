@@ -4,17 +4,12 @@ A term is a product of a sign factor ``(-1)^L``, integer-base powers
 ``b^L`` with ``b >= 2``, binomials ``binom(T, B)`` with affine integer
 arguments, and a rational-function prefactor.  This normal form covers
 every summand handled here and makes the unit-shift quotient
-``t(var+1)/t(var)`` a closed-form rational function: each binomial
-contributes a ratio of rising products,
-
-    binom(T+p, B+q) / binom(T, B)
-        = Rise(T+1, p) / (Rise(B+1, q) * Rise(T-B+1, p-q)),
-
-    Rise(x, m) = prod_{i=0}^{m-1} (x+i)          for m >= 0,
-                 1 / prod_{i=1}^{-m} (x-i)       for m < 0,
-
-valid for any integer shift coefficients, so no special cases are
-needed even for arguments like ``2k+1`` that shift by 2.
+``t(var+1)/t(var)`` a closed-form rational function.  Each binomial
+contributes binom(T+p, B+q) / binom(T, B), a ratio of products of affine
+factors for any integer shift coefficients p and q, so arguments like
+``2k+1`` that shift by 2 need no special case.  ``step_factors``
+is the one statement of this ratio: ``HyperTerm.shift_quotient`` and
+the Pascal-line walk of ``identities`` both take their factors from it.
 
 Pole semantics are strict: evaluating a term whose prefactor denominator
 vanishes raises ``PoleError`` even if some binomial factor is zero.
@@ -37,6 +32,28 @@ _ONE = RationalFunction.const(1)
 
 def _is_one(r: RationalFunction) -> bool:
     return r.num == _ONE.num and r.den == _ONE.den
+
+
+def step_factors(dt: int, db: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The affine factors (N, D) of binom(t+dt, b+db) / binom(t, b).
+
+    Each factor (p, q, r) stands for p*t + q*b + r, and N and D are the
+    products of their factors.  The ratio is (t+dt)!/t! * b!/(b+db)! *
+    (t-b)!/(t-b+dt-db)!, so binom(t+dt, b+db) * D = binom(t, b) * N
+    whenever both binomials lie in the support 0 <= b <= t.  There every
+    factor of D is at least 1: it is t - i with t - i > t + dt >= 0, or
+    b + i or t - b + i with i >= 1.
+    """
+    num: list[tuple[int, int, int]] = []
+    den: list[tuple[int, int, int]] = []
+    # x -> x + d multiplies x! by (x+1)...(x+d), or divides it by x(x-1)...(x+d+1)
+    for (p, q), d, over, under in (((1, 0), dt, num, den), ((0, 1), db, den, num),
+                                   ((1, -1), dt - db, den, num)):
+        if d >= 0:
+            over.extend((p, q, i) for i in range(1, d + 1))
+        else:
+            under.extend((p, q, -i) for i in range(-d))
+    return tuple(num), tuple(den)
 
 
 @dataclass(frozen=True)
@@ -120,22 +137,6 @@ class HyperTerm:
         """Formal quotient ``t(var+1)/t(var)`` as a rational function."""
         num = MultiPoly.const(1)
         den = MultiPoly.const(1)
-
-        def rise(base: LinearForm, m: int) -> None:
-            nonlocal num, den
-            if m >= 0:
-                for i in range(m):
-                    num = num * (base + i).to_poly()
-            else:
-                for i in range(1, -m + 1):
-                    den = den * (base - i).to_poly()
-
-        def rise_inv(base: LinearForm, m: int) -> None:
-            nonlocal num, den
-            num, den = den, num
-            rise(base, m)
-            num, den = den, num
-
         if self.sign_exp.coeff(var) % 2:
             num = -num
         for base, exp in self.powers:
@@ -145,11 +146,11 @@ class HyperTerm:
             else:
                 den = den.scaled(base**-c)
         for top, bottom in self.binomials:
-            p = top.coeff(var)
-            q = bottom.coeff(var)
-            rise(top + 1, p)
-            rise_inv(bottom + 1, q)
-            rise_inv(top - bottom + 1, p - q)
+            nfs, dfs = step_factors(top.coeff(var), bottom.coeff(var))
+            for p, q, r in nfs:
+                num = num * (top.scaled(p) + bottom.scaled(q) + r).to_poly()
+            for p, q, r in dfs:
+                den = den * (top.scaled(p) + bottom.scaled(q) + r).to_poly()
         if self.prefactor.is_zero():
             raise ValueError("zero prefactor has no shift quotient")
         quotient = RationalFunction(num, den)
@@ -229,17 +230,19 @@ class HyperTerm:
         )
 
     def __str__(self) -> str:
-        parts = []
+        """The term in DSL syntax, which parses back to an equal term."""
+        parts: list[str] = []
         if self.sign_exp.coeffs or self.sign_exp.const:
-            parts.append(f"(-1)^({self.sign_exp})")
+            parts.append(f"sign({self.sign_exp})")
         for base, exp in self.powers:
-            parts.append(f"{base}^({exp})")
+            parts.append(f"pow({base}, {exp})")
         for top, bottom in self.binomials:
             parts.append(f"binom({top}, {bottom})")
-        if not (self.prefactor.num == MultiPoly.const(1)
-                and self.prefactor.den == MultiPoly.const(1)):
-            parts.append(f"[{self.prefactor}]")
-        return " * ".join(parts) if parts else "1"
+        num, den = self.prefactor.num, self.prefactor.den
+        if num != _ONE.num or not parts:
+            parts.append(f"({num})")
+        s = " * ".join(parts)
+        return s if den == _ONE.den else f"{s} / ({den})"
 
 
 def term_eval(t: HyperTerm, point: Mapping[str, int]) -> Fraction:
@@ -256,15 +259,3 @@ def support_bounds(t: HyperTerm, var: str) -> list[SupportBound]:
 
 def absorb_rational(t: HyperTerm, r: RationalFunction) -> HyperTerm:
     return t.absorb(r)
-
-
-def upper_support(t: HyperTerm, var: str, point: Mapping[str, int]) -> int | None:
-    """Smallest evaluated upper vanish bound, or None if unbounded above."""
-    vals = [b.bound.eval(point) for b in t.support_bounds(var) if b.direction == "upper"]
-    return min(vals) if vals else None
-
-
-def lower_support(t: HyperTerm, var: str, point: Mapping[str, int]) -> int | None:
-    """Largest evaluated lower vanish bound, or None if unbounded below."""
-    vals = [b.bound.eval(point) for b in t.support_bounds(var) if b.direction == "lower"]
-    return max(vals) if vals else None

@@ -55,7 +55,7 @@ from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import UnsupportedArgumentError, binomial
-from .hyperterm import HyperTerm
+from .hyperterm import HyperTerm, step_factors
 from .symalg import LinearForm
 from .wzengine import WZProblem
 
@@ -158,7 +158,7 @@ class _LinePlan(NamedTuple):
     coefficient 1 (the top when ``by_top``, else the bottom) and the
     other argument is ``slope*j + c``, where c = ``line`` at (n, outer).
     One step of j moves (top, bottom) by (1, slope) when ``by_top``, else
-    by (slope, 1): the step shape whose ``_step_factors`` give the term
+    by (slope, 1): the step shape whose ``step_factors`` give the term
     recurrence, the same on every line of the sum.
     """
 
@@ -218,34 +218,12 @@ def _line_plan(case: IdentityCase) -> _LinePlan | None:
         sign=forms[4], powers=tuple(powers), weight_step=weight_step)
 
 
-def _step_factors(dt: int, db: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The affine factors (N, D) of binom(t+dt, b+db) / binom(t, b).
-
-    Each factor (p, q, r) stands for p*t + q*b + r, and N and D are the
-    products of their factors.  The ratio is (t+dt)!/t! * b!/(b+db)! *
-    (t-b)!/(t-b+dt-db)!, so binom(t+dt, b+db) * D = binom(t, b) * N
-    whenever both binomials lie in the support 0 <= b <= t.  There every
-    factor of D is at least 1: it is t - i with t - i > t + dt >= 0, or
-    b + i or t - b + i with i >= 1.
-    """
-    num: list[tuple[int, int, int]] = []
-    den: list[tuple[int, int, int]] = []
-    # x -> x + d multiplies x! by (x+1)...(x+d), or divides it by x(x-1)...(x+d+1)
-    for (p, q), d, over, under in (((1, 0), dt, num, den), ((0, 1), db, den, num),
-                                   ((1, -1), dt - db, den, num)):
-        if d >= 0:
-            over.extend((p, q, i) for i in range(1, d + 1))
-        else:
-            under.extend((p, q, -i) for i in range(-d))
-    return tuple(num), tuple(den)
-
-
 def _line_terms(top: int, bottom: int, dt: int, db: int, steps: int,
                 weight_step: int, factors) -> list[int]:
     """binom(top + i*dt, bottom + i*db) * weight_step**i for i = 0..steps.
 
     One ``binomial`` call gives the first term and each later one is
-    term * weight_step * N // D, with ``factors`` = ``_step_factors(dt,
+    term * weight_step * N // D, with ``factors`` = ``step_factors(dt,
     db)`` at the previous point; every point must lie in the support.
     """
     cols = []
@@ -300,7 +278,7 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
     sn, sa, sb, s0 = plan.sign
     by_top, slope = plan.by_top, plan.slope
     dt, db = (1, slope) if by_top else (slope, 1)
-    factors = _step_factors(dt, db)
+    factors = step_factors(dt, db)
     bad = None  # (n, top) for the smallest n with a negative top
     active: list[tuple] = []
     next_c = 0

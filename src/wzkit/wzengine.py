@@ -22,6 +22,12 @@ prefix check exercises the telescoped form G(n,kappa+1) - G(n,0) on
 every pole-free prefix.  Symbolic identity + per-n summation together
 give the rigor the printed one-line telescoping argument skips.
 
+The numeric layer has one evaluator of the recurrence side,
+``_recurrence_side``, which maps k to sum_j a_j(n) F(n+j, k) at a fixed
+n; the summed, prefix and pointwise checks all read it.  Their k ranges
+come from one reader of the support bounds, ``_k_range``, which refuses
+a term unbounded above in k with ``UnsupportedArgumentError``.
+
 Discovery is parameterized Gosper: H(k) = sum_j sigma_j F(n+j,k) with
 unknown sigma has k-quotient (p(k+1)/p(k)) * (r(k)/s(k)) where p is
 sigma-linear; Gosper-normalizing r/s and solving
@@ -38,10 +44,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
+from .exactnum import UnsupportedArgumentError
 from .gosper import UPoly, degree_bound, gosper_normal, nullspace
-from .hyperterm import HyperTerm, SupportBound, lower_support, upper_support
+from .hyperterm import HyperTerm, SupportBound
 from .symalg import MultiPoly, RationalFunction
 
 
@@ -90,12 +97,12 @@ class ProofReport:
 # symbolic layer
 
 
-def shift_quotients(p: WZProblem) -> list[RationalFunction]:
-    """q_j = F(n+j, k) / F(n, k) for j = 0..order, as rational functions."""
-    q1 = p.term.shift_quotient(p.shift_var)
+def shift_quotients(term: HyperTerm, var: str, order: int) -> list[RationalFunction]:
+    """q_j = t(var+j) / t(var) for j = 0..order, as rational functions."""
+    q1 = term.shift_quotient(var)
     out = [RationalFunction.const(1)]
-    for j in range(p.order):
-        out.append(out[-1] * q1.shifted(p.shift_var, j))
+    for j in range(order):
+        out.append(out[-1] * q1.shifted(var, j))
     return out
 
 
@@ -111,7 +118,8 @@ def _residual(p: WZProblem, qs: list[RationalFunction],
 
 def verify_certificate(p: WZProblem) -> CertCheck:
     """Decide the certificate identity exactly; no numerics involved."""
-    residual = _residual(p, shift_quotients(p), p.term.shift_quotient(p.sum_var))
+    residual = _residual(p, shift_quotients(p.term, p.shift_var, p.order),
+                         p.term.shift_quotient(p.sum_var))
     r = p.certificate
     num_low = r.num.subst_int(p.sum_var, 0)
     den_low = r.den.subst_int(p.sum_var, 0)
@@ -129,8 +137,45 @@ def verify_certificate(p: WZProblem) -> CertCheck:
 # numeric layers
 
 
-def _coeff_values(p: WZProblem, point: Mapping[str, int]) -> list[Fraction]:
-    return [a.eval(point) for a in p.coeffs]
+def _k_range(p: WZProblem, point: Mapping[str, int], shifts: int = 0,
+             bounded: bool = True) -> tuple[int, int | None]:
+    """(low, high) of k where some F(n+j, k), j = 0..shifts, can be nonzero.
+
+    A missing lower bound counts as 0.  With no upper bound the term is
+    refused, or gives (0, None) when not ``bounded``; either way before a
+    lower bound, which may name a free variable, is read.
+    """
+    bounds = p.term.support_bounds(p.sum_var)
+    uppers = [b.bound for b in bounds if b.direction == "upper"]
+    if not uppers:
+        if not bounded:
+            return 0, None
+        raise UnsupportedArgumentError(
+            f"term {p.term} of {p.problem_id} has no finite upper support "
+            f"in {p.sum_var}")
+    n = point[p.shift_var]
+    pts = [dict(point, **{p.shift_var: n + j}) for j in range(shifts + 1)]
+    high = max(min(u.eval(pt) for u in uppers) for pt in pts)
+    lowers = [b.bound for b in bounds if b.direction == "lower"]
+    low = min(max((lo.eval(pt) for lo in lowers), default=0) for pt in pts)
+    return low, high
+
+
+def _recurrence_side(p: WZProblem, point: Mapping[str, int]
+                     ) -> Callable[[int], Fraction]:
+    """k -> sum_j a_j(n) F(n+j, k) at the n and free variables of ``point``."""
+    n = point[p.shift_var]
+    shifted = [(a.eval(point), dict(point, **{p.shift_var: n + j}))
+               for j, a in enumerate(p.coeffs)]
+
+    def side(k: int) -> Fraction:
+        total = Fraction(0)
+        for a, pt in shifted:
+            pt[p.sum_var] = k
+            total += a * p.term.eval(pt)
+        return total
+
+    return side
 
 
 def summed_recurrence_value(p: WZProblem, n: int,
@@ -143,23 +188,9 @@ def summed_recurrence_value(p: WZProblem, n: int,
     """
     base = dict(extra or {})
     base[p.shift_var] = n
-    uppers, lowers = [], []
-    for j in range(p.order + 1):
-        pt = dict(base, **{p.shift_var: n + j})
-        u = upper_support(p.term, p.sum_var, pt)
-        if u is None:
-            raise ValueError(
-                f"term of {p.problem_id} has no finite upper support in {p.sum_var}")
-        uppers.append(u)
-        low = lower_support(p.term, p.sum_var, pt)
-        lowers.append(0 if low is None else low)
-    a_vals = _coeff_values(p, base)
-    total = Fraction(0)
-    for k in range(min(lowers), max(uppers) + 1):
-        for j in range(p.order + 1):
-            pt = dict(base, **{p.shift_var: n + j, p.sum_var: k})
-            total += a_vals[j] * p.term.eval(pt)
-    return total
+    low, high = _k_range(p, base, p.order)
+    side = _recurrence_side(p, base)
+    return sum(map(side, range(low, high + 1)), Fraction(0))
 
 
 def summed_recurrence_check(p: WZProblem, n: int,
@@ -181,7 +212,7 @@ def telescope_first_mismatch(p: WZProblem, n: int,
     """
     base = dict(extra or {})
     base[p.shift_var] = n
-    u = upper_support(p.term, p.sum_var, base)
+    _, u = _k_range(p, base, bounded=False)
     limit = kappa_cap if u is None else max(u + p.order + 2, 0)
     first_pole = None
     for k in range(limit + 2):
@@ -190,15 +221,13 @@ def telescope_first_mismatch(p: WZProblem, n: int,
             break
     kappa_max = limit if first_pole is None else first_pole - 2
     g_term = p.term.absorb(p.certificate)
-    if kappa_max >= -1:
+    if kappa_max >= -1:  # G(n, 0) can be a pole, which must raise
         g_low = g_term.eval(dict(base, **{p.sum_var: 0}))
-    a_vals = _coeff_values(p, base)
+    side = _recurrence_side(p, base)
     lhs = Fraction(0)
     for kappa in range(-1, kappa_max + 1):
         if kappa >= 0:
-            for j in range(p.order + 1):
-                pt = dict(base, **{p.shift_var: n + j, p.sum_var: kappa})
-                lhs += a_vals[j] * p.term.eval(pt)
+            lhs += side(kappa)
         rhs = g_term.eval(dict(base, **{p.sum_var: kappa + 1})) - g_low
         if lhs != rhs:
             return kappa, lhs, rhs
@@ -225,18 +254,15 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
     g_term = p.term.absorb(p.certificate)
     for n in range(n_lo, n_hi + 1):
         base = {p.shift_var: n}
-        u = upper_support(p.term, p.sum_var, base)
+        _, u = _k_range(p, base, bounded=False)
         hi = (u if u is not None else n + 2) + p.order + 1
-        a_vals = _coeff_values(p, base)
+        side = _recurrence_side(p, base)
         for k in range(hi + 1):
             den_here = p.certificate.den.eval(dict(base, **{p.sum_var: k}))
             den_next = p.certificate.den.eval(dict(base, **{p.sum_var: k + 1}))
             if den_here == 0 or den_next == 0:
                 continue
-            lhs = Fraction(0)
-            for j in range(p.order + 1):
-                pt = dict(base, **{p.shift_var: n + j, p.sum_var: k})
-                lhs += a_vals[j] * p.term.eval(pt)
+            lhs = side(k)
             rhs = (g_term.eval(dict(base, **{p.sum_var: k + 1}))
                    - g_term.eval(dict(base, **{p.sum_var: k})))
             if lhs != rhs:
@@ -249,12 +275,8 @@ def sum_over_support(p: WZProblem, n: int,
     """S(n) = sum_k F(n, k) over the term's support."""
     pt = dict(extra or {})
     pt[p.shift_var] = n
-    u = upper_support(p.term, p.sum_var, pt)
-    if u is None:
-        raise ValueError(f"term of {p.problem_id} has no finite upper support")
-    low = lower_support(p.term, p.sum_var, pt)
-    low = 0 if low is None else low
-    return sum((p.term.eval(dict(pt, **{p.sum_var: k})) for k in range(low, u + 1)),
+    low, high = _k_range(p, pt)
+    return sum((p.term.eval(dict(pt, **{p.sum_var: k})) for k in range(low, high + 1)),
                Fraction(0))
 
 
@@ -333,52 +355,29 @@ def prove_constant_sum(p: WZProblem, rng: tuple[int, int]) -> ProofReport:
 # mutation sensitivity
 
 
-def _mutation_sites(p: WZProblem) -> list[tuple[str, int, tuple[int, ...]]]:
-    sites = []
-    for part, poly in (("cert_num", p.certificate.num), ("cert_den", p.certificate.den)):
-        for exp in poly.terms:
-            sites.append((part, -1, exp))
-    for j, a in enumerate(p.coeffs):
-        for part, poly in (("coeff_num", a.num), ("coeff_den", a.den)):
-            for exp in poly.terms:
-                sites.append((part, j, exp))
-    return sites
-
-
-def _perturb(poly: MultiPoly, exp: tuple[int, ...], delta: int) -> MultiPoly:
-    terms = dict(poly.terms)
-    terms[exp] = terms.get(exp, Fraction(0)) + delta
-    return MultiPoly(poly.vars, terms)
-
-
 def mutate_problem(p: WZProblem, rng: random.Random) -> WZProblem:
     """One random +-1 perturbation of an integer constant in R or the coefficients.
 
-    Re-samples if the perturbation would make a denominator identically
-    zero (such a mutant is not a well-formed problem at all).
+    A site is a term of the numerator or denominator of one of R, a_0,
+    ..., a_J, in that order.  Re-samples if the perturbation would make
+    a denominator identically zero (such a mutant is not a well-formed
+    problem at all).
     """
-    sites = _mutation_sites(p)
+    rfs = (p.certificate,) + p.coeffs
+    sites = [(i, part, exp) for i, f in enumerate(rfs)
+             for part, poly in enumerate((f.num, f.den)) for exp in poly.terms]
     while True:
-        part, j, exp = rng.choice(sites)
+        i, part, exp = rng.choice(sites)
         delta = rng.choice((1, -1))
+        polys = [rfs[i].num, rfs[i].den]
+        terms = dict(polys[part].terms)
+        terms[exp] += delta
+        polys[part] = MultiPoly(polys[part].vars, terms)
         try:
-            if part == "cert_num":
-                cert = RationalFunction(_perturb(p.certificate.num, exp, delta),
-                                        p.certificate.den)
-                return replace(p, certificate=cert)
-            if part == "cert_den":
-                cert = RationalFunction(p.certificate.num,
-                                        _perturb(p.certificate.den, exp, delta))
-                return replace(p, certificate=cert)
-            coeffs = list(p.coeffs)
-            a = coeffs[j]
-            if part == "coeff_num":
-                coeffs[j] = RationalFunction(_perturb(a.num, exp, delta), a.den)
-            else:
-                coeffs[j] = RationalFunction(a.num, _perturb(a.den, exp, delta))
-            return replace(p, coeffs=tuple(coeffs))
+            mutant = rfs[:i] + (RationalFunction(*polys),) + rfs[i + 1:]
         except ZeroDivisionError:
             continue
+        return replace(p, certificate=mutant[0], coeffs=mutant[1:])
 
 
 def mutation_check(p: WZProblem, count: int = 20, seed: int = 0) -> list[bool]:
@@ -389,7 +388,7 @@ def mutation_check(p: WZProblem, count: int = 20, seed: int = 0) -> list[bool]:
     mutant's residual; a flag is ``not verify_certificate(mutant).status``.
     """
     rng = random.Random(seed)
-    qs = shift_quotients(p)
+    qs = shift_quotients(p.term, p.shift_var, p.order)
     qk = p.term.shift_quotient(p.sum_var)
     return [not _residual(mutate_problem(p, rng), qs, qk).is_zero()
             for _ in range(count)]
@@ -409,10 +408,7 @@ def discover_certificate(term: HyperTerm, shift_var: str, sum_var: str,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    q1 = term.shift_quotient(shift_var)
-    rhos = [RationalFunction.const(1)]
-    for j in range(order):
-        rhos.append(rhos[-1] * q1.shifted(shift_var, j))
+    rhos = shift_quotients(term, shift_var, order)
     beta = MultiPoly.const(1)
     for rho in rhos:
         beta = beta * rho.den

@@ -384,6 +384,50 @@ def test_negative_order_exit_two(capsys):
     assert capsys.readouterr().err == "wzkit: error: --order must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("order", ["2", "3"])
+def test_order_above_one_refused_before_discovery(monkeypatch, capsys, order):
+    def discover_nothing(*args, **kwargs):
+        raise AssertionError("discovery ran before the order was refused")
+
+    monkeypatch.setattr(cli.wzengine, "discover_certificate", discover_nothing)
+    code, reports = run_command(["discover", "--id", "thm1", "--order", order])
+    assert code == 2 and reports == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"wzkit: error: --order must be at most 1, got {order}: ")
+    assert "runs past 60 s" in err
+
+
+# a recurrence whose term has no upper support in k: a bare power, and
+# thm3's summand, whose support in k is bounded only below, by its free m
+_UNBOUNDED_SPECS = {
+    "inf": ("term F(n, k) := pow(2, k)\n"
+            "cert R(n, k) := 0\n"
+            "recurrence inf(n, k) := [-1, 1] * F cert R\n"
+            "    base 0 == 1\n"
+            "check verify inf [0, 3]\n",
+            "term pow(2, k) of inf"),
+    "free": ("term T(n, k, m) := sign(m + k + n + 1) * binom(n + k + 1, m) * pow(2, m - 1)\n"
+             "cert R(n, k) := 1\n"
+             "recurrence free(n, k) := [-1, 1] * T cert R\n"
+             "    base 1 == 2\n"
+             "check verify free [1, 3]\n",
+             "term sign(k + m + n + 1) * pow(2, m - 1) * binom(k + n + 1, m) of free"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "all"])
+@pytest.mark.parametrize("ident", sorted(_UNBOUNDED_SPECS))
+def test_unbounded_recurrence_support_exit_two(tmp_path, capsys, command, ident):
+    text, term = _UNBOUNDED_SPECS[ident]
+    spec = tmp_path / f"{ident}.wz"
+    spec.write_text(text)
+    argv = [command, "--spec", str(spec)] + (["--id", ident] if command == "verify" else [])
+    code, reports = run_command(argv)
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == (
+        f"wzkit: error: {term} has no finite upper support in k\n")
+
+
 def test_range_through_a_pole_exit_two(capsys):
     # the corrected pair's summand carries 1/(n+1), and n = -1 is in the range
     code, reports = run_command(["verify", "--id", "thm1", "--n-min", "-5", "--n-max", "2"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wzkit.dsl import (ECall, ENeg, ENum, EVar, ParseError, SpecDocument,
                        _fold, _Parser, parse_document, parse_spec,
                        print_document)
+from wzkit.hyperterm import HyperTerm
 from wzkit.identities import registry
 from wzkit.symalg import LinearForm, MultiPoly, RationalFunction, rf_equal
 
@@ -158,6 +159,43 @@ def test_roundtrip_idempotence(name):
     assert reparsed == doc
     # and printing is a fixpoint from here on
     assert print_document(reparsed) == printed
+
+
+def _lf(const=0, **coeffs):
+    return LinearForm.make(coeffs, const)
+
+
+_forms = st.builds(lambda c, n, k, m: _lf(c, n=n, k=k, m=m), st.integers(-5, 5),
+                   st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
+_nonzero_polys = st.lists(st.tuples(_forms, st.integers(0, 2)), min_size=1, max_size=2).map(
+    lambda fs: sum((f.to_poly() ** e for f, e in fs), MultiPoly.zero())).filter(
+    lambda p: not p.is_zero())
+_terms = st.builds(
+    lambda sign, powers, binomials, num, den: HyperTerm.build(
+        ("n", "k", "m"), sign_exp=sign, powers=powers, binomials=binomials,
+        prefactor=RationalFunction(num, den)),
+    _forms,
+    st.lists(st.tuples(st.integers(2, 5), _forms), max_size=3),
+    st.lists(st.tuples(_forms, _forms), max_size=3),
+    _nonzero_polys, _nonzero_polys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_terms)
+def test_term_str_reparses_to_an_equal_term(term):
+    # str(term) is DSL syntax; the parser returns the canonical product form
+    doc = parse_document(f"term T(n, k, m) := {term}\n")
+    parsed = doc.terms["T"].term
+    canonical = HyperTerm.build(term.variables) * term
+    assert parsed == canonical
+    assert str(parsed) == str(canonical)
+
+
+def test_registry_term_str_is_its_definition():
+    for _, doc in registry().documents:
+        for d in doc.terms.values():
+            text = f"term {d.name}({', '.join(d.params)}) := {d.term}\n"
+            assert parse_document(text).terms[d.name] == d
 
 
 def test_registry_bundles_parse():

@@ -1,0 +1,305 @@
+"""Each formula of the WZ stack against the longer copy it replaced.
+
+``HyperTerm.shift_quotient`` is built from ``hyperterm.step_factors``,
+the shifted resultant of ``gosper`` substitutes k -> k + h with
+``MultiPoly.subst``, and ``wzengine.mutate_problem`` draws its sites
+from one list over R, a_0, ..., a_J.  The longer code each replaced is
+the reference here: the ``rise``/``rise_inv`` closures, the hand
+expansion of (k+h)^j, and the four-branch mutation.  Both must give
+structurally equal results (the same polynomials with their terms in
+the same order, not only equal rational functions) on every registry
+term and problem and on hypothesis inputs, and the same mutant sequence
+for every seed.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wzkit import gosper
+from wzkit.gosper import UPoly
+from wzkit.hyperterm import HyperTerm
+from wzkit.identities import registry
+from wzkit.symalg import LinearForm, MultiPoly, RationalFunction
+from wzkit.wzengine import WZProblem, discover_certificate, mutate_problem
+
+# ---------------------------------------------------------------------------
+# the replaced copies
+
+
+def ref_shift_quotient(term: HyperTerm, var: str) -> RationalFunction:
+    """t(var+1)/t(var) with each binomial's rising products written out."""
+    num = MultiPoly.const(1)
+    den = MultiPoly.const(1)
+
+    def rise(base: LinearForm, m: int) -> None:
+        nonlocal num, den
+        if m >= 0:
+            for i in range(m):
+                num = num * (base + i).to_poly()
+        else:
+            for i in range(1, -m + 1):
+                den = den * (base - i).to_poly()
+
+    def rise_inv(base: LinearForm, m: int) -> None:
+        nonlocal num, den
+        num, den = den, num
+        rise(base, m)
+        num, den = den, num
+
+    if term.sign_exp.coeff(var) % 2:
+        num = -num
+    for base, exp in term.powers:
+        c = exp.coeff(var)
+        if c >= 0:
+            num = num.scaled(base**c)
+        else:
+            den = den.scaled(base**-c)
+    for top, bottom in term.binomials:
+        p = top.coeff(var)
+        q = bottom.coeff(var)
+        rise(top + 1, p)
+        rise_inv(bottom + 1, q)
+        rise_inv(top - bottom + 1, p - q)
+    if term.prefactor.is_zero():
+        raise ValueError("zero prefactor has no shift quotient")
+    quotient = RationalFunction(num, den)
+    if not term.prefactor.is_const():
+        quotient = quotient * (term.prefactor.shifted(var, 1) / term.prefactor)
+    return quotient
+
+
+def ref_resultant_shifted(a: UPoly, b: UPoly) -> MultiPoly:
+    """Res_k(a(k), b(k+h)) with each (k+h)^j expanded by hand."""
+    ca = gosper._clear_denominators(a)
+    cb = gosper._clear_denominators(b)
+    da, db = len(ca) - 1, len(cb) - 1
+    h = MultiPoly.var(gosper._H)
+    kh_pow: list[dict[int, MultiPoly]] = [{0: MultiPoly.const(1)}]
+    for j in range(1, db + 1):
+        prev = kh_pow[-1]
+        cur: dict[int, MultiPoly] = {}
+        for deg_k, coeff in prev.items():  # multiply by (k + h)
+            cur[deg_k + 1] = cur.get(deg_k + 1, MultiPoly.zero()) + coeff
+            cur[deg_k] = cur.get(deg_k, MultiPoly.zero()) + coeff * h
+        kh_pow.append(cur)
+    cbh = [MultiPoly.zero() for _ in range(db + 1)]
+    for j, coeff in enumerate(cb):
+        for deg_k, kc in kh_pow[j].items():
+            cbh[deg_k] = cbh[deg_k] + coeff * kc
+    n = da + db
+    rows: list[list[MultiPoly]] = []
+    for i in range(db):
+        row = [MultiPoly.zero()] * n
+        for j, c in enumerate(reversed(ca)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(da):
+        row = [MultiPoly.zero()] * n
+        for j, c in enumerate(reversed(cbh)):
+            row[i + j] = c
+        rows.append(row)
+    return gosper._det_bareiss(rows)
+
+
+def _ref_mutation_sites(p: WZProblem):
+    sites = []
+    for part, poly in (("cert_num", p.certificate.num), ("cert_den", p.certificate.den)):
+        for exp in poly.terms:
+            sites.append((part, -1, exp))
+    for j, a in enumerate(p.coeffs):
+        for part, poly in (("coeff_num", a.num), ("coeff_den", a.den)):
+            for exp in poly.terms:
+                sites.append((part, j, exp))
+    return sites
+
+
+def _ref_perturb(poly: MultiPoly, exp, delta: int) -> MultiPoly:
+    terms = dict(poly.terms)
+    terms[exp] = terms.get(exp, Fraction(0)) + delta
+    return MultiPoly(poly.vars, terms)
+
+
+def ref_mutate_problem(p: WZProblem, rng: random.Random) -> WZProblem:
+    """One +-1 perturbation, one branch per kind of site."""
+    sites = _ref_mutation_sites(p)
+    while True:
+        part, j, exp = rng.choice(sites)
+        delta = rng.choice((1, -1))
+        try:
+            if part == "cert_num":
+                cert = RationalFunction(_ref_perturb(p.certificate.num, exp, delta),
+                                        p.certificate.den)
+                return replace(p, certificate=cert)
+            if part == "cert_den":
+                cert = RationalFunction(p.certificate.num,
+                                        _ref_perturb(p.certificate.den, exp, delta))
+                return replace(p, certificate=cert)
+            coeffs = list(p.coeffs)
+            a = coeffs[j]
+            if part == "coeff_num":
+                coeffs[j] = RationalFunction(_ref_perturb(a.num, exp, delta), a.den)
+            else:
+                coeffs[j] = RationalFunction(a.num, _ref_perturb(a.den, exp, delta))
+            return replace(p, coeffs=tuple(coeffs))
+        except ZeroDivisionError:
+            continue
+
+
+# ---------------------------------------------------------------------------
+# structural comparison
+
+
+def _poly(p: MultiPoly):
+    """Variables and terms in their stored order."""
+    return p.vars, list(p.terms.items())
+
+
+def _rf(f: RationalFunction):
+    return _poly(f.num), _poly(f.den)
+
+
+def _registry_terms() -> list[HyperTerm]:
+    """Every term definition, summand and closed-form part of the registry."""
+    reg = registry()
+    terms = [d.term for _, doc in reg.documents for d in doc.terms.values()]
+    for case in reg.cases.values():
+        terms += [case.summand, *case.rhs]
+    return terms
+
+
+# ---------------------------------------------------------------------------
+# shift quotients
+
+
+def _same_quotient(term: HyperTerm, var: str):
+    try:
+        want = _rf(ref_shift_quotient(term, var))
+    except ValueError:
+        with pytest.raises(ValueError):
+            term.shift_quotient(var)
+        return
+    assert _rf(term.shift_quotient(var)) == want, (str(term), var)
+
+
+def test_shift_quotient_matches_reference_on_registry_terms():
+    pairs = 0
+    for term in _registry_terms():
+        for var in term.variables:
+            _same_quotient(term, var)
+            pairs += 1
+    assert pairs >= 40
+
+
+def lf(const=0, **coeffs):
+    return LinearForm.make(coeffs, const)
+
+
+_forms = st.builds(lambda c, n, k, m: lf(c, n=n, k=k, m=m), st.integers(-4, 4),
+                   st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 1))
+_terms = st.builds(
+    lambda sign, powers, binomials, num, den: HyperTerm.build(
+        ("n", "k", "m"), sign_exp=sign, powers=powers, binomials=binomials,
+        prefactor=RationalFunction(num.to_poly(), den.to_poly())),
+    _forms,
+    st.lists(st.tuples(st.sampled_from((2, 3, 5)), _forms), max_size=2),
+    st.lists(st.tuples(_forms, _forms), max_size=3),
+    _forms.filter(lambda f: f.coeffs or f.const),
+    _forms.filter(lambda f: f.coeffs or f.const))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_terms, st.sampled_from(("n", "k", "m")))
+def test_shift_quotient_matches_reference_on_hypothesis_terms(term, var):
+    _same_quotient(term, var)
+
+
+# ---------------------------------------------------------------------------
+# shifted resultants
+
+
+def test_resultant_matches_reference_on_registry_discovery(monkeypatch):
+    seen = []
+    resultant = gosper._sylvester_resultant_shifted
+
+    def spy(a, b):
+        seen.append((a, b))
+        return resultant(a, b)
+
+    monkeypatch.setattr(gosper, "_sylvester_resultant_shifted", spy)
+    for p in registry().problems.values():
+        for order in (0, 1):
+            discover_certificate(p.term, p.shift_var, p.sum_var, order)
+    assert len(seen) >= 4
+    for a, b in seen:
+        assert _poly(resultant(a, b)) == _poly(ref_resultant_shifted(a, b))
+
+
+_small_polys = st.builds(
+    lambda cs: sum((MultiPoly.var("n") ** e * MultiPoly.const(c) for e, c in cs),
+                   MultiPoly.zero()),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-4, 4)), max_size=3))
+_linear = st.builds(lambda a, c: (lf(c, n=a)).to_poly(), st.integers(0, 2),
+                    st.integers(-3, 3)).filter(lambda p: not p.is_zero())
+_coeffs = st.builds(RationalFunction, _small_polys, st.one_of(st.just(MultiPoly.const(1)),
+                                                              _linear))
+_upolys = st.lists(_coeffs, min_size=2, max_size=4).map(lambda cs: UPoly("k", cs)).filter(
+    lambda p: p.degree >= 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_upolys, _upolys)
+def test_resultant_matches_reference_on_hypothesis_polys(a, b):
+    got = gosper._sylvester_resultant_shifted(a, b)
+    assert _poly(got) == _poly(ref_resultant_shifted(a, b))
+
+
+# ---------------------------------------------------------------------------
+# mutants
+
+
+def _mutant(p: WZProblem):
+    return _rf(p.certificate), [_rf(a) for a in p.coeffs]
+
+
+def _same_mutants(p: WZProblem, seeds, count: int = 20):
+    for seed in seeds:
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for i in range(count):
+            got, want = mutate_problem(p, got_rng), ref_mutate_problem(p, want_rng)
+            assert got.term is p.term and _mutant(got) == _mutant(want), (seed, i)
+        assert got_rng.getstate() == want_rng.getstate(), seed
+
+
+@pytest.mark.parametrize("key", sorted(registry().problems))
+def test_mutants_match_reference_on_registry_problems(key):
+    _same_mutants(registry().problems[key], range(30))
+
+
+def _rfs_in(variables):
+    polys = st.builds(
+        lambda cs: sum((MultiPoly.var(v) ** e * MultiPoly.const(c) for v, e, c in cs),
+                       MultiPoly.zero()),
+        st.lists(st.tuples(st.sampled_from(variables), st.integers(0, 2),
+                           st.integers(-3, 3)), max_size=3))
+    # a denominator of 1 or -1 has a site whose perturbation zeroes it
+    return st.builds(RationalFunction, polys.filter(lambda p: not p.is_zero()),
+                     st.one_of(st.just(MultiPoly.const(1)),
+                               polys.filter(lambda p: not p.is_zero())))
+
+
+_problems = st.builds(
+    lambda coeffs, cert: WZProblem("random", HyperTerm.build(("n", "k")), "n", "k",
+                                   tuple(coeffs), cert),
+    st.lists(_rfs_in(("n",)), min_size=1, max_size=3),
+    _rfs_in(("n", "k")))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_problems, st.integers(0, 10**6))
+def test_mutants_match_reference_on_hypothesis_problems(p, seed):
+    _same_mutants(p, [seed], count=10)

@@ -26,9 +26,8 @@ from hypothesis import strategies as st
 from wzkit import gosper, identities, wzengine
 from wzkit.exactnum import UnsupportedArgumentError, binomial
 from wzkit.gosper import UPoly, shift_candidates
-from wzkit.hyperterm import HyperTerm
-from wzkit.identities import (_VALUES, _line_plan, _line_terms, _loop_pair,
-                              _step_factors, registry)
+from wzkit.hyperterm import HyperTerm, step_factors
+from wzkit.identities import _VALUES, _line_plan, _line_terms, _loop_pair, registry
 from wzkit.symalg import (LinearForm, MissingVariableError, MultiPoly,
                           PoleError, RationalFunction)
 from wzkit.wzengine import (WZProblem, mutate_problem, mutation_check,
@@ -475,7 +474,7 @@ def _line_point(by_top: bool, slope: int, c: int, j: int) -> tuple[int, int]:
 @pytest.mark.parametrize("slope", range(-3, 4))
 def test_line_terms_match_binomial(by_top, slope):
     dt, db = (1, slope) if by_top else (slope, 1)
-    factors = _step_factors(dt, db)
+    factors = step_factors(dt, db)
     lines = 0
     for c in range(-7, 8):
         support = [j for j in range(-12, 13)
@@ -507,7 +506,7 @@ def test_step_factors_match_generic_step():
     # binom(t+dt, b+db) * D = binom(t, b) * N on a grid of the support
     for dt in range(-3, 4):
         for db in range(-3, 4):
-            num, den = _step_factors(dt, db)
+            num, den = step_factors(dt, db)
             for t in range(0, 9):
                 for b in range(0, t + 1):
                     if not 0 <= b + db <= t + dt:
