@@ -20,7 +20,8 @@ Subcommands, each with the options it reads:
                      declaration order grouped by kind, plus the
                      corollary derivations and certificate discovery; a
                      target aliased only in literal mode must fail the
-                     way its erratum says.  ``--spec --format --jobs --seed``
+                     way its erratum says; a bad line exits 2 before any
+                     check runs.  ``--spec --format --jobs --seed``
 
 An option a subcommand does not read is a usage error.  Exit codes: 0
 all pass, 1 a mathematical failure was found, 2 usage or parse errors,
@@ -161,8 +162,14 @@ def _extra_grid(problem: wzengine.WZProblem) -> list[dict[str, int]]:
     return grids
 
 
+def _check_verify_target(problem: wzengine.WZProblem) -> None:
+    if problem.base_case is not None:  # the proof sums it over the support
+        wzengine.require_upper_support(problem)
+
+
 def _run_verify(reg: Registry, problem: wzengine.WZProblem, mode: str,
                 rng: tuple[int, int], seed: int, mutations: int = 20) -> Report:
+    _check_verify_target(problem)
     t0 = time.perf_counter()
     failures: list[Failure] = []
     errata = list(problem.errata)
@@ -213,11 +220,16 @@ def _run_verify(reg: Registry, problem: wzengine.WZProblem, mode: str,
 # involution
 
 
-def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
+def _check_involution_range(ident: str, rng: tuple[int, int]) -> None:
+    """Refuse an unknown model, or an n with too many words, before enumerating."""
     if ident not in inv.MODELS:
         raise UnknownIdentityError(ident)
-    for n in range(rng[0], rng[1] + 1):  # refuse the range before enumerating
+    for n in range(rng[0], rng[1] + 1):
         inv.WordModel(ident, n).check_size()
+
+
+def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
+    _check_involution_range(ident, rng)
     t0 = time.perf_counter()
     # largest n first, whose strata are the biggest
     models = [inv.WordModel(ident, n) for n in range(rng[1], rng[0] - 1, -1)]
@@ -326,8 +338,15 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
                 and literal == (defs is not None and
                                 reg.mode_of(defs, c.target, "corrected") == "literal")]
 
-    reports = [_run_oracle(reg, reg.cases[t], "corrected", rng)
-               for t, rng in declared("oracle")]
+    # every check line is resolved, and a bad one refused, before any check runs
+    oracles, lemmas, verifies, involutions = map(
+        declared, ("oracle", "lemma", "verify", "involution"))
+    for t, _ in verifies:
+        _check_verify_target(reg.problems[t])
+    for t, rng in involutions:
+        _check_involution_range(t, rng)
+
+    reports = [_run_oracle(reg, reg.cases[t], "corrected", rng) for t, rng in oracles]
     reports += [_sign_erratum(reg, t, rng) for t, rng in declared("oracle", True)]
 
     # derivation recipes
@@ -337,9 +356,9 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
     reports.append(_meta("all", "corollary_derivations", (0, DERIVATION_LIMIT),
                          not bad, failures=bad, ms=(time.perf_counter() - t0) * 1000))
 
-    reports += [_run_lemma(reg, t, rng) for t, rng in declared("lemma")]
+    reports += [_run_lemma(reg, t, rng) for t, rng in lemmas]
     reports += [_run_verify(reg, reg.problems[t], "corrected", rng, seed)
-                for t, rng in declared("verify")]
+                for t, rng in verifies]
     reports += [_literal_certificate(reg, t) for t, _ in declared("verify", True)]
 
     # discovery: order 1 recovers the thm1 and thm2 certificates, order 0 none
@@ -359,7 +378,7 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
     reports.append(_meta("all", "discovery", (0, 1), not errd, errata=errd,
                          ms=(time.perf_counter() - t0) * 1000))
 
-    reports += [_run_involution(t, rng, jobs) for t, rng in declared("involution")]
+    reports += [_run_involution(t, rng, jobs) for t, rng in involutions]
     return reports
 
 

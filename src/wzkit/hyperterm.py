@@ -8,8 +8,9 @@ every summand handled here and makes the unit-shift quotient
 contributes binom(T+p, B+q) / binom(T, B), a ratio of products of affine
 factors for any integer shift coefficients p and q, so arguments like
 ``2k+1`` that shift by 2 need no special case.  ``step_factors``
-is the one statement of this ratio: ``HyperTerm.shift_quotient`` and
-the Pascal-line walk of ``identities`` both take their factors from it.
+is the one statement of this ratio, for ``HyperTerm.shift_quotient`` and
+``line_terms``: the integer walk of a binomial along a line, which
+``HyperTerm.eval_line`` and the Pascal-line sums of ``identities`` share.
 
 Pole semantics are strict: evaluating a term whose prefactor denominator
 vanishes raises ``PoleError`` even if some binomial factor is zero.
@@ -54,6 +55,48 @@ def step_factors(dt: int, db: int) -> tuple[tuple[tuple[int, int, int], ...], ..
         else:
             under.extend((p, q, -i) for i in range(-d))
     return tuple(num), tuple(den)
+
+
+def line_terms(t0: int, dt: int, b0: int, db: int, lo: int, hi: int, weight_step: int,
+               factors) -> tuple[int, list[int]]:
+    """binom(t0 + j*dt, b0 + j*db) * weight_step**i at j = first + i, over its span.
+
+    The span is the part of lo..hi where the bottom and the top minus the
+    bottom, each affine in j, are >= 0: where the binomial is nonzero,
+    given tops >= 0.  Returns (first, terms).  One ``binomial`` call gives
+    the first term and each later one is term * weight_step * N // D,
+    with ``factors`` = ``step_factors(dt, db)`` at the previous point.
+    """
+    for u, v in ((db, b0), (dt - db, t0 - b0)):  # u*j + v >= 0
+        if u > 0:
+            lo = max(lo, -(v // u))
+        elif u < 0:
+            hi = min(hi, v // -u)
+        elif v < 0:
+            hi = lo - 1
+    if hi < lo:
+        return lo, []
+    top, bottom, steps = t0 + dt * lo, b0 + db * lo, hi - lo
+    cols = []
+    for first, fs in zip((weight_step, 1), factors):
+        col = [first] * steps
+        for p, q, r in fs:  # affine in i: its values along the line are a range
+            x, dx = p * top + q * bottom + r, p * dt + q * db
+            if dx:
+                col = [v * y for v, y in zip(col, range(x, x + dx * steps, dx))]
+            elif x != 1:
+                col = [v * x for v in col]
+        cols.append(col)
+    term = binomial(top, bottom)
+    terms = [term]
+    for num, den in zip(*cols):
+        term = term * num // den
+        terms.append(term)
+    return lo, terms
+
+
+#: values along a line as (num, den) ints, and the exception that ended it early
+Row = tuple[list[tuple[int, int]], Exception | None]
 
 
 @dataclass(frozen=True)
@@ -130,6 +173,46 @@ class HyperTerm:
                 return Fraction(0)
             num *= c
         return Fraction(num, den)
+
+    def eval_line(self, point: Mapping[str, int], var: str, lo: int, hi: int) -> Row:
+        """``eval`` at ``point`` with ``var`` = lo..hi, as unreduced (num, den) pairs.
+
+        The row ends before the first ``var`` where ``eval`` raises, with
+        that exception.  The prefactor is restricted to the line once, and
+        each binomial is walked by ``line_terms`` where it is nonzero.
+        """
+        if hi < lo:
+            return [], None
+        at0 = dict(point, **{var: 0})
+        nums, nd = self.prefactor.num.line_values(point, var, lo, hi)
+        dens, dd = self.prefactor.den.line_values(point, var, lo, hi)
+        lines = [(t.eval(at0), t.coeff(var), b.eval(at0), b.coeff(var))
+                 for t, b in self.binomials]
+        # the last var before a vanishing denominator or a negative top
+        end = hi if all(dens) else lo + dens.index(0) - 1
+        for t0, dt, _, _ in lines:
+            if dt < 0:  # a top falling in var is negative past t0 // -dt
+                end = min(end, t0 // -dt)
+            elif t0 + dt * lo < 0:
+                end = lo - 1
+        end = max(end, lo - 1)
+        error = None
+        if end < hi:
+            try:
+                self.eval(dict(point, **{var: end + 1}))
+            except (PoleError, UnsupportedArgumentError) as exc:
+                error = exc
+        ks = range(lo, end + 1)
+        nums, dens = [v * dd for v in nums[:len(ks)]], [v * nd for v in dens[:len(ks)]]
+        for base, exp in ((-1, self.sign_exp), *self.powers):  # (-1)^-e = (-1)^e
+            es = [exp.eval(at0) + exp.coeff(var) * k for k in ks]
+            nums = [v * base**e if e > 0 else v for v, e in zip(nums, es)]
+            dens = [v * base**-e if e < 0 else v for v, e in zip(dens, es)]
+        for t0, dt, b0, db in lines:
+            first, walk = line_terms(t0, dt, b0, db, lo, end, 1, step_factors(dt, db))
+            col = [0] * (first - lo) + walk + [0] * (end - first - len(walk) + 1)
+            nums = [v * c for v, c in zip(nums, col)]
+        return list(zip(nums, dens)), error
 
     # -- shift quotient ---------------------------------------------------
 

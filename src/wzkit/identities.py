@@ -22,10 +22,10 @@ triangle (a row, a column, or a slope-2 line such as thm1's and cor5's),
 scaled by a sign and power factor that does not depend on the inner
 variable.  The lines are walked one at a time, in ascending order, and
 each visits only the n whose outer range reaches it.  A line's weighted
-terms come from one ``binomial`` call and an exact integer recurrence,
-every (n, outer) pair that lands on the line is answered by a difference
-of two prefix sums, and the line is then dropped.  Every bundled sum
-takes this path.
+terms come from ``hyperterm.line_terms`` (one ``binomial`` call and an
+exact integer recurrence), every (n, outer) pair that lands on the line
+is answered by a difference of two prefix sums, and the line is then
+dropped.  Every bundled sum takes this path.
 
 ``eval_sum`` is the uncached term-by-term reference: the literal nested
 sum of ``HyperTerm.eval`` values.  The test suite checks the line walk
@@ -54,8 +54,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .exactnum import UnsupportedArgumentError, binomial
-from .hyperterm import HyperTerm, step_factors
+from .exactnum import UnsupportedArgumentError
+from .hyperterm import HyperTerm, line_terms, step_factors
 from .symalg import LinearForm
 from .wzengine import WZProblem
 
@@ -140,13 +140,9 @@ def eval_sum(case: IdentityCase, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # range evaluation: Pascal-line prefix sums shared across n
 #
-# Along a line the weighted term binom(t, b) * weight_step**j follows
-# term' = term * weight_step * N // D, with N and D products of affine
-# factors of (t, b) worked out once per step shape (dt, db).  The
-# division is exact on the support 0 <= b <= t, to which every line is
-# clipped: there binom' * D = binom * N and D >= 1.  The lines are swept
-# in ascending order with the set of n whose outer range covers the
-# current line, so no line scans the whole range of n.
+# Each line is clipped to the support and walked by ``line_terms``.  The
+# lines are swept in ascending order with the set of n whose outer range
+# covers the current line, so no line scans the whole range of n.
 
 
 class _LinePlan(NamedTuple):
@@ -218,32 +214,6 @@ def _line_plan(case: IdentityCase) -> _LinePlan | None:
         sign=forms[4], powers=tuple(powers), weight_step=weight_step)
 
 
-def _line_terms(top: int, bottom: int, dt: int, db: int, steps: int,
-                weight_step: int, factors) -> list[int]:
-    """binom(top + i*dt, bottom + i*db) * weight_step**i for i = 0..steps.
-
-    One ``binomial`` call gives the first term and each later one is
-    term * weight_step * N // D, with ``factors`` = ``step_factors(dt,
-    db)`` at the previous point; every point must lie in the support.
-    """
-    cols = []
-    for first, fs in zip((weight_step, 1), factors):
-        col = [first] * steps
-        for p, q, r in fs:  # affine in i: its values along the line are a range
-            x, dx = p * top + q * bottom + r, p * dt + q * db
-            if dx:
-                col = [v * y for v, y in zip(col, range(x, x + dx * steps, dx))]
-            elif x != 1:
-                col = [v * x for v in col]
-        cols.append(col)
-    term = binomial(top, bottom)
-    terms = [term]
-    for num, den in zip(*cols):
-        term = term * num // den
-        terms.append(term)
-    return terms
-
-
 def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                ) -> dict[int, Fraction]:
     """Exact sums of ``case`` at every n in ``ns`` by walking Pascal lines.
@@ -252,7 +222,7 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
     indices c = gn*n + ga*a + g0.  The intervals are sorted once, and as c
     ascends a line visits only the n whose interval covers it (the
     active n); lines no n reaches are skipped.  Each line's terms come
-    from ``_line_terms`` over the part of the line where the binomial is
+    from ``line_terms`` over the part of the line where the binomial is
     nonzero; its prefix sums answer every (n, outer) pair on it, and then
     the line is dropped.
 
@@ -320,30 +290,14 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
                 pairs.append((n, a, i0, jlo, jhi))
         if not pairs:
             continue
-        # clip the line's j range to where the binomial is nonzero:
-        # bottom >= 0 and top - bottom >= 0, each u*j + v >= 0
-        start = min(p[3] for p in pairs)
-        end = max(p[4] for p in pairs)
-        if by_top:
-            constraints = ((slope, c), (1 - slope, -c))
-        else:
-            constraints = ((1, 0), (slope - 1, c))
-        for u, v in constraints:
-            if u > 0:
-                start = max(start, -(v // u))
-            elif u < 0:
-                end = min(end, v // -u)
-            elif v < 0:
-                end = start - 1
-        if end < start:
+        # line c has (top, bottom) = (j, slope*j + c) or (slope*j + c, j)
+        t0, b0 = (0, c) if by_top else (c, 0)
+        start, terms = line_terms(t0, dt, b0, db, min(p[3] for p in pairs),
+                                  max(p[4] for p in pairs), plan.weight_step, factors)
+        if not terms:
             continue
-        if by_top:
-            top, bot = start, slope * start + c
-        else:
-            top, bot = slope * start + c, start
-        prefix = list(accumulate(
-            _line_terms(top, bot, dt, db, end - start, plan.weight_step, factors),
-            initial=0))
+        end = start + len(terms) - 1
+        prefix = list(accumulate(terms, initial=0))
         for n, a, i0, jlo, jhi in pairs:
             lo_j = jlo if jlo > start else start
             hi_j = jhi if jhi < end else end

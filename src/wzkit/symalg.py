@@ -312,6 +312,29 @@ class MultiPoly:
             total += c
         return total, den
 
+    def line_values(self, point: Mapping[str, int], var: str, lo: int, hi: int
+                    ) -> tuple[list[int], int]:
+        """``eval_ratio`` at ``point`` with ``var`` = lo..hi: the numerators, one denominator.
+
+        The integer coefficients are restricted to the line once and
+        evaluated by Horner's rule.
+        """
+        terms, den = self._int_terms()
+        try:
+            vals = [1 if v == var else point[v] for v in self.vars]
+        except KeyError as exc:
+            raise MissingVariableError(f"no value for variable {exc.args[0]!r}") from None
+        i = self.vars.index(var) if var in self.vars else None
+        coeffs = [0] * (self.degree(var) + 1)
+        for e, c in terms:
+            for x, p in zip(vals, e):
+                c *= x**p
+            coeffs[0 if i is None else e[i]] += c
+        out = [0] * max(hi - lo + 1, 0)
+        for c in reversed(coeffs):
+            out = [v * x + c for v, x in zip(out, range(lo, hi + 1))]
+        return out, den
+
     def _int_terms(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
         """(exponent, integer coefficient) pairs and their common denominator."""
         cached = self._int

@@ -22,11 +22,14 @@ prefix check exercises the telescoped form G(n,kappa+1) - G(n,0) on
 every pole-free prefix.  Symbolic identity + per-n summation together
 give the rigor the printed one-line telescoping argument skips.
 
-The numeric layer has one evaluator of the recurrence side,
-``_recurrence_side``, which maps k to sum_j a_j(n) F(n+j, k) at a fixed
-n; the summed, prefix and pointwise checks all read it.  Their k ranges
-come from one reader of the support bounds, ``_k_range``, which refuses
-a term unbounded above in k with ``UnsupportedArgumentError``.
+The numeric layer reads rows along k (``HyperTerm.eval_line``), which
+``_recurrence_side`` combines into rows of sum_j a_j(n) F(n+j, k).  The
+prefix check runs pointwise, side(k) = G(n,k+1) - G(n,k) in integers:
+while every earlier prefix holds, the prefix sum to kappa is
+G(n,kappa) - G(n,0) + side(kappa), so the first failing k is the first
+failing prefix.  A row stops where a point evaluation would raise, and a
+check raises that exception only when its order of evaluation gets there.
+``_k_range`` refuses a term unbounded above in k.
 
 Discovery is parameterized Gosper: H(k) = sum_j sigma_j F(n+j,k) with
 unknown sigma has k-quotient (p(k+1)/p(k)) * (r(k)/s(k)) where p is
@@ -48,7 +51,7 @@ from typing import Callable, Mapping
 
 from .exactnum import UnsupportedArgumentError
 from .gosper import UPoly, degree_bound, gosper_normal, nullspace
-from .hyperterm import HyperTerm, SupportBound
+from .hyperterm import HyperTerm, Row, SupportBound
 from .symalg import MultiPoly, RationalFunction
 
 
@@ -137,6 +140,14 @@ def verify_certificate(p: WZProblem) -> CertCheck:
 # numeric layers
 
 
+def require_upper_support(p: WZProblem) -> None:
+    """Refuse a term with no finite upper support in k: a sum over the support needs one."""
+    if not any(b.direction == "upper" for b in p.term.support_bounds(p.sum_var)):
+        raise UnsupportedArgumentError(
+            f"term {p.term} of {p.problem_id} has no finite upper support "
+            f"in {p.sum_var}")
+
+
 def _k_range(p: WZProblem, point: Mapping[str, int], shifts: int = 0,
              bounded: bool = True) -> tuple[int, int | None]:
     """(low, high) of k where some F(n+j, k), j = 0..shifts, can be nonzero.
@@ -145,14 +156,12 @@ def _k_range(p: WZProblem, point: Mapping[str, int], shifts: int = 0,
     refused, or gives (0, None) when not ``bounded``; either way before a
     lower bound, which may name a free variable, is read.
     """
+    if bounded:
+        require_upper_support(p)
     bounds = p.term.support_bounds(p.sum_var)
     uppers = [b.bound for b in bounds if b.direction == "upper"]
     if not uppers:
-        if not bounded:
-            return 0, None
-        raise UnsupportedArgumentError(
-            f"term {p.term} of {p.problem_id} has no finite upper support "
-            f"in {p.sum_var}")
+        return 0, None
     n = point[p.shift_var]
     pts = [dict(point, **{p.shift_var: n + j}) for j in range(shifts + 1)]
     high = max(min(u.eval(pt) for u in uppers) for pt in pts)
@@ -162,20 +171,51 @@ def _k_range(p: WZProblem, point: Mapping[str, int], shifts: int = 0,
 
 
 def _recurrence_side(p: WZProblem, point: Mapping[str, int]
-                     ) -> Callable[[int], Fraction]:
-    """k -> sum_j a_j(n) F(n+j, k) at the n and free variables of ``point``."""
-    n = point[p.shift_var]
-    shifted = [(a.eval(point), dict(point, **{p.shift_var: n + j}))
-               for j, a in enumerate(p.coeffs)]
+                     ) -> Callable[[int, int], Row]:
+    """(lo, hi) -> the row of sum_j a_j(n) F(n+j, k) at ``point``; a_j(n) evaluated once.
 
-    def side(k: int) -> Fraction:
-        total = Fraction(0)
-        for a, pt in shifted:
-            pt[p.sum_var] = k
-            total += a * p.term.eval(pt)
-        return total
+    The row ends with the shortest F(n+j, .) row, with the least such j's exception.
+    """
+    n = point[p.shift_var]
+    coeffs = [(c.numerator, c.denominator) for c in (a.eval(point) for a in p.coeffs)]
+    points = [dict(point, **{p.shift_var: n + j}) for j in range(len(coeffs))]
+
+    def side(lo: int, hi: int) -> Row:
+        rows = [p.term.eval_line(pt, p.sum_var, lo, hi) for pt in points]
+        out = []
+        for terms in zip(*(values for values, _ in rows)):
+            num, den = 0, 1
+            for (an, ad), (fn, fd) in zip(coeffs, terms):
+                num, den = num * fd * ad + an * fn * den, den * fd * ad
+            out.append((num, den))
+        return out, next(err for values, err in rows if len(values) == len(out))
 
     return side
+
+
+def _row_sum(row: Row) -> Fraction:
+    """The sum of a whole row, with one ``Fraction`` per distinct denominator."""
+    values, error = row
+    if error is not None:
+        raise error
+    by_den: dict[int, int] = {}
+    for num, den in values:
+        by_den[den] = by_den.get(den, 0) + num
+    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+
+
+def _first_bad_step(side: Row, g: Row) -> int | None:
+    """The first i with side[i] != g[i+1] - g[i], or None; raises as side(i), G(i+1) would."""
+    (values, side_error), (gs, g_error) = side, g
+    for i, (sn, sd) in enumerate(values):
+        if i + 1 >= len(gs):
+            raise g_error
+        (gn, gd), (hn, hd) = gs[i], gs[i + 1]
+        if sn * gd * hd != sd * (hn * gd - gn * hd):
+            return i
+    if side_error is not None:
+        raise side_error
+    return None
 
 
 def summed_recurrence_value(p: WZProblem, n: int,
@@ -189,8 +229,7 @@ def summed_recurrence_value(p: WZProblem, n: int,
     base = dict(extra or {})
     base[p.shift_var] = n
     low, high = _k_range(p, base, p.order)
-    side = _recurrence_side(p, base)
-    return sum(map(side, range(low, high + 1)), Fraction(0))
+    return _row_sum(_recurrence_side(p, base)(low, high))
 
 
 def summed_recurrence_check(p: WZProblem, n: int,
@@ -206,32 +245,28 @@ def telescope_first_mismatch(p: WZProblem, n: int,
 
     Checks sum_{k=0}^{kappa} sum_j a_j F(n+j,k) = G(n,kappa+1) - G(n,0)
     over every pole-free prefix: kappa+1 stays strictly below the first
-    zero of R's denominator in the summation variable.  G values use
-    absorb semantics, so a pole inside the checked region raises rather
-    than being silently defined away.
+    zero of R's denominator in the summation variable, one k at a time
+    (see the module docstring).  G values use absorb semantics, so a pole
+    inside the checked region raises rather than being silently defined
+    away: G(n,0) first, then side(kappa), then G(n,kappa+1).
     """
     base = dict(extra or {})
     base[p.shift_var] = n
     _, u = _k_range(p, base, bounded=False)
     limit = kappa_cap if u is None else max(u + p.order + 2, 0)
-    first_pole = None
-    for k in range(limit + 2):
-        if p.certificate.den.eval(dict(base, **{p.sum_var: k})) == 0:
-            first_pole = k
-            break
-    kappa_max = limit if first_pole is None else first_pole - 2
-    g_term = p.term.absorb(p.certificate)
-    if kappa_max >= -1:  # G(n, 0) can be a pole, which must raise
-        g_low = g_term.eval(dict(base, **{p.sum_var: 0}))
-    side = _recurrence_side(p, base)
-    lhs = Fraction(0)
-    for kappa in range(-1, kappa_max + 1):
-        if kappa >= 0:
-            lhs += side(kappa)
-        rhs = g_term.eval(dict(base, **{p.sum_var: kappa + 1})) - g_low
-        if lhs != rhs:
-            return kappa, lhs, rhs
-    return None
+    dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, limit + 1)
+    kappa_max = limit if all(dens) else dens.index(0) - 2
+    g_row = p.term.absorb(p.certificate).eval_line(base, p.sum_var, 0, kappa_max + 1)
+    g = g_row[0]
+    if kappa_max >= -1 and not g:  # G(n, 0) can be a pole, which must raise
+        raise g_row[1]
+    side = _recurrence_side(p, base)(0, kappa_max)
+    kappa = _first_bad_step(side, g_row)
+    if kappa is None:
+        return None
+    g_low = Fraction(*g[0])
+    return (kappa, Fraction(*g[kappa]) - g_low + Fraction(*side[0][kappa]),
+            Fraction(*g[kappa + 1]) - g_low)
 
 
 def telescope_prefix_check(p: WZProblem, n: int,
@@ -248,6 +283,7 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
     returns (n, k, recurrence side, telescoped side) for the first
     mismatch; None when the recurrence holds on the whole grid.  Only
     problems whose term has no leftover symbolic variables are scanned.
+    Each run of k between two zeros of R's denominator is one row.
     """
     if set(p.term.variables) - {p.shift_var, p.sum_var}:
         return None
@@ -257,16 +293,17 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
         _, u = _k_range(p, base, bounded=False)
         hi = (u if u is not None else n + 2) + p.order + 1
         side = _recurrence_side(p, base)
-        for k in range(hi + 1):
-            den_here = p.certificate.den.eval(dict(base, **{p.sum_var: k}))
-            den_next = p.certificate.den.eval(dict(base, **{p.sum_var: k + 1}))
-            if den_here == 0 or den_next == 0:
+        dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, hi + 1)
+        poles = [k for k, d in enumerate(dens) if d == 0]
+        for lo, last in zip([0] + [z + 1 for z in poles], [z - 2 for z in poles] + [hi]):
+            if last < lo:
                 continue
-            lhs = side(k)
-            rhs = (g_term.eval(dict(base, **{p.sum_var: k + 1}))
-                   - g_term.eval(dict(base, **{p.sum_var: k})))
-            if lhs != rhs:
-                return n, k, lhs, rhs
+            # off R's poles G(n, k) raises only where F(n, k), met first by side(k), does
+            row, g_row = side(lo, last), g_term.eval_line(base, p.sum_var, lo, last + 1)
+            i = _first_bad_step(row, g_row)
+            if i is not None:
+                g = g_row[0]
+                return n, lo + i, Fraction(*row[0][i]), Fraction(*g[i + 1]) - Fraction(*g[i])
     return None
 
 
@@ -275,9 +312,7 @@ def sum_over_support(p: WZProblem, n: int,
     """S(n) = sum_k F(n, k) over the term's support."""
     pt = dict(extra or {})
     pt[p.shift_var] = n
-    low, high = _k_range(p, pt)
-    return sum((p.term.eval(dict(pt, **{p.sum_var: k})) for k in range(low, high + 1)),
-               Fraction(0))
+    return _row_sum(p.term.eval_line(pt, p.sum_var, *_k_range(p, pt)))
 
 
 # ---------------------------------------------------------------------------

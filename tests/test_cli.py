@@ -503,3 +503,37 @@ def test_bad_clause_spec_exit_two(tmp_path, capsys, text):
     code, reports = run_command(["oracle", "--id", "thm1", "--spec", str(spec)])
     assert code == 2 and reports == []
     assert capsys.readouterr().err.startswith("wzkit: spec error: ")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "--id", "thm2", "--n-min", "-5", "--n-max", "3"],
+     "binomial top -1 < 0 at {'n': -2, 'k': 0}"),
+    (["verify", "--id", "thm1", "--n-min", "-3", "--n-max", "2"],
+     "prefactor denominator n + 1 vanishes at {'n': -1, 'k': 0}"),
+    (["verify", "--id", "thm1", "--mode", "literal", "--n-min", "-2", "--n-max", "2"],
+     "prefactor denominator n + 1 vanishes at {'n': -1, 'k': 1}"),
+])
+def test_numeric_layer_errors_exit_two(capsys, argv, err):
+    # the summed check meets a negative top at n = -2, and a pole at n = -1;
+    # the literal pair's pointwise scan meets the pole past its own skipped k
+    assert main(argv) == 2
+    out, got = capsys.readouterr()
+    assert out == "" and got == f"wzkit: error: {err}\n"
+
+
+@pytest.mark.parametrize("spec,err", [
+    *[(text, f"{term} has no finite upper support in k")
+      for text, term in _UNBOUNDED_SPECS.values()],
+    ("check involution thm3 [1, 8]\n", "thm3 n=8 outside [1, 7]"),
+    ("check involution thm1 [0, 40]\n", "thm1 cost 19 outside [0, 18]"),
+])
+def test_all_refuses_a_bad_line_before_any_check(tmp_path, capsys, monkeypatch, spec, err):
+    def no_oracle(*args):
+        raise AssertionError("an oracle ran before the bad line was refused")
+
+    monkeypatch.setattr(cli, "_run_oracle", no_oracle)
+    path = tmp_path / "bad.wz"
+    path.write_text(spec)
+    code, reports = run_command(["all", "--spec", str(path)])
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == f"wzkit: error: {err}\n"

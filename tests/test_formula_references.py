@@ -10,6 +10,13 @@ structurally equal results (the same polynomials with their terms in
 the same order, not only equal rational functions) on every registry
 term and problem and on hypothesis inputs, and the same mutant sequence
 for every seed.
+
+The numeric checks of ``wzengine`` read rows of ``HyperTerm.eval_line``
+and compare the telescope one k at a time.  The per-point evaluator
+they replaced, ``_recurrence_side`` over ``HyperTerm.eval`` with
+``Fraction`` prefix sums, is kept here with its four consumers; both
+must give equal results, or raise the same exception with the same
+message, on every registry problem and 40 seeded mutants of each.
 """
 
 import random
@@ -25,7 +32,8 @@ from wzkit.gosper import UPoly
 from wzkit.hyperterm import HyperTerm
 from wzkit.identities import registry
 from wzkit.symalg import LinearForm, MultiPoly, RationalFunction
-from wzkit.wzengine import WZProblem, discover_certificate, mutate_problem
+from wzkit import wzengine
+from wzkit.wzengine import WZProblem, _k_range, discover_certificate, mutate_problem
 
 # ---------------------------------------------------------------------------
 # the replaced copies
@@ -303,3 +311,128 @@ _problems = st.builds(
 @given(_problems, st.integers(0, 10**6))
 def test_mutants_match_reference_on_hypothesis_problems(p, seed):
     _same_mutants(p, [seed], count=10)
+
+
+# ---------------------------------------------------------------------------
+# the numeric layer
+
+
+def ref_recurrence_side(p: WZProblem, point):
+    """k -> sum_j a_j(n) F(n+j, k) at the n and free variables of ``point``."""
+    n = point[p.shift_var]
+    shifted = [(a.eval(point), dict(point, **{p.shift_var: n + j}))
+               for j, a in enumerate(p.coeffs)]
+
+    def side(k: int) -> Fraction:
+        total = Fraction(0)
+        for a, pt in shifted:
+            pt[p.sum_var] = k
+            total += a * p.term.eval(pt)
+        return total
+
+    return side
+
+
+def ref_summed_recurrence_value(p: WZProblem, n: int, extra=None) -> Fraction:
+    base = dict(extra or {})
+    base[p.shift_var] = n
+    low, high = _k_range(p, base, p.order)
+    side = ref_recurrence_side(p, base)
+    return sum(map(side, range(low, high + 1)), Fraction(0))
+
+
+def ref_telescope_first_mismatch(p: WZProblem, n: int, extra=None, kappa_cap: int = 48):
+    base = dict(extra or {})
+    base[p.shift_var] = n
+    _, u = _k_range(p, base, bounded=False)
+    limit = kappa_cap if u is None else max(u + p.order + 2, 0)
+    first_pole = None
+    for k in range(limit + 2):
+        if p.certificate.den.eval(dict(base, **{p.sum_var: k})) == 0:
+            first_pole = k
+            break
+    kappa_max = limit if first_pole is None else first_pole - 2
+    g_term = p.term.absorb(p.certificate)
+    if kappa_max >= -1:
+        g_low = g_term.eval(dict(base, **{p.sum_var: 0}))
+    side = ref_recurrence_side(p, base)
+    lhs = Fraction(0)
+    for kappa in range(-1, kappa_max + 1):
+        if kappa >= 0:
+            lhs += side(kappa)
+        rhs = g_term.eval(dict(base, **{p.sum_var: kappa + 1})) - g_low
+        if lhs != rhs:
+            return kappa, lhs, rhs
+    return None
+
+
+def ref_pointwise_witness(p: WZProblem, n_lo: int, n_hi: int):
+    if set(p.term.variables) - {p.shift_var, p.sum_var}:
+        return None
+    g_term = p.term.absorb(p.certificate)
+    for n in range(n_lo, n_hi + 1):
+        base = {p.shift_var: n}
+        _, u = _k_range(p, base, bounded=False)
+        hi = (u if u is not None else n + 2) + p.order + 1
+        side = ref_recurrence_side(p, base)
+        for k in range(hi + 1):
+            den_here = p.certificate.den.eval(dict(base, **{p.sum_var: k}))
+            den_next = p.certificate.den.eval(dict(base, **{p.sum_var: k + 1}))
+            if den_here == 0 or den_next == 0:
+                continue
+            lhs = side(k)
+            rhs = (g_term.eval(dict(base, **{p.sum_var: k + 1}))
+                   - g_term.eval(dict(base, **{p.sum_var: k})))
+            if lhs != rhs:
+                return n, k, lhs, rhs
+    return None
+
+
+def ref_sum_over_support(p: WZProblem, n: int, extra=None) -> Fraction:
+    pt = dict(extra or {})
+    pt[p.shift_var] = n
+    low, high = _k_range(p, pt)
+    return sum((p.term.eval(dict(pt, **{p.sum_var: k})) for k in range(low, high + 1)),
+               Fraction(0))
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+_NUMERIC_NS = range(-3, 13)  # n = -2 and -3 meet negative binomial tops
+_EXTRA_GRID = {"m": (2, 5, 10)}  # thm3's term keeps m free
+
+
+def _extras(p: WZProblem):
+    free = [v for v in p.term.variables if v not in (p.shift_var, p.sum_var)]
+    if not free:
+        return [None]
+    (v,) = free
+    return [{v: x} for x in _EXTRA_GRID[v]]
+
+
+@pytest.mark.parametrize("key", sorted(registry().problems))
+def test_numeric_layer_matches_reference_on_registry_problems(key):
+    p = registry().problems[key]
+    rng = random.Random(1709)
+    checked = 0
+    for q in [p] + [mutate_problem(p, rng) for _ in range(40)]:
+        for extra in _extras(q):
+            for n in _NUMERIC_NS:
+                for ref, new in ((ref_telescope_first_mismatch,
+                                  wzengine.telescope_first_mismatch),
+                                 (ref_summed_recurrence_value,
+                                  wzengine.summed_recurrence_value),
+                                 (ref_sum_over_support, wzengine.sum_over_support)):
+                    want = _outcome(ref, q, n, extra)
+                    assert _outcome(new, q, n, extra) == want, (q, ref.__name__, n, extra)
+                    checked += 1
+        for n_lo in _NUMERIC_NS:
+            want = _outcome(ref_pointwise_witness, q, n_lo, 12)
+            assert _outcome(wzengine.pointwise_witness, q, n_lo, 12) == want, (q, n_lo)
+    assert checked == 41 * len(_NUMERIC_NS) * 3 * len(_extras(p))

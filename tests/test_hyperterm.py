@@ -332,3 +332,98 @@ def test_product_canonical_form():
     one = HyperTerm.build(("n", "k"))
     assert (one * t1()).prefactor.num == t1().prefactor.num
     assert one * t1() == t1()  # the registry summands are in canonical form
+
+
+# ---------------------------------------------------------------------------
+# rows along a line
+
+
+def _eval_row(term, point, var, lo, hi):
+    """``eval`` at var = lo..hi up to the first raise, and what it raised."""
+    values = []
+    for kv in range(lo, hi + 1):
+        try:
+            values.append(term.eval(dict(point, **{var: kv})))
+        except (PoleError, UnsupportedArgumentError) as exc:
+            return values, (type(exc), str(exc))
+    return values, None
+
+
+def _same_row(term, point, var, lo, hi):
+    row, error = term.eval_line(point, var, lo, hi)
+    want_values, want_error = _eval_row(term, point, var, lo, hi)
+    assert [Fraction(num, den) for num, den in row] == want_values, (str(term), lo, hi)
+    assert (error if error is None else (type(error), str(error))) == want_error
+    return row, error
+
+
+_LINE_CASES = {
+    # (sign, powers, binomials, prefactor num, prefactor den), point, lo, hi
+    "negative top": ((lf(), (), [(lf(n=1, k=1), lf(k=1))], P(lf(1)), P(lf(1))),
+                     {"n": -3}, 0, 6),
+    "top decreasing in k": ((lf(k=1), (), [(lf(5, k=-1), lf(2))], P(lf(1)), P(lf(1))),
+                            {"n": 0}, 0, 9),
+    "top decreasing by 2": ((lf(), (), [(lf(n=1, k=-2), lf(1, k=-1))], P(lf(1)), P(lf(1))),
+                            {"n": 7}, -2, 8),
+    "prefactor pole": ((lf(), (), [(lf(n=1), lf(k=1))], P(lf(n=1)), P(lf(-3, k=1))),
+                       {"n": 6}, 0, 6),
+    "pole and negative top at one k": ((lf(), (), [(lf(2, k=-1), lf())], P(lf(1)),
+                                    P(lf(-3, k=1))), {"n": 0}, 0, 6),
+    "quadratic prefactor": ((lf(), (), [], P(lf(1, k=2)) * P(lf(-1, n=1, k=1)),
+                             P(lf(7, k=1)) * P(lf(1, k=2))), {"n": 3}, -6, 6),
+    "negative power exponent": ((lf(1), [(2, lf(-3, k=1)), (3, lf(n=1, k=-1))], [],
+                                 P(lf(1)), P(lf(1))), {"n": 1}, 0, 6),
+    "k-free binomial": ((lf(n=1), (), [(lf(n=1), lf(2)), (lf(n=1, k=1), lf(k=1))],
+                         P(lf(1)), P(lf(1))), {"n": 5}, 0, 5),
+    "k-free zero binomial": ((lf(), (), [(lf(n=1), lf(7))], P(lf(1)), P(lf(n=1))),
+                             {"n": 5}, 0, 3),
+    "zero at both ends": ((lf(k=1), [(4, lf(k=1))], [(lf(6), lf(k=1))], P(lf(1)),
+                           P(lf(1))), {"n": 0}, -3, 9),
+    "empty range": ((lf(), (), [(lf(n=1), lf(k=1))], P(lf(1)), P(lf(n=1))),
+                    {"n": -1}, 3, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINE_CASES))
+def test_eval_line_matches_eval_on_edge_cases(case):
+    (sign, powers, binomials, num, den), point, lo, hi = _LINE_CASES[case]
+    term = HyperTerm.build(("n", "k"), sign_exp=sign, powers=powers,
+                           binomials=binomials, prefactor=RF(num, den))
+    row, error = _same_row(term, point, "k", lo, hi)
+    stops = {"negative top": 0, "top decreasing in k": 6, "top decreasing by 2": 6,
+             "prefactor pole": 3, "pole and negative top at one k": 3}
+    assert len(row) == stops.get(case, max(hi - lo + 1, 0))
+    assert (error is None) == (case not in stops)
+
+
+def test_eval_line_registry_summands():
+    reg = registry()
+    for t, var in ((t1(), "k"), (t2(), "k"), (t1(), "n"),
+                   (reg.problem("thm3").term, "k"), (reg.problem("thm1").term, "n")):
+        for nv in range(-3, 8):
+            point = {v: nv if v != "m" else 4 for v in t.variables if v != var}
+            _same_row(t, point, var, -2, 12)
+
+
+def _products(forms):
+    return st.lists(forms, min_size=1, max_size=2).map(
+        lambda fs: P(fs[0]) * P(fs[1]) if len(fs) == 2 else P(fs[0]))
+
+
+_nonzero_forms = _forms.filter(lambda f: f.coeffs or f.const)
+_row_terms = st.builds(
+    lambda sign, powers, binomials, num, den: HyperTerm.build(
+        ("n", "k"), sign_exp=sign, powers=powers, binomials=binomials,
+        prefactor=RF(num, den)),
+    _forms,
+    st.lists(st.tuples(st.sampled_from((2, 3, 4)), _forms), max_size=2),
+    st.lists(st.tuples(_forms, _forms), max_size=3),
+    _products(_nonzero_forms), _products(_nonzero_forms))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_row_terms, st.sampled_from("nk"), st.integers(-4, 6), st.integers(-4, 4),
+       st.integers(-1, 10))
+def test_eval_line_matches_eval(term, var, other, lo, length):
+    point = {"n" if var == "k" else "k": other}
+    _same_row(term, point, var, lo, lo + length - 1)

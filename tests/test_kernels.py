@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from wzkit import gosper, identities, wzengine
 from wzkit.exactnum import UnsupportedArgumentError, binomial
 from wzkit.gosper import UPoly, shift_candidates
-from wzkit.hyperterm import HyperTerm, step_factors
-from wzkit.identities import _VALUES, _line_plan, _line_terms, _loop_pair, registry
+from wzkit.hyperterm import HyperTerm, line_terms, step_factors
+from wzkit.identities import _VALUES, _line_plan, _loop_pair, registry
 from wzkit.symalg import (LinearForm, MissingVariableError, MultiPoly,
                           PoleError, RationalFunction)
 from wzkit.wzengine import (WZProblem, mutate_problem, mutation_check,
@@ -497,8 +497,8 @@ def test_line_terms_match_binomial(by_top, slope):
                 for weight in (1, -1, 2, -4):
                     want = [binomial(*_line_point(by_top, slope, c, start + i)) * weight**i
                             for i in range(steps + 1)]
-                    got = _line_terms(top, bottom, dt, db, steps, weight, factors)
-                    assert got == want, (c, start, steps, weight)
+                    got = line_terms(top, dt, bottom, db, 0, steps, weight, factors)
+                    assert got == (0, want), (c, start, steps, weight)
     assert lines >= 5
 
 

@@ -221,3 +221,26 @@ def test_divexact_roundtrip(p, q):
     if p.is_zero() or q.is_zero():
         return
     assert (p * q).divexact(q) == p
+
+
+_fraction_polys = st.dictionaries(
+    exps, st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=4).map(
+    lambda d: MultiPoly(("k", "n"), d))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fraction_polys, st.sampled_from("kn"), st.integers(-5, 5), st.integers(-5, 5),
+       st.integers(-1, 8))
+def test_line_values_match_eval_ratio(p, var, other, lo, length):
+    point = {"n" if var == "k" else "k": other}
+    values, den = p.line_values(point, var, lo, lo + length - 1)
+    assert len(values) == max(length, 0)
+    for x, v in zip(range(lo, lo + length), values):
+        num, den_at = p.eval_ratio(dict(point, **{var: x}))
+        assert den == den_at and v == num
+
+
+def test_line_values_missing_variable():
+    with pytest.raises(MissingVariableError, match="'n'"):
+        (n * k).line_values({}, "k", 0, 3)
+    assert (n * k).line_values({"n": 2, "k": 99}, "k", 0, 3) == ([0, 2, 4, 6], 1)
