@@ -4,9 +4,12 @@ Subcommands, each with the options it reads:
 
 * ``oracle``      -- exact range check of a registry identity.
                      ``--id --mode --n-min --n-max --spec --format --jobs``
-* ``verify``      -- certificate check plus the full proof pipeline
-                     (boundaries, base case, summed and prefix
-                     cross-checks, seeded mutation sensitivity).
+* ``verify``      -- certificate check plus the full proof pipeline:
+                     on a failed certificate a pointwise witness on
+                     the first 9 n of the range; on a verified one the
+                     boundaries, the base case and the summed
+                     recurrence on the whole range, the prefix check on
+                     its first 31 n, and seeded mutation sensitivity.
                      ``--id --mode --n-min --n-max --spec --format --seed``
 * ``involution``  -- exhaustive word-model checks, violations reported
                      verbatim.
@@ -59,8 +62,6 @@ from .identities import (DERIVATION_LIMIT, LEMMAS, IdentityCase, RangeError,
                          check_identity, corollary_derivations, registry)
 from .reports import Failure, Report, exit_code, frac_str, render
 from .symalg import PoleError, rf_equal
-
-_EXTRA_VAR_GRID = (2, 10)  # symbolic leftover variables get this value range
 
 
 class UsageError(ValueError):
@@ -150,69 +151,37 @@ def _run_oracle(reg: Registry, case: IdentityCase, mode: str,
 # verify
 
 
-def _extra_grid(problem: wzengine.WZProblem) -> list[dict[str, int]]:
-    extra_vars = [v for v in problem.term.variables
-                  if v not in (problem.shift_var, problem.sum_var)]
-    if not extra_vars:
-        return [{}]
-    lo, hi = _EXTRA_VAR_GRID
-    grids: list[dict[str, int]] = [{}]
-    for v in extra_vars:
-        grids = [dict(g, **{v: val}) for g in grids for val in range(lo, hi + 1)]
-    return grids
-
-
-def _check_verify_target(problem: wzengine.WZProblem) -> None:
-    if problem.base_case is not None:  # the proof sums it over the support
-        wzengine.require_upper_support(problem)
-
-
 def _run_verify(reg: Registry, problem: wzengine.WZProblem, mode: str,
-                rng: tuple[int, int], seed: int, mutations: int = 20) -> Report:
-    _check_verify_target(problem)
+                rng: tuple[int, int], seed: int) -> Report:
     t0 = time.perf_counter()
+    proof = wzengine.prove_constant_sum(problem, rng, seed)
+    ms = (time.perf_counter() - t0) * 1000
     failures: list[Failure] = []
-    errata = list(problem.errata)
-    cert = wzengine.verify_certificate(problem)
-    if not cert.status:
-        witness = wzengine.pointwise_witness(problem, rng[0], min(rng[1], rng[0] + 8))
-        if witness is not None:
-            n, k, lhs, rhs = witness
-            failures.append(Failure.of(n, lhs, rhs))
-            errata.append(
-                f"pointwise witness at {problem.shift_var}={n}, "
-                f"{problem.sum_var}={k}: recurrence side {frac_str(lhs)} vs "
-                f"telescoped side {frac_str(rhs)}")
-        else:
-            failures.append(Failure(rng[0], "1", "0"))
+    errata = list(proof.errata)
+    if proof.witness is not None:
+        n, k, lhs, rhs = proof.witness
+        failures.append(Failure.of(n, lhs, rhs))
+        errata.append(
+            f"pointwise witness at {problem.shift_var}={n}, "
+            f"{problem.sum_var}={k}: recurrence side {frac_str(lhs)} vs "
+            f"telescoped side {frac_str(rhs)}")
+    elif not proof.cert.status:
+        failures.append(Failure(rng[0], "1", "0"))
     else:
-        grids = _extra_grid(problem)
-        if problem.base_case is not None:
-            proof = wzengine.prove_constant_sum(problem, rng)
-            if proof.base_ok is False:
-                failures.append(Failure.of(problem.base_case[0],
-                                           proof.base_actual, problem.base_case[1]))
-            for n in proof.summed_failures:
-                failures.append(Failure.of(
-                    n, wzengine.summed_recurrence_value(problem, n), 0))
-            if proof.failed_stage:
-                errata.append(f"proof stage failed: {proof.failed_stage}")
-        tel_hi = min(rng[1], rng[0] + 30)
-        for grid in grids:
-            for n in range(max(rng[0], 0), tel_hi + 1):
-                bad = wzengine.telescope_first_mismatch(problem, n, extra=grid)
-                if bad is not None:
-                    failures.append(Failure.of(n, bad[1], bad[2]))
-        survived = [i for i, ok in enumerate(
-            wzengine.mutation_check(problem, count=mutations, seed=seed)) if not ok]
-        for i in survived:
+        if proof.base_ok is False:
+            failures.append(Failure.of(problem.base_case[0],
+                                       proof.base_actual, problem.base_case[1]))
+        failures += [Failure.of(n, value, 0) for n, value in proof.summed]
+        if proof.failed_stage:
+            errata.append(f"proof stage failed: {proof.failed_stage}")
+        failures += [Failure.of(*bad) for bad in proof.telescope]
+        for i in proof.survivors:
             failures.append(Failure(i, "1", "0"))
             errata.append(f"mutation #{i} unexpectedly still verifies")
-    ms = (time.perf_counter() - t0) * 1000
     return Report(
         command="verify", subject_id=problem.problem_id,
         mode=reg.mode_of("recurrence", problem.problem_id, mode), range=rng,
-        status="pass" if cert.status and not failures else "fail",
+        status="pass" if not failures else "fail",
         failures=failures, errata=errata, ms=ms)
 
 
@@ -342,7 +311,7 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
     oracles, lemmas, verifies, involutions = map(
         declared, ("oracle", "lemma", "verify", "involution"))
     for t, _ in verifies:
-        _check_verify_target(reg.problems[t])
+        wzengine.check_problem(reg.problems[t])
     for t, rng in involutions:
         _check_involution_range(t, rng)
 

@@ -31,6 +31,14 @@ failing prefix.  A row stops where a point evaluation would raise, and a
 check raises that exception only when its order of evaluation gets there.
 ``_k_range`` refuses a term unbounded above in k.
 
+``prove_constant_sum`` runs each stage of ``verify`` once.  A failed
+certificate gets the pointwise witness on the first ``WITNESS_WINDOW`` n
+of the range.  A verified one gets, with a base case, the boundaries and
+the summed recurrence on the whole range; the prefix check on the first
+``TELESCOPE_WINDOW`` n at each point of ``EXTRA_VAR_GRID``, where every
+variable besides n and k takes each value of the grid; and ``MUTANTS``
+seeded mutants.  A base case is summed either way.
+
 Discovery is parameterized Gosper: H(k) = sum_j sigma_j F(n+j,k) with
 unknown sigma has k-quotient (p(k+1)/p(k)) * (r(k)/s(k)) where p is
 sigma-linear; Gosper-normalizing r/s and solving
@@ -47,6 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping
 
 from .exactnum import UnsupportedArgumentError
@@ -87,13 +96,22 @@ class ProofReport:
     cert: CertCheck
     upper_boundary_ok: bool
     base_ok: bool | None
-    base_case: tuple[int, Fraction] | None
     base_actual: Fraction | None
-    range_checked: tuple[int, int]
-    summed_failures: list[int]
+    summed: list[tuple[int, Fraction]]  # (n, nonzero summed recurrence)
+    telescope: list[tuple[int, Fraction, Fraction]]  # (n, prefix sum, G difference)
+    witness: tuple[int, int, Fraction, Fraction] | None
+    survivors: list[int]  # mutants whose certificate still verifies
     failed_stage: str | None
     conclusion: str | None
     errata: tuple[str, ...]
+
+
+# the grid, windows (counts of n from the start of the range) and mutants
+# of prove_constant_sum; see the module docstring
+EXTRA_VAR_GRID = range(2, 11)
+WITNESS_WINDOW = 9
+TELESCOPE_WINDOW = 31
+MUTANTS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +303,7 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
     problems whose term has no leftover symbolic variables are scanned.
     Each run of k between two zeros of R's denominator is one row.
     """
-    if set(p.term.variables) - {p.shift_var, p.sum_var}:
+    if _free_vars(p):
         return None
     g_term = p.term.absorb(p.certificate)
     for n in range(n_lo, n_hi + 1):
@@ -341,49 +359,59 @@ def _upper_boundary_ok(p: WZProblem, cert: CertCheck) -> bool:
     return (combined + 1 - bound).const > 0 if combined is not bound else True
 
 
-def prove_constant_sum(p: WZProblem, rng: tuple[int, int]) -> ProofReport:
-    """Assemble the full constant-sum proof over ``rng`` of the shift variable."""
+def _free_vars(p: WZProblem) -> list[str]:
+    return [v for v in p.term.variables if v not in (p.shift_var, p.sum_var)]
+
+
+def check_problem(p: WZProblem) -> None:
+    """Refuse a base case that a sum of F over all k at one n cannot check."""
+    if p.base_case is not None:
+        require_upper_support(p)
+        if free := _free_vars(p):
+            raise UnsupportedArgumentError(
+                f"term {p.term} of {p.problem_id} has free variable {', '.join(free)}: "
+                f"its base case sums over {p.sum_var} alone")
+
+
+def prove_constant_sum(p: WZProblem, rng: tuple[int, int], seed: int = 0) -> ProofReport:
+    """Run each stage of the proof over ``rng`` of n once (see the module docstring)."""
+    check_problem(p)
+    lo, hi = rng
     cert = verify_certificate(p)
     upper_ok = _upper_boundary_ok(p, cert)
-    base_ok: bool | None = None
-    base_actual: Fraction | None = None
+    witness = (None if cert.status
+               else pointwise_witness(p, lo, min(hi, lo + WITNESS_WINDOW - 1)))
+    base_ok = base_actual = None
     if p.base_case is not None:
         base_n, base_val = p.base_case
         base_actual = sum_over_support(p, base_n)
         base_ok = base_actual == base_val
-    lo, hi = rng
-    summed_failures: list[int] = []
+    summed, telescope, survivors = [], [], []
     if cert.status:
-        summed_failures = [n for n in range(lo, hi + 1)
-                           if not summed_recurrence_check(p, n)]
-    failed = None
-    if not cert.status:
-        failed = "certificate"
-    elif not cert.lower_boundary_ok:
-        failed = "lower-boundary"
-    elif not upper_ok:
-        failed = "upper-boundary"
-    elif base_ok is False:
-        failed = "base-case"
-    elif summed_failures:
-        failed = "summed-recurrence"
+        if p.base_case is not None:
+            summed = [(n, value) for n in range(lo, hi + 1)
+                      if (value := summed_recurrence_value(p, n)) != 0]
+        free = _free_vars(p)
+        for values in product(EXTRA_VAR_GRID, repeat=len(free)):
+            for n in range(lo, min(hi + 1, lo + TELESCOPE_WINDOW)):
+                bad = telescope_first_mismatch(p, n, extra=dict(zip(free, values)))
+                if bad is not None:
+                    telescope.append((n, bad[1], bad[2]))
+        survivors = [i for i, killed in enumerate(mutation_check(p, MUTANTS, seed))
+                     if not killed]
+    stages = [("certificate", cert.status)]
+    if p.base_case is not None:
+        stages += [("lower-boundary", cert.lower_boundary_ok),
+                   ("upper-boundary", upper_ok),
+                   ("base-case", base_ok),
+                   ("summed-recurrence", not summed)]
+    failed = next((stage for stage, ok in stages if not ok), None)
     conclusion = None
     if failed is None and p.base_case is not None:
         conclusion = (f"S({p.shift_var}) = {p.base_case[1]} for "
                       f"{p.shift_var} in [{lo}, {hi}]")
-    return ProofReport(
-        problem_id=p.problem_id,
-        cert=cert,
-        upper_boundary_ok=upper_ok,
-        base_ok=base_ok,
-        base_case=p.base_case,
-        base_actual=base_actual,
-        range_checked=rng,
-        summed_failures=summed_failures,
-        failed_stage=failed,
-        conclusion=conclusion,
-        errata=p.errata,
-    )
+    return ProofReport(p.problem_id, cert, upper_ok, base_ok, base_actual, summed,
+                       telescope, witness, survivors, failed, conclusion, p.errata)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +443,7 @@ def mutate_problem(p: WZProblem, rng: random.Random) -> WZProblem:
         return replace(p, certificate=mutant[0], coeffs=mutant[1:])
 
 
-def mutation_check(p: WZProblem, count: int = 20, seed: int = 0) -> list[bool]:
+def mutation_check(p: WZProblem, count: int = MUTANTS, seed: int = 0) -> list[bool]:
     """Returns one flag per mutant: True means the mutant certificate fails.
 
     A mutant changes only the certificate or the coefficients, so the

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -10,6 +11,7 @@ import pytest
 
 from wzkit import cli
 from wzkit import involution as inv
+from wzkit import wzengine
 from wzkit.cli import (UsageError, _effective_jobs, _runtime_registry, main,
                        run_command)
 from wzkit.identities import corollary_derivations, registry
@@ -505,6 +507,18 @@ def test_bad_clause_spec_exit_two(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("wzkit: spec error: ")
 
 
+# thm1's corrected summand times (m + 1)/(m + 1): m is a free variable
+_FREE_M_TERM = ("term Fm(n, k, m) := binom(n + k + 1, 2*k + 1) * pow(2, 2*k) * sign(k + n)"
+                " * (m + 1) / ((n + 1)*(m + 1))\n")
+_FREE_M_BASE_SPEC = (_FREE_M_TERM + "cert R(n, k) := (k*(2*k + 1)) / ((n + 1 - k)*(n + 2))\n"
+                     "recurrence freebase(n, k) := [-1, 1] * Fm cert R\n"
+                     "    base 0 == 1\n"
+                     "check verify freebase [0, 3]\n")
+_FREE_M_BASE_ERR = (
+    "term sign(k + n) * pow(2, 2*k) * binom(k + n + 1, 2*k + 1) * (m + 1) / (m*n + m + n + 1)"
+    " of freebase has free variable m: its base case sums over k alone")
+
+
 @pytest.mark.parametrize("argv,err", [
     (["verify", "--id", "thm2", "--n-min", "-5", "--n-max", "3"],
      "binomial top -1 < 0 at {'n': -2, 'k': 0}"),
@@ -512,6 +526,8 @@ def test_bad_clause_spec_exit_two(tmp_path, capsys, text):
      "prefactor denominator n + 1 vanishes at {'n': -1, 'k': 0}"),
     (["verify", "--id", "thm1", "--mode", "literal", "--n-min", "-2", "--n-max", "2"],
      "prefactor denominator n + 1 vanishes at {'n': -1, 'k': 1}"),
+    (["verify", "--id", "thm3", "--n-min", "-5", "--n-max", "3"],
+     "binomial top -4 < 0 at {'m': 2, 'n': -5, 'k': 0}"),
 ])
 def test_numeric_layer_errors_exit_two(capsys, argv, err):
     # the summed check meets a negative top at n = -2, and a pole at n = -1;
@@ -526,6 +542,7 @@ def test_numeric_layer_errors_exit_two(capsys, argv, err):
       for text, term in _UNBOUNDED_SPECS.values()],
     ("check involution thm3 [1, 8]\n", "thm3 n=8 outside [1, 7]"),
     ("check involution thm1 [0, 40]\n", "thm1 cost 19 outside [0, 18]"),
+    (_FREE_M_BASE_SPEC, _FREE_M_BASE_ERR),
 ])
 def test_all_refuses_a_bad_line_before_any_check(tmp_path, capsys, monkeypatch, spec, err):
     def no_oracle(*args):
@@ -537,3 +554,136 @@ def test_all_refuses_a_bad_line_before_any_check(tmp_path, capsys, monkeypatch, 
     code, reports = run_command(["all", "--spec", str(path)])
     assert code == 2 and reports == []
     assert capsys.readouterr().err == f"wzkit: error: {err}\n"
+
+
+# ---------------------------------------------------------------------------
+# verify: every failure branch, as exact JSON apart from ms
+
+
+def _verify_json(capsys, argv):
+    code = main(["verify", *argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, [{k: v for k, v in obj.items() if k != "ms"} for obj in json.loads(out)]
+
+
+def _verify_report(ident, rng, failures, errata, mode="corrected"):
+    return [{"command": "verify", "id": ident, "mode": mode, "range": list(rng),
+             "status": "fail",
+             "failures": [{"n": n, "lhs": lhs, "rhs": rhs} for n, lhs, rhs in failures],
+             "errata": errata}]
+
+
+def test_verify_witness_branch(capsys):
+    code, got = _verify_json(capsys, ["--id", "thm1", "--mode", "literal"])
+    assert code == 1
+    assert got == _verify_report(
+        "wz_thm1_literal", (0, 60), [(1, "0", "2")],
+        [*registry().problem("thm1", "literal").errata,
+         "pointwise witness at n=1, k=0: recurrence side 0 vs telescoped side 2"],
+        mode="literal")
+
+
+def test_verify_failed_certificate_without_witness(tmp_path, capsys):
+    # the pointwise scan skips a term with a free variable
+    spec = tmp_path / "freecert.wz"
+    spec.write_text(_FREE_M_TERM + "cert R(n, k) := 1\n"
+                    "recurrence freecert(n, k) := [-1, 1] * Fm cert R\n"
+                    "check verify freecert [0, 3]\n")
+    code, got = _verify_json(capsys, ["--id", "freecert", "--spec", str(spec)])
+    assert code == 1
+    assert got == _verify_report("freecert", (0, 3), [(0, "1", "0")], [])
+
+
+def test_verify_wrong_base(tmp_path, capsys):
+    spec = tmp_path / "wrongbase.wz"
+    spec.write_text("term F(n, k) := binom(n + k + 1, 2*k + 1) * pow(2, 2*k) * sign(k + n)"
+                    " / (n + 1)\n"
+                    "cert R(n, k) := (k*(2*k + 1)) / ((n + 1 - k)*(n + 2))\n"
+                    "recurrence wrongbase(n, k) := [-1, 1] * F cert R\n"
+                    "    base 0 == 2\n"
+                    "check verify wrongbase [0, 3]\n")
+    code, got = _verify_json(capsys, ["--id", "wrongbase", "--spec", str(spec)])
+    assert code == 1
+    assert got == _verify_report("wrongbase", (0, 3), [(0, "1", "2")],
+                                 ["proof stage failed: base-case"])
+
+
+def test_verify_summed_failure(monkeypatch, capsys):
+    real = wzengine.summed_recurrence_value
+    monkeypatch.setattr(wzengine, "summed_recurrence_value",
+                        lambda p, n, extra=None: real(p, n, extra) + (n == 2))
+    code, got = _verify_json(capsys, ["--id", "thm1", "--n-min", "0", "--n-max", "3"])
+    assert code == 1
+    assert got == _verify_report(
+        "wz_thm1_corrected", (0, 3), [(2, "1", "0")],
+        [*registry().problem("thm1").errata, "proof stage failed: summed-recurrence"])
+
+
+def test_verify_telescope_mismatch_over_grid_and_window(monkeypatch, capsys):
+    # every prefix check fails: the failures list each m of the grid, and
+    # within it the first 31 n of the range
+    monkeypatch.setattr(wzengine, "telescope_first_mismatch",
+                        lambda p, n, extra=None, kappa_cap=48:
+                        (0, Fraction(n), Fraction(extra["m"])))
+    code, got = _verify_json(capsys, ["--id", "thm3", "--n-min", "0", "--n-max", "40"])
+    assert code == 1
+    assert got == _verify_report(
+        "wz_thm3", (0, 40),
+        [(n, str(n), str(m)) for m in range(2, 11) for n in range(0, 31)], [])
+
+
+def test_verify_surviving_mutants(monkeypatch, capsys):
+    real = wzengine.mutation_check
+
+    def two_survive(*args, **kwargs):
+        flags = real(*args, **kwargs)
+        flags[3] = flags[17] = False
+        return flags
+
+    monkeypatch.setattr(wzengine, "mutation_check", two_survive)
+    code, got = _verify_json(capsys, ["--id", "thm2", "--n-min", "-1", "--n-max", "2"])
+    assert code == 1
+    assert got == _verify_report(
+        "wz_thm2", (-1, 2), [(3, "1", "0"), (17, "1", "0")],
+        ["mutation #3 unexpectedly still verifies",
+         "mutation #17 unexpectedly still verifies"])
+
+
+@pytest.mark.parametrize("argv,mutation_checks", [
+    (["--id", "thm1", "--n-min", "0", "--n-max", "3"], 1),
+    (["--id", "thm3", "--n-min", "0", "--n-max", "3"], 1),
+    (["--id", "thm1", "--mode", "literal"], 0),
+])
+def test_verify_decides_the_certificate_once(monkeypatch, argv, mutation_checks):
+    calls = {"verify_certificate": 0, "mutation_check": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(wzengine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(wzengine, name, counted)
+    run_command(["verify", *argv])
+    assert calls == {"verify_certificate": 1, "mutation_check": mutation_checks}
+
+
+def test_verify_sums_the_base_case_of_a_failed_certificate(tmp_path, capsys):
+    # the base case sits on the term's pole, so the proof is refused even
+    # though the certificate already fails
+    spec = tmp_path / "basepole.wz"
+    spec.write_text("term F(n, k) := binom(n + k + 1, 2*k + 1) * pow(2, 2*k) / (n - 3)\n"
+                    "cert R(n, k) := 1\n"
+                    "recurrence basepole(n, k) := [-1, 1] * F cert R\n"
+                    "    base 3 == 1\n")
+    code, reports = run_command(["verify", "--id", "basepole", "--spec", str(spec),
+                                 "--n-min", "0", "--n-max", "1"])
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == (
+        "wzkit: error: prefactor denominator n - 3 vanishes at {'n': 3, 'k': 0}\n")
+
+
+def test_verify_refuses_a_base_case_over_a_free_variable(tmp_path, capsys):
+    spec = tmp_path / "freebase.wz"
+    spec.write_text(_FREE_M_BASE_SPEC)
+    code, reports = run_command(["verify", "--id", "freebase", "--spec", str(spec)])
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == f"wzkit: error: {_FREE_M_BASE_ERR}\n"
