@@ -242,7 +242,7 @@ def _sylvester_resultant_shifted(a: UPoly, b: UPoly) -> MultiPoly:
     return _det_bareiss(rows)
 
 
-def _resultant_slice(a: UPoly, b: UPoly) -> dict[int, Fraction]:
+def _resultant_slice(a: UPoly, b: UPoly) -> dict[int, int | Fraction]:
     """Power -> coefficient of a nonzero univariate slice of the shifted resultant.
 
     Every integer ``g`` with ``gcd(a(k), b(k+g))`` nontrivial is a root.
@@ -272,15 +272,15 @@ def shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
         return []
     coeffs = _resultant_slice(a, b)
     degree = max(coeffs)
-    lead = abs(coeffs[degree])
-    cauchy = 1 + max(abs(c) / lead for c in coeffs.values())
-    bound = min(int(cauchy) + 1, limit)
     # the slice times the lcm of its denominators has the same roots;
     # its integer coefficients, leading first, feed an int Horner scan
     den = lcm(*(c.denominator for c in coeffs.values()))
     horner = [0] * (degree + 1)
     for e, c in coeffs.items():
         horner[degree - e] = c.numerator * (den // c.denominator)
+    # every root is below the Cauchy bound 1 + max |c_i / c_lead|, whose
+    # integer part is 1 + max |h_i| // |h_lead| on the integer coefficients
+    bound = min(2 + max(map(abs, horner)) // abs(horner[0]), limit)
 
     def phi_at(g: int) -> int:
         value = 0

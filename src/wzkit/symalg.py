@@ -1,19 +1,18 @@
 """Exact multivariate polynomial and rational-function algebra.
 
-Coefficients are ``Fraction``s, kept in a fixed global variable order
-(plain lexicographic order on variable names), so a polynomial's
-canonical representation is unique and equality is representation
-equality.  The hot paths run on integer kernels: a product of two
-integral polynomials (every normalized rational function has integral
-parts) multiplies the numerators as ``int``s, and evaluation at an
-all-``int`` point uses the integer coefficients over one common
-denominator, computed on first use and cached per polynomial, so it
-builds one ``Fraction`` per call.  Points with ``Fraction`` values take
-the ``Fraction`` path.  Rational functions are *not* gcd-reduced:
-equality is decided by cross-multiplication, which is exact and immune
-to missed cancellations.  Normalization only guarantees a nonzero
-denominator, integer-coefficient numerator and denominator with coprime
-contents, and a positive leading denominator coefficient.
+Variables are kept in a fixed global order (plain lexicographic order
+on variable names) and a coefficient is an ``int`` when integral, a
+``Fraction`` only when not, so a polynomial's representation is unique
+and equality is representation equality.  Normalized rational functions
+have integral parts, so their arithmetic runs on ``int``s; a quotient of
+coefficients goes through ``Fraction``, never ``/`` on two ``int``s.
+Evaluation at an all-``int`` point uses the integer coefficients over
+one common denominator, cached per polynomial.  Rational functions are
+*not* gcd-reduced: equality is decided by cross-multiplication, which
+is exact and immune to missed cancellations.  Normalization only
+guarantees a nonzero denominator, integer-coefficient numerator and
+denominator with coprime contents, and a positive leading denominator
+coefficient.
 
 The only substitutions ever needed are integer shifts ``var -> var + c``
 and the occasional replacement of a variable by another linear form, so
@@ -36,6 +35,11 @@ class MissingVariableError(KeyError):
 
 class PoleError(ArithmeticError):
     """A denominator vanished at the evaluation point."""
+
+
+def _coeff(c: int | Fraction) -> int | Fraction:
+    """The stored form of a coefficient: an ``int`` when ``c`` is integral."""
+    return c if type(c) is int else c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +120,7 @@ class LinearForm:
     def to_poly(self) -> "MultiPoly":
         p = MultiPoly.const(self.const)
         for v, c in self.coeffs:
-            p = p + MultiPoly.var(v).scaled(Fraction(c))
+            p = p + MultiPoly.var(v).scaled(c)
         return p
 
     def __str__(self) -> str:
@@ -140,21 +144,22 @@ class LinearForm:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over ``Fraction``.
+    """Sparse multivariate polynomial with rational coefficients.
 
     ``terms`` maps exponent tuples (aligned with the sorted ``vars``
-    tuple) to nonzero coefficients.  Construction canonicalizes: unused
-    variables are dropped, so two equal polynomials always have the same
-    representation.  ``_int`` caches the integer coefficients over their
-    common denominator once the polynomial is evaluated at an integer
-    point.
+    tuple) to nonzero coefficients, each an ``int`` when integral and a
+    ``Fraction`` otherwise.  Construction canonicalizes: coefficients
+    take that form and unused variables are dropped, so two equal
+    polynomials always have the same representation.  ``_int`` caches
+    the integer coefficients over their common denominator once the
+    polynomial is evaluated at an integer point.
     """
 
     __slots__ = ("vars", "terms", "_hash", "_int")
 
-    def __init__(self, vars: Iterable[str], terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, vars: Iterable[str], terms: Mapping[tuple[int, ...], int | Fraction]):
         vs = tuple(vars)
-        tm = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        tm = {e: _coeff(c) for e, c in terms.items() if c}
         # drop variables that no term uses
         used = [i for i in range(len(vs)) if any(e[i] for e in tm)]
         if len(used) != len(vs):
@@ -176,11 +181,11 @@ class MultiPoly:
 
     @staticmethod
     def const(c: Fraction | int) -> "MultiPoly":
-        return MultiPoly((), {(): Fraction(c)})
+        return MultiPoly((), {(): c})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return MultiPoly((name,), {(1,): 1})
 
     # -- introspection ------------------------------------------------
 
@@ -193,7 +198,7 @@ class MultiPoly:
     def as_fraction(self) -> Fraction:
         if self.vars:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def degree(self, var: str) -> int:
         if var not in self.vars:
@@ -201,7 +206,7 @@ class MultiPoly:
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
 
-    def lead(self) -> tuple[tuple[int, ...], Fraction]:
+    def lead(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Leading (exponent, coefficient) under lex order on ``vars``."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -214,7 +219,7 @@ class MultiPoly:
             return {} if self.is_zero() else {0: self}
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        buckets: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
         for e, c in self.terms.items():
             buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
         return {p: MultiPoly(rest, t) for p, t in buckets.items()}
@@ -239,7 +244,7 @@ class MultiPoly:
         vs, ta, tb = MultiPoly._align(self, other)
         out = dict(ta)
         for e, c in tb.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(vs, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -250,21 +255,15 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         vs, ta, tb = MultiPoly._align(self, other)
-        ia, ib = ta.items(), tb.items()
-        if (all(c.denominator == 1 for c in ta.values())
-                and all(c.denominator == 1 for c in tb.values())):
-            # integral operands: multiply the numerators as ints
-            ia = [(e, c.numerator) for e, c in ia]
-            ib = [(e, c.numerator) for e, c in ib]
-        out: dict[tuple[int, ...], Fraction | int] = {}
-        for ea, ca in ia:
-            for eb, cb in ib:
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for ea, ca in ta.items():
+            for eb, cb in tb.items():
                 e = tuple(map(add, ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
         return MultiPoly(vs, out)
 
     def scaled(self, c: Fraction | int) -> "MultiPoly":
-        c = Fraction(c)
+        c = _coeff(c)
         return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -368,18 +367,7 @@ class MultiPoly:
             return self
         return self.subst(var, MultiPoly.var(var) + MultiPoly.const(offset))
 
-    # -- content and exact division --------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational ``c`` with ``self = c * (primitive integer poly)``."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
+    # -- exact division ----------------------------------------------------
 
     def divexact(self, other: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises if the division has a remainder."""
@@ -391,17 +379,17 @@ class MultiPoly:
         rem = dict(ta)
         lead_b = max(tb)
         cb = tb[lead_b]
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], int | Fraction] = {}
         while rem:
             lead_r = max(rem)
             e = tuple(x - y for x, y in zip(lead_r, lead_b))
             if any(x < 0 for x in e):
                 raise ValueError("division is not exact")
-            c = rem[lead_r] / cb
-            quot[e] = quot.get(e, Fraction(0)) + c
+            c = _coeff(Fraction(rem[lead_r], cb))
+            quot[e] = quot.get(e, 0) + c
             for eb, vb in tb.items():
                 k = tuple(x + y for x, y in zip(e, eb))
-                nv = rem.get(k, Fraction(0)) - c * vb
+                nv = rem.get(k, 0) - c * vb
                 if nv:
                     rem[k] = nv
                 else:
@@ -459,10 +447,10 @@ def poly_eval(p: MultiPoly, point: Mapping[str, int]) -> Fraction:
 class RationalFunction:
     """Quotient of two ``MultiPoly`` values, normalized but not gcd-reduced.
 
-    Normalization: denominator nonzero, both parts integer polynomials
-    with coprime contents, and the denominator's leading coefficient
-    (lex order) positive.  Equality is decided by cross-multiplication,
-    so correctness never depends on cancellation.
+    Normalization: denominator nonzero, both parts ``int``-coefficient
+    polynomials with coprime contents, and the denominator's leading
+    coefficient (lex order) positive.  Equality is decided by
+    cross-multiplication, so correctness never depends on cancellation.
     """
 
     __slots__ = ("num", "den")
@@ -474,10 +462,22 @@ class RationalFunction:
         if num.is_zero():
             num, den = MultiPoly.zero(), MultiPoly.const(1)
         else:
-            cn, cd = num.content(), den.content()
-            ratio = cn / cd  # num/den = ratio * primitive(num)/primitive(den)
-            num = num.scaled(ratio.numerator / cn)
-            den = den.scaled(ratio.denominator / cd)
+            # Write num = a*P and den = b*Q with P, Q primitive integer
+            # polynomials and a, b > 0 their contents.  Times the lcm m of
+            # all coefficient denominators both parts are integral with
+            # contents m*a and m*b, so g = gcd(m*a, m*b) and the result is
+            # (m*a/g)*P over (m*b/g)*Q: coprime positive multipliers with
+            # ratio a/b, the numerator and denominator of a/b in lowest
+            # terms.  Integral parts have m = 1 and skip the scaling.
+            coeffs = [*num.terms.values(), *den.terms.values()]
+            m = lcm(*(c.denominator for c in coeffs))
+            if m != 1:
+                num, den = num.scaled(m), den.scaled(m)
+                coeffs = [*num.terms.values(), *den.terms.values()]
+            g = gcd(*coeffs)
+            if g != 1:
+                num, den = (MultiPoly(p.vars, {e: c // g for e, c in p.terms.items()})
+                            for p in (num, den))
         if not den.is_zero() and den.lead()[1] < 0:
             num, den = -num, -den
         self.num = num
@@ -592,7 +592,7 @@ class RationalFunction:
 
             common = [min(a, b) for a, b in zip(min_exps(num), min_exps(den))]
             if any(common):
-                mono = MultiPoly(vs, {tuple(common): Fraction(1)})
+                mono = MultiPoly(vs, {tuple(common): 1})
                 num = num.divexact(mono)
                 den = den.divexact(mono)
         used = set(num.vars) | set(den.vars)
@@ -617,12 +617,9 @@ def _upoly_gcd(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
     """Monic gcd of two univariate polynomials in ``var`` (Euclid)."""
 
     def coeffs(p: MultiPoly) -> list[Fraction]:
-        d = p.degree(var)
-        out = [Fraction(0)] * (d + 1)
+        out = [Fraction(0)] * (p.degree(var) + 1)
         for e, c in p.terms.items():
-            out[e[0] if p.vars else 0] = c
-        if not p.vars and not p.is_zero():
-            out[0] = p.as_fraction()
+            out[e[0] if p.vars else 0] = Fraction(c)
         return out
 
     fa, fb = coeffs(a), coeffs(b)

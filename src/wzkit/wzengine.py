@@ -407,7 +407,7 @@ def prove_constant_sum(p: WZProblem, rng: tuple[int, int], seed: int = 0) -> Pro
                    ("summed-recurrence", not summed)]
     failed = next((stage for stage, ok in stages if not ok), None)
     conclusion = None
-    if failed is None and p.base_case is not None:
+    if failed is None and p.base_case is not None and not telescope and not survivors:
         conclusion = (f"S({p.shift_var}) = {p.base_case[1]} for "
                       f"{p.shift_var} in [{lo}, {hi}]")
     return ProofReport(p.problem_id, cert, upper_ok, base_ok, base_actual, summed,

@@ -3,10 +3,13 @@
 Each fast path of ``symalg``, ``hyperterm``, ``gosper`` and ``wzengine``
 keeps its naive reference here, one ``Fraction`` per operation, and a
 test compares the two: polynomial and rational-function evaluation at
-integer and ``Fraction`` points, polynomial products, hypergeometric
-term evaluation at integer points (the only points a term is defined
-on), the integer root scan of ``shift_candidates``, and the mutation
-check that shares the term's shift quotients across mutants.
+integer and ``Fraction`` points, polynomial products, the coefficients
+of every ``symalg`` operation (an ``int`` where integral) and the
+normalization by integer lcm and gcd against the ratio of contents,
+hypergeometric term evaluation at integer points (the only points a
+term is defined on), the integer root scan of ``shift_candidates``,
+and the mutation check that shares the term's shift quotients across
+mutants.
 
 The Pascal-line walk of ``identities`` keeps its naive form here too:
 one generic binomial ratio step and one weight multiply per point, and
@@ -18,9 +21,10 @@ compared with ``binomial`` on its own.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wzkit import gosper, identities, wzengine
@@ -69,6 +73,43 @@ def ref_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly(vs, out)
 
 
+def ref_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    vs, ta, tb = MultiPoly._align(p, q)
+    out = {e: Fraction(c) for e, c in ta.items()}
+    for e, c in tb.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return MultiPoly(vs, out)
+
+
+def ref_scaled(p: MultiPoly, c) -> MultiPoly:
+    return MultiPoly(p.vars, {e: Fraction(v) * c for e, v in p.terms.items()})
+
+
+def ref_content(p: MultiPoly) -> Fraction:
+    num, den = 0, 1
+    for c in map(Fraction, p.terms.values()):
+        num, den = gcd(num, c.numerator), lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def ref_normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The parts of ``RationalFunction(num, den)`` by the ratio of contents."""
+    if num.is_zero():
+        return MultiPoly.zero(), MultiPoly.const(1)
+    cn, cd = ref_content(num), ref_content(den)
+    ratio = cn / cd  # num/den = ratio * primitive(num)/primitive(den)
+    num, den = ref_scaled(num, ratio.numerator / cn), ref_scaled(den, ratio.denominator / cd)
+    if den.lead()[1] < 0:
+        num, den = ref_scaled(num, -1), ref_scaled(den, -1)
+    return num, den
+
+
+def is_canonical(p: MultiPoly) -> bool:
+    """Each coefficient is an ``int``, or a ``Fraction`` that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
 def ref_term_eval(t: HyperTerm, point) -> Fraction:
     pref_den = ref_poly_eval(t.prefactor.den, point)
     if pref_den == 0:
@@ -97,7 +138,7 @@ def ref_shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
     coeffs = gosper._resultant_slice(a, b)
     degree = max(coeffs)
     lead = abs(coeffs[degree])
-    cauchy = 1 + max(abs(c) / lead for c in coeffs.values())
+    cauchy = 1 + max(Fraction(abs(c)) / lead for c in coeffs.values())
     bound = min(int(cauchy) + 1, limit)
     return [g for g in range(bound + 1)
             if sum(c * g**e for e, c in coeffs.items()) == 0
@@ -331,7 +372,7 @@ def test_rf_eval_pole_matches_reference():
 def test_mul_matches_fraction_loop(p, q):
     prod = p * q
     assert prod == ref_mul(p, q)
-    assert all(type(c) is Fraction for c in prod.terms.values())
+    assert is_canonical(prod)
 
 
 def test_mul_int_and_fraction_paths_agree():
@@ -340,6 +381,59 @@ def test_mul_int_and_fraction_paths_agree():
     half = (k + n).scaled(Fraction(1, 2))
     for p, q in ((integral, integral), (integral, half), (half, half)):
         assert p * q == ref_mul(p, q) == q * p
+
+
+def _rf_parts(f: RationalFunction) -> tuple[MultiPoly, MultiPoly]:
+    assert is_canonical(f.num) and is_canonical(f.den)
+    return f.num, f.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_polys, any_polys, nonzero_polys, nonzero_polys, small_fracs | st.integers(-6, 6),
+       st.integers(0, 3), st.integers(-3, 3), int_points)
+def test_coefficients_stay_canonical_and_match_fraction_reference(p, q, d, e, c, power,
+                                                                  offset, point):
+    ref_pow = MultiPoly.const(Fraction(1))
+    for _ in range(power):
+        ref_pow = ref_mul(ref_pow, p)
+    ops = {
+        "+": (p + q, ref_add(p, q)),
+        "-": (p - q, ref_add(p, ref_scaled(q, -1))),
+        "*": (p * q, ref_mul(p, q)),
+        "**": (p**power, ref_pow),
+        "scaled": (p.scaled(c), ref_scaled(p, c)),
+        "divexact": ((p * d).divexact(d), p),
+    }
+    for name, (got, want) in ops.items():
+        assert is_canonical(got), name
+        assert got == want, name
+    if p.is_const():
+        assert type(p.as_fraction()) is Fraction
+    shifted = {"k": point["k"] + offset, "n": point["n"]}
+    repl = MultiPoly.var("n").scaled(2) + MultiPoly.const(offset)
+    for got, at in ((p.shifted("k", offset), shifted),
+                    (p.subst("k", repl), {"k": 2 * point["n"] + offset, "n": point["n"]})):
+        assert is_canonical(got)
+        assert got.eval(point) == ref_poly_eval(p, at)
+
+    # normalization, the field operations and reduced() against the content ratio
+    f, g = RationalFunction(p, d), RationalFunction(q, e)
+    assert _rf_parts(f) == ref_normalize(p, d)
+    assert _rf_parts(RationalFunction(q, d.scaled(c or 1))) == ref_normalize(q, ref_scaled(d, c or 1))
+    raw = {
+        "+": (f + g, ref_add(ref_mul(f.num, g.den), ref_mul(g.num, f.den)), ref_mul(f.den, g.den)),
+        "-": (f - g, ref_add(ref_mul(f.num, g.den), ref_scaled(ref_mul(g.num, f.den), -1)),
+              ref_mul(f.den, g.den)),
+        "*": (f * g, ref_mul(f.num, g.num), ref_mul(f.den, g.den)),
+        "scaled": (f.scaled(c), ref_scaled(f.num, c), f.den),
+    }
+    if not g.is_zero():
+        raw["/"] = (f / g, ref_mul(f.num, g.den), ref_mul(f.den, g.num))
+    for name, (got, num, den) in raw.items():
+        assert _rf_parts(got) == ref_normalize(num, den), name
+    for got in (f.reduced(), f.shifted("k", offset), f.subst("k", repl)):
+        assert _rf_parts(got) == ref_normalize(got.num, got.den)
+    assert f.reduced() == f
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +515,14 @@ def test_shift_candidates_match_fraction_scan_on_registry_inputs(monkeypatch):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(small_fracs, min_size=1, max_size=2),
-       st.lists(small_fracs, min_size=1, max_size=2), small_fracs)
+@given(st.lists(small_fracs | st.integers(-6, 6), min_size=1, max_size=2),
+       st.lists(small_fracs | st.integers(-6, 6), min_size=1, max_size=2), small_fracs)
+# integer slices c*(h - g): the largest root g is the Cauchy bound 1 + g
+# minus one, the most an integer root can be, up to the scan's limit
+@example([0], [5], Fraction(1))
+@example([-2], [4], Fraction(-4))
+@example([Fraction(1, 3)], [Fraction(16, 3)], Fraction(3))
+@example([0], [99_999], Fraction(1))
 def test_shift_candidates_match_fraction_scan_on_rational_roots(ra, rb, scale):
     def from_roots(roots, c):
         p = UPoly("k", [RationalFunction.const(c or 1)])
@@ -431,7 +531,11 @@ def test_shift_candidates_match_fraction_scan_on_rational_roots(ra, rb, scale):
         return p
 
     a, b = from_roots(ra, scale), from_roots(rb, 1)
-    assert shift_candidates(a, b) == ref_shift_candidates(a, b)
+    got = shift_candidates(a, b)
+    assert got == ref_shift_candidates(a, b)
+    shift = Fraction(rb[0] - ra[0])
+    if len(ra) == len(rb) == 1 and shift.denominator == 1 and 0 <= shift <= 100_000:
+        assert got == [shift]
 
 
 # ---------------------------------------------------------------------------

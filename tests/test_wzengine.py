@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from wzkit import wzengine
 from wzkit.identities import registry
 from wzkit.symalg import LinearForm, RationalFunction, rf_equal
 from wzkit.wzengine import (WZProblem, mutation_check, pointwise_witness,
@@ -220,6 +221,31 @@ def test_prove_never_concludes_on_base_failure():
         base_case=(0, Fraction(7)))
     rep = prove_constant_sum(wrong_base, (0, 5))
     assert rep.failed_stage == "base-case"
+    assert rep.conclusion is None
+
+
+def test_prove_never_concludes_with_surviving_mutants(monkeypatch):
+    real = wzengine.mutation_check
+
+    def two_survive(*args, **kwargs):
+        flags = real(*args, **kwargs)
+        flags[18] = flags[19] = False
+        return flags
+
+    monkeypatch.setattr(wzengine, "mutation_check", two_survive)
+    rep = prove_constant_sum(registry().problem("thm1"), (0, 3))
+    assert rep.survivors == [18, 19]
+    assert rep.failed_stage is None
+    assert rep.conclusion is None
+
+
+def test_prove_never_concludes_on_telescope_mismatch(monkeypatch):
+    monkeypatch.setattr(wzengine, "telescope_first_mismatch",
+                        lambda p, n, extra=None, kappa_cap=48:
+                        (0, Fraction(n), Fraction(0)) if n == 2 else None)
+    rep = prove_constant_sum(registry().problem("thm1"), (0, 3))
+    assert rep.telescope == [(2, 2, 0)]
+    assert rep.failed_stage is None
     assert rep.conclusion is None
 
 
