@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .exactnum import binomial
@@ -46,11 +45,11 @@ class SizeLimitError(ValueError):
 
 #: caps keep one exhaustive check near a minute or less.  Words are
 #: streamed, so only recorded violations take memory.  At the caps, on a
-#: 2-vCPU host, single process, one run each: thm2 n=8 (cost 18) is 6.6M
-#: words in about 11 s, thm1 n=8 2.7M words in about 5 s, and thm3 n=7
-#: 330k words with 237k recorded violations in 0.6 s and 62 MB peak RSS.
-#: With ``--jobs 2`` (stratum tasks on two workers) thm2 n=8 took 9.4, 9.4
-#: and 11.8 s on a 2-vCPU host that ran it single process in 19.3-21.9 s
+#: 2-vCPU host with Python 3.11.7, single process, four runs each (a
+#: noisy host): thm2 n=8 (cost 18) is 6.6M words in 12.0-18.6 s, thm1 n=8
+#: 2.7M words in 4.4-7.5 s, and thm3 n=7 330k words with 237k recorded
+#: violations in 0.9-1.2 s and 63 MB peak RSS.  With ``--jobs 2`` (stratum
+#: tasks on two workers) thm2 n=8 took 7.0, 7.8 and 7.8 s on that host
 MAX_COST = 18          # thm1/thm2: 2#a + #b + #c
 MAX_THM3_N = 7
 
@@ -151,22 +150,17 @@ def _words_with_counts(n_a: int, n_other: int) -> Iterator[str]:
 
     Order: placements of the a's in ``itertools.combinations`` order,
     then the {b, c} fills in ``itertools.product`` order.  Each placement
-    is one ``itemgetter`` over tuples ("a", x1, ..., xm) that picks index
-    0 at the a positions and the fill letters elsewhere, so a word is
-    built in C; the fills are streamed, never held in a list.
+    is one ``itertools.product`` over per-position letter choices ("a" at
+    the a positions, "bc" elsewhere), joined in C; the words are
+    streamed, never held in a list.
     """
     if n_a < 0 or n_other < 0:
         return
-    if n_a == 0:
-        yield from map("".join, itertools.product("bc", repeat=n_other))
-        return
     length = n_a + n_other
-    bc = ("bc",) * n_other
     for positions in itertools.combinations(range(length), n_a):
         pos = set(positions)
-        slots = iter(range(1, n_other + 1))
-        get = itemgetter(*[0 if i in pos else next(slots) for i in range(length)])
-        yield from map("".join, map(get, itertools.product("a", *bc)))
+        yield from map("".join, itertools.product(
+            *["a" if i in pos else "bc" for i in range(length)]))
 
 
 def enum_words(model: WordModel) -> Iterator[str]:
@@ -309,10 +303,15 @@ def _check_stratum(model: WordModel, k: int,
     Without ``rep`` it returns a new report of stratum k alone, which is
     what a pool worker sends back.  The map is looked up on the module at
     each call, so a map replaced there applies.
+
+    For the scan models the image's a-count serves both the closure test
+    and the sign test: closure is ``len + #a == cost`` and no letter
+    outside the alphabet, which is ``contains`` for those models.
     """
     if rep is None:
         rep = InvolutionReport(model_id=model.model_id, n=model.n)
-    mapper = scan_involution if model.model_id in ("thm1", "thm2") else sigma
+    cost = model._cost
+    mapper = sigma if cost is None else scan_involution
     contains = model.contains  # a wrapper set on the class still applies
     closure = rep.closure_violations.append
     sign = rep.sign_violations.append
@@ -327,11 +326,13 @@ def _check_stratum(model: WordModel, k: int,
             fixed += 1
             fixed_signed += -1 if odd else 1
             continue
-        if not contains(img):
+        n_img = img.count("a")
+        if not (contains(img) if cost is None
+                else len(img) + n_img == cost and not img.strip("abc")):
             closure((w, img))
             continue
         ok = True
-        if (img.count("a") & 1) == odd:  # same weight
+        if (n_img & 1) == odd:  # same weight
             sign((w, img))
             ok = False
         back = mapper(img)

@@ -343,7 +343,8 @@ def _upper_boundary_ok(p: WZProblem, cert: CertCheck) -> bool:
     The combined bound over the shifted terms F(n+j, .) is the base
     bound pushed by the shifts; R's denominator substituted at
     (bound + 1) must not vanish identically, which makes
-    G(n, bound + 1) an honest finite * 0 = 0.
+    G(n, bound + 1) an honest finite * 0 = 0.  F itself vanishes at
+    combined + 1, since the push is step * order >= 0.
     """
     if not cert.upper_bounds:
         return False
@@ -351,12 +352,7 @@ def _upper_boundary_ok(p: WZProblem, cert: CertCheck) -> bool:
     step = bound.coeff(p.shift_var)
     combined = bound.shifted(p.shift_var, p.order) if step > 0 else bound
     past = (combined + 1).to_poly()
-    den_past = p.certificate.den.subst(p.sum_var, past)
-    if den_past.is_zero():
-        return False
-    # F itself must already vanish at combined+1 (true when the shift
-    # only pushes the bound up)
-    return (combined + 1 - bound).const > 0 if combined is not bound else True
+    return not p.certificate.den.subst(p.sum_var, past).is_zero()
 
 
 def _free_vars(p: WZProblem) -> list[str]:

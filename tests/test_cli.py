@@ -14,7 +14,7 @@ from wzkit import involution as inv
 from wzkit import wzengine
 from wzkit.cli import (UsageError, _effective_jobs, _runtime_registry, main,
                        run_command)
-from wzkit.identities import corollary_derivations, registry
+from wzkit.identities import check_identity, corollary_derivations, registry
 from wzkit.reports import render, report_schema
 
 
@@ -477,6 +477,22 @@ def test_spec_overlay_redefinition_keeps_only_its_own_erratum(tmp_path):
         assert rep.errata == [
             "overlay: the sign is (-1)^(n+1) times the closed form"]
         assert [f.n for f in rep.failures] == [2, 4]
+
+
+def test_sign_erratum_needs_lhs_equal_to_minus_rhs(tmp_path):
+    # the literal thm3 sum against a closed form that it misses at exactly
+    # the even n, but by lhs = -n(n+1) against rhs = n(n+1) + 2
+    spec = tmp_path / "thm3.wz"
+    spec.write_text(
+        "term T(n, k, m) := sign(m + k) * binom(n + k + 1, m) * pow(2, m - 1)\n"
+        "sum thm3_printed(n) := sum(k, 0, n - 1, T) sum(m, 2*k + 2, n + 1 + k, T)"
+        " == n^2 + n + sign(n) + 1 for n >= 1\n")
+    reg = _runtime_registry(str(spec))
+    fails = check_identity(reg.case("thm3_printed"), 1, 6)
+    assert [n for n, _, _ in fails] == [2, 4, 6]
+    assert all(lhs == -n * (n + 1) and rhs == n * (n + 1) + 2 for n, lhs, rhs in fails)
+    assert cli._sign_erratum(reg, "thm3_printed", (1, 6)).status == "fail"
+    assert cli._sign_erratum(registry(), "thm3_printed", (1, 6)).status == "pass"
 
 
 def test_spec_overlay_redefined_pair_inherits_no_bundled_facts(tmp_path):

@@ -12,7 +12,7 @@ from wzkit.identities import (SumBound, boundary_gap, check_identity,
                               lemma_boundary_flat, lemma_boundary_stepped,
                               registry, thm3_difference, values)
 from wzkit.identities import _VALUES, _line_plan
-from wzkit.symalg import LinearForm
+from wzkit.symalg import LinearForm, RationalFunction
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,17 @@ def test_values_match_eval_sum_on_subranges(cid, start, length, warm_at):
     mid = lo + min(warm_at, length)
     values(case, mid, mid)
     assert values(case, lo, hi) == want  # memo with a hole at mid
+
+
+def test_values_memo_keeps_cases_apart_by_prefactor():
+    # a case that differs from thm1 only in its prefactor has its own sums
+    case = registry().case("thm1")
+    tripled = replace(case, summand=replace(
+        case.summand, prefactor=case.summand.prefactor * RationalFunction.const(3)))
+    _VALUES.clear()
+    want = values(case, 0, 12)
+    assert values(tripled, 0, 12) == [3 * v for v in want]
+    assert values(case, 0, 12) == want
 
 
 def test_values_fallback_shapes_match_eval_sum():

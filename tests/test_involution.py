@@ -183,7 +183,7 @@ def test_sigma_known_involutivity_break_at_six():
 
 
 def _words_with_counts_reference(n_a, n_other):
-    """The letter-by-letter enumeration the itemgetter path replaced."""
+    """Letter by letter: each {b, c} fill written into a list of a's."""
     if n_a < 0 or n_other < 0:
         return
     length = n_a + n_other
@@ -234,6 +234,20 @@ def test_stratum_words_match_reference(monkeypatch):
 def test_contains_matches_reference(w):
     for model in _SMALL_MODELS:
         assert model.contains(w) == _contains_reference(model, w), (model, w)
+
+
+@given(st.text(alphabet="abcx", max_size=14))
+def test_checker_closure_verdict_matches_contains(img):
+    # the checker tests the closure of a scan image without ``contains``;
+    # here every map sends the one word of a stratum to ``img``
+    for model in _SMALL_MODELS:
+        k = model.strata()[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(WordModel, "stratum_words", lambda self, k: iter(["b"]))
+            mp.setattr(involution, "scan_involution", lambda w: img)
+            mp.setattr(involution, "sigma", lambda w: img)
+            rep = involution._check_stratum(model, k)
+        assert (rep.closure_violations == []) == model.contains(img), (model, img)
 
 
 def _scan_involution_reference(w):
@@ -360,6 +374,12 @@ def _scan_then_reverse(w):
     return None if img is None else img[::-1]
 
 
+def _scan_with_x(w):
+    """The scan image with its first ``b`` written as ``x``."""
+    img = scan_involution(w)
+    return None if img is None else img.replace("b", "x", 1)
+
+
 def _scan_when_even(w):
     """The scan map on words of even weight; odd ones grow by a ``b``."""
     return scan_involution(w) if w.count("a") % 2 == 0 else w + "b"
@@ -369,6 +389,7 @@ def _scan_when_even(w):
     (lambda w: w + "b", "closure"),            # cost grows by one
     (lambda w: w[::-1], "sign"),               # same cost, same weight
     (_scan_then_reverse, "involutivity"),      # cost kept, sign flipped
+    (_scan_with_x, "closure"),                 # cost kept, sign flipped, x
     # an even word's image is in S, and the image's image leaves S: no
     # involutivity violation, however the conjunction is ordered
     (_scan_when_even, "closure"),
