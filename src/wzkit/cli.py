@@ -43,7 +43,9 @@ largest down, and within each n the strata, largest first; oracles run
 in one process.  A value below 1 is a usage error, and one above the
 CPUs this process may run on is lowered to that count (with a note on
 stderr), or to 1 when the main module is no file the workers could
-import.  A range with a single stratum in all opens no pool.
+import.  A range with a single stratum in all opens no pool.  A pool
+whose workers die (as they do when a script without a main guard calls
+wzkit) is a usage error.
 """
 
 from __future__ import annotations
@@ -206,12 +208,19 @@ def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
     if jobs > 1 and tasks > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # spawned, not forked: a worker starts from a fresh interpreter and
         # is a direct child, reaped when the pool shuts down
-        with ProcessPoolExecutor(min(jobs, tasks),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            reps = [inv.check_involution(model, pool) for model in models]
+        try:
+            with ProcessPoolExecutor(min(jobs, tasks),
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                reps = [inv.check_involution(model, pool) for model in models]
+        except BrokenProcessPool:
+            raise UsageError(
+                f"a worker process of --jobs {jobs} ended abruptly; each one re-runs the "
+                "main module, so a script that runs wzkit with --jobs above 1 must call "
+                "it under `if __name__ == \"__main__\":`") from None
     else:
         reps = [inv.check_involution(model) for model in models]
     failures: list[Failure] = []

@@ -7,15 +7,26 @@ variable as the polynomial indeterminate.  The pieces:
 * ``UPoly`` -- dense univariate polynomials with ``RationalFunction``
   coefficients, enough ring/Euclid structure for the normal form.
 * ``shift_candidates`` -- the nonnegative integer shifts ``g`` with
-  ``gcd(a(k), b(k+g)) != 1``, found exactly: the resultant
-  ``Res_k(a(k), b(k+h))`` is computed symbolically (fraction-free
-  Bareiss over integer polynomials in the parameters and ``h``), a
-  nonzero rational slice of it bounds the integer roots, the slice's
-  denominators are cleared once so its roots are scanned in ``int``
-  arithmetic, and every candidate is confirmed by an actual gcd.
+  ``gcd(a(k), b(k+g)) != 1`` (the dispersion set), found exactly: the
+  resultant ``Res_k(a(k), b(k+h))`` is computed symbolically
+  (fraction-free Bareiss over integer polynomials in the parameters and
+  ``h``), a nonzero rational slice of it bounds the integer roots, the
+  slice's denominators are cleared once so its roots are scanned in
+  ``int`` arithmetic, and every candidate is confirmed by an actual gcd.
+* ``affine_shift_candidates`` -- the same set when ``a`` and ``b`` are,
+  up to factors free of ``k``, products of forms affine in ``k``: it is
+  read from the factors' roots, ``g = beta - alpha`` for a root
+  ``alpha`` of ``a`` and ``beta`` of ``b`` whose parameter parts are
+  equal (the dispersion of linear factors, as in Man and Wright, ISSAC
+  1994).
 * ``gosper_normal`` -- ``r/s = Z * (A/B) * (C(k+1)/C(k))`` with
   ``gcd(A(k), B(k+g)) = 1`` for every integer ``g >= 0``; ``Z`` is
-  folded into ``A``.
+  folded into ``A``.  Given the affine factors of ``r`` and ``s``, each
+  gcd is the multiset of matched factors, so ``A``, ``B`` and ``C`` are
+  those multisets expanded once; without them the shifts come from the
+  resultant and each gcd from Euclid, which stays as the reference.
+  Discovery passes the factors whenever the term's prefactor is free of
+  ``k``.
 * ``degree_bound`` -- the standard degree analysis of the key equation
   ``A(k) x(k+1) - B(k-1) x(k) = rhs(k)``; in the leading-term
   cancellation case both candidate degrees are kept and the maximum
@@ -26,10 +37,11 @@ variable as the polynomial indeterminate.  The pieces:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .symalg import MultiPoly, RationalFunction
+from .symalg import LinearForm, MultiPoly, RationalFunction
 
 _H = "_h"  # resultant shift indeterminate; underscore keeps it out of user namespaces
 
@@ -299,15 +311,71 @@ def shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
 # normal form, degree bound, linear algebra
 
 
-def gosper_normal(r: UPoly, s: UPoly) -> tuple[UPoly, UPoly, UPoly]:
-    """Write ``r/s = Z * (A(k)/B(k)) * (C(k+1)/C(k))``.
+# a monic factor var + offset, keyed by the offset's parameter part and constant
+_Root = tuple[tuple[tuple[str, Fraction], ...], Fraction]
 
-    Returns ``(Z*A, B, C)`` with ``A, B, C`` monic and
-    ``gcd(A(k), B(k+g)) = 1`` for all integers ``g >= 0``.
+
+def _monic_factors(forms, var: str) -> tuple[Counter, dict[_Root, MultiPoly]]:
+    """Each form over its coefficient of ``var``: the multiset of keys, and each key's factor."""
+    keys: Counter = Counter()
+    polys: dict[_Root, MultiPoly] = {}
+    for f in forms:
+        c = f.coeff(var)
+        key = (tuple((v, Fraction(x, c)) for v, x in f.coeffs if v != var),
+               Fraction(f.const, c))
+        keys[key] += 1
+        polys[key] = f.to_poly().scaled(Fraction(1, c))
+    return keys, polys
+
+
+def _dispersion(a: Counter, b: Counter) -> list[int]:
+    """Integers g >= 0 where a factor var + x of ``a`` is a factor var + g + y of ``b``."""
+    return sorted({int(x - y) for p, x in a for q, y in b
+                   if p == q and (x - y).denominator == 1 and x >= y})
+
+
+def affine_shift_candidates(r_forms: tuple[LinearForm, ...], s_forms: tuple[LinearForm, ...],
+                            var: str) -> list[int]:
+    """``shift_candidates(r.monic(), s.monic())`` for r, s whose factors in ``var`` are the forms.
+
+    Every form must involve ``var``; factors free of ``var`` are units.
     """
-    z = (r.lc / s.lc).reduced()
-    a, b = r.monic(), s.monic()
-    c = UPoly.one(r.var)
+    return _dispersion(_monic_factors(r_forms, var)[0], _monic_factors(s_forms, var)[0])
+
+
+def _normal_from_factors(var: str, r_forms, s_forms) -> tuple[UPoly, UPoly, UPoly]:
+    """Monic ``A, B, C`` of ``gosper_normal``, the gcds read from the affine factors.
+
+    At each shift g, ascending, the gcd of A(k) and B(k+g) is the
+    multiset of factors k + x of A with k + x - g in B: A loses them, B
+    loses their k + x - g and C gains their k + x - j for j = 1..g.
+    """
+    a, polys = _monic_factors(r_forms, var)
+    b, s_polys = _monic_factors(s_forms, var)
+    polys.update(s_polys)
+    c = MultiPoly.const(1)
+    for g in _dispersion(a, b):
+        for (p, x), m in list(a.items()):
+            shared = min(m, b[p, x - g])
+            if shared:
+                a[p, x] -= shared
+                b[p, x - g] -= shared
+                d = polys[p, x] ** shared
+                for j in range(1, g + 1):
+                    c = c * d.shifted(var, -j)
+
+    def expand(keys: Counter) -> UPoly:
+        out = MultiPoly.const(1)
+        for key, m in keys.items():
+            out = out * polys[key] ** m
+        return UPoly.from_multipoly(out, var)
+
+    return expand(a), expand(b), UPoly.from_multipoly(c, var)
+
+
+def _normal_by_gcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
+    """Monic ``A, B, C`` of ``gosper_normal`` from ``shift_candidates`` and Euclid's gcds."""
+    c = UPoly.one(a.var)
     for g in shift_candidates(a, b):
         d = a.gcd(b.shifted(g))
         if d.degree > 0:
@@ -315,6 +383,44 @@ def gosper_normal(r: UPoly, s: UPoly) -> tuple[UPoly, UPoly, UPoly]:
             b = b.quo(d.shifted(-g))
             for j in range(1, g + 1):
                 c = c * d.shifted(-j)
+    return tuple(map(_polynomial_coeffs, (a, b, c)))
+
+
+def _polynomial_coeffs(p: UPoly) -> UPoly:
+    """``p`` with each coefficient that is a polynomial written as one.
+
+    ``reduced`` cancels only univariate gcds, so over two or more
+    parameters ``monic`` and Euclid leave coefficients such as
+    (k + n + 3) / (k + n + 3); written as polynomials they match the
+    expanded factors of ``_normal_from_factors`` term for term.
+    """
+    out = []
+    for c in p.coeffs:
+        try:
+            out.append(RationalFunction(c.num.divexact(c.den)))
+        except ValueError:  # not a polynomial
+            out.append(c)
+    return UPoly(p.var, out)
+
+
+def gosper_normal(r: UPoly, s: UPoly,
+                  factors: tuple[tuple[LinearForm, ...], tuple[LinearForm, ...]] | None = None
+                  ) -> tuple[UPoly, UPoly, UPoly]:
+    """Write ``r/s = Z * (A(k)/B(k)) * (C(k+1)/C(k))``.
+
+    Returns ``(Z*A, B, C)`` with ``A, B, C`` monic and
+    ``gcd(A(k), B(k+g)) = 1`` for all integers ``g >= 0``.  ``factors``,
+    when given, are the forms affine in k whose products are ``r`` and
+    ``s`` up to factors free of k; the result is the same either way.
+    """
+    z = (r.lc / s.lc).reduced()
+    if factors is None:
+        a, b, c = _normal_by_gcd(r.monic(), s.monic())
+    else:
+        r_forms, s_forms = factors
+        if (len(r_forms), len(s_forms)) != (r.degree, s.degree):
+            raise ValueError("the affine factors do not have the degrees of r and s")
+        a, b, c = _normal_from_factors(r.var, r_forms, s_forms)
     return a.scale(z), b, c
 
 

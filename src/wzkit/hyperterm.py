@@ -216,24 +216,33 @@ class HyperTerm:
 
     # -- shift quotient ---------------------------------------------------
 
+    def shift_factors(self, var: str
+                      ) -> tuple[Fraction, tuple[LinearForm, ...], tuple[LinearForm, ...]]:
+        """``(u, N, D)``: t(var+1)/t(var) is u * prod(N) / prod(D) times the prefactor's ratio.
+
+        The unit ``u`` comes from the sign and the powers; N and D are the
+        affine forms of the binomials' ``step_factors``, each involving
+        ``var`` with a nonzero coefficient.
+        """
+        unit = Fraction(-1 if self.sign_exp.coeff(var) % 2 else 1)
+        for base, exp in self.powers:
+            unit *= Fraction(base) ** exp.coeff(var)
+        num: list[LinearForm] = []
+        den: list[LinearForm] = []
+        for top, bottom in self.binomials:
+            for out, fs in zip((num, den), step_factors(top.coeff(var), bottom.coeff(var))):
+                out.extend(top.scaled(p) + bottom.scaled(q) + r for p, q, r in fs)
+        return unit, tuple(num), tuple(den)
+
     def shift_quotient(self, var: str) -> RationalFunction:
         """Formal quotient ``t(var+1)/t(var)`` as a rational function."""
-        num = MultiPoly.const(1)
-        den = MultiPoly.const(1)
-        if self.sign_exp.coeff(var) % 2:
-            num = -num
-        for base, exp in self.powers:
-            c = exp.coeff(var)
-            if c >= 0:
-                num = num.scaled(base**c)
-            else:
-                den = den.scaled(base**-c)
-        for top, bottom in self.binomials:
-            nfs, dfs = step_factors(top.coeff(var), bottom.coeff(var))
-            for p, q, r in nfs:
-                num = num * (top.scaled(p) + bottom.scaled(q) + r).to_poly()
-            for p, q, r in dfs:
-                den = den * (top.scaled(p) + bottom.scaled(q) + r).to_poly()
+        unit, nfs, dfs = self.shift_factors(var)
+        num = MultiPoly.const(unit.numerator)
+        den = MultiPoly.const(unit.denominator)
+        for f in nfs:
+            num = num * f.to_poly()
+        for f in dfs:
+            den = den * f.to_poly()
         if self.prefactor.is_zero():
             raise ValueError("zero prefactor has no shift quotient")
         quotient = RationalFunction(num, den)

@@ -48,6 +48,13 @@ sigma-linear; Gosper-normalizing r/s and solving
 as a homogeneous linear system over the rational-function field in the
 sigma_j and the coefficients of x yields G = (B(k-1) x(k) / C(k)) * u(k)
 and hence R.  The returned problem always re-passes verify_certificate.
+
+When F's prefactor is free of k, every factor of r and s that involves
+k is a binomial's affine form (``affine_factors``), so the shifts of the
+normal form are read from their roots and A, B and C are expanded from
+them, with no resultant and no gcd.  A prefactor in k sends r and s to
+the resultant and Euclid path of ``gosper_normal``, which gives the same
+normal form wherever both apply.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from typing import Callable, Mapping
 from .exactnum import UnsupportedArgumentError
 from .gosper import UPoly, degree_bound, gosper_normal, nullspace
 from .hyperterm import HyperTerm, Row, SupportBound
-from .symalg import MultiPoly, RationalFunction
+from .symalg import LinearForm, MultiPoly, RationalFunction
 
 
 @dataclass(frozen=True)
@@ -457,6 +464,25 @@ def mutation_check(p: WZProblem, count: int = MUTANTS, seed: int = 0) -> list[bo
 # discovery (parameterized Gosper)
 
 
+def affine_factors(term: HyperTerm, shift_var: str, sum_var: str, order: int
+                   ) -> tuple[tuple[LinearForm, ...], tuple[LinearForm, ...]] | None:
+    """The factors involving k of discovery's r and s, as forms affine in k.
+
+    None when the prefactor involves k.  Otherwise r = q_k.num * beta and
+    s = q_k.den * beta(k+1) have, besides factors free of k, the binomial
+    forms of q_k = t(k+1)/t(k) and those of beta, the product of the
+    denominators of q_j = q_n(n) ... q_n(n+j-1): the binomial denominator
+    forms of q_n, shifted by i in n for each i < j <= order.
+    """
+    if sum_var in term.prefactor.variables:
+        return None
+    _, num, den = term.shift_factors(sum_var)
+    den_n = [f for f in term.shift_factors(shift_var)[2] if f.coeff(sum_var)]
+    beta = tuple(f.shifted(shift_var, i) for j in range(order + 1) for i in range(j)
+                 for f in den_n)
+    return num + beta, den + tuple(f.shifted(sum_var, 1) for f in beta)
+
+
 def discover_certificate(term: HyperTerm, shift_var: str, sum_var: str,
                          order: int,
                          problem_id: str = "discovered") -> WZProblem | None:
@@ -482,7 +508,8 @@ def discover_certificate(term: HyperTerm, shift_var: str, sum_var: str,
     qk = term.shift_quotient(sum_var)
     r_up = UPoly.from_multipoly(qk.num * beta, sum_var)
     s_up = UPoly.from_multipoly(qk.den * beta.shifted(sum_var, 1), sum_var)
-    a_np, b_np, c_np = gosper_normal(r_up, s_up)
+    a_np, b_np, c_np = gosper_normal(r_up, s_up,
+                                     affine_factors(term, shift_var, sum_var, order))
     b_down = b_np.shifted(-1)
     rhs_degree = c_np.degree + max(alpha.degree(sum_var) for alpha in alphas)
     d = degree_bound(a_np, b_down, rhs_degree)

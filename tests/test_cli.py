@@ -272,6 +272,22 @@ def test_jobs_from_a_script_on_stdin_runs_serially():
     assert jobs2 == serial and jobs2[0]["failures"]
 
 
+def test_jobs_from_a_script_without_main_guard_exit_two(tmp_path):
+    # each spawned worker re-runs the script and dies in its own pool start
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import sys\nfrom wzkit import cli\n"
+        "code, _ = cli.run_command(['involution', '--id', 'thm2', '--n-min', '3', "
+        "'--n-max', '3', '--jobs', '2'])\nsys.exit(code)\n")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 2, out.stderr
+    assert "wzkit: error: a worker process of --jobs 2 ended abruptly" in out.stderr
+    assert 'under `if __name__ == "__main__":`' in out.stderr
+    assert "BrokenProcessPool" not in out.stderr
+
+
 def test_all_jobs_matches_golden(capsys):
     code = main(["all", "--jobs", "2", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -332,6 +348,18 @@ def test_spec_overlay_redefines_thm3_eq6(tmp_path):
     assert fails == {"cor1": [2, 4, 6], "cor2": [2, 4, 6], "cor3": [],
                      "cor4": [], "cor5": []}
     assert not any(corollary_derivations(limit=6).values())
+
+
+def test_spec_overlay_breaks_only_the_cor5_recipe(tmp_path):
+    # cor5 negated: its recipe, the sum of thm1 at odd parameters, fails at every n
+    spec = tmp_path / "cor5.wz"
+    spec.write_text(
+        "term C5(l, k, m) := sign(m + 1) * binom(2*k + m + 1, 2*m - 1) * pow(4, m - 1)\n"
+        "sum cor5(l) := sum(k, 0, 2*l, C5) sum(m, 1, 2*k + 2, C5)"
+        " == -4*l^2 - 6*l - 2 for l >= 0\n")
+    fails = corollary_derivations(limit=6, reg=_runtime_registry(str(spec)))
+    assert fails == {"cor1": [], "cor2": [], "cor3": [], "cor4": [],
+                     "cor5": [0, 1, 2, 3, 4, 5, 6]}
 
 
 def test_spec_overlay_redefines_a_lemma_sum(tmp_path):

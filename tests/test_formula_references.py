@@ -231,14 +231,19 @@ def test_shift_quotient_matches_reference_on_hypothesis_terms(term, var):
 
 
 def test_resultant_matches_reference_on_registry_discovery(monkeypatch):
+    # discovery reads these terms' shifts from their affine factors, so the
+    # pairs the resultant would get, r and s made monic, are captured at
+    # gosper_normal
     seen = []
     resultant = gosper._sylvester_resultant_shifted
+    normal = wzengine.gosper_normal
 
-    def spy(a, b):
-        seen.append((a, b))
-        return resultant(a, b)
+    def spy(r, s, *factors):
+        if r.degree >= 1 and s.degree >= 1:
+            seen.append((r.monic(), s.monic()))
+        return normal(r, s, *factors)
 
-    monkeypatch.setattr(gosper, "_sylvester_resultant_shifted", spy)
+    monkeypatch.setattr(wzengine, "gosper_normal", spy)
     for p in registry().problems.values():
         for order in (0, 1):
             discover_certificate(p.term, p.shift_var, p.sum_var, order)

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
-from wzkit.gosper import (UPoly, degree_bound, gosper_normal, nullspace,
-                          shift_candidates)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wzkit import gosper, wzengine
+from wzkit.gosper import (UPoly, affine_shift_candidates, degree_bound, gosper_normal,
+                          nullspace, shift_candidates)
+from wzkit.hyperterm import HyperTerm
 from wzkit.identities import registry
-from wzkit.symalg import RationalFunction, rf_equal
-from wzkit.wzengine import discover_certificate, verify_certificate
+from wzkit.symalg import LinearForm, MultiPoly, RationalFunction, rf_equal
+from wzkit.wzengine import affine_factors, discover_certificate, verify_certificate
 
 
 def up(var, *fracs):
@@ -132,3 +138,113 @@ def test_discover_thm1_order0_no_solution():
 def test_discover_thm2_order0_no_solution():
     base = registry().problem("thm2")
     assert discover_certificate(base.term, "n", "k", 0) is None
+
+
+# ---------------------------------------------------------------------------
+# the normal form from affine factors against the resultant and Euclid
+
+
+class _Captured(Exception):
+    pass
+
+
+def discovery_inputs(term, shift_var, sum_var, order):
+    """The (r, s, factors) that discovery hands to ``gosper_normal``."""
+    seen = []
+
+    def capture(*args):
+        seen.append(args)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wzengine, "gosper_normal", capture)
+        with pytest.raises(_Captured):
+            discover_certificate(term, shift_var, sum_var, order)
+    return seen[0]
+
+
+def factored_normal_form(r, s, factors):
+    """``gosper_normal`` from the factors, asserted equal to the resultant and Euclid path.
+
+    The shifts and (Z*A, B, C) are equal, coefficient by coefficient and in str.
+    """
+    assert factors is not None
+    assert affine_shift_candidates(*factors, r.var) == shift_candidates(r.monic(), s.monic())
+    normal = gosper_normal(r, s, factors)
+    for got, want in zip(normal, gosper_normal(r, s)):
+        assert str(got) == str(want)
+        assert len(got.coeffs) == len(want.coeffs)
+        assert all(x == y for x, y in zip(got.coeffs, want.coeffs))
+    return normal
+
+
+def _registry_summands():
+    reg = registry()
+    for case in reg.cases.values():
+        for loop in case.loops:
+            yield case.summand, case.param, loop.var
+    for p in reg.problems.values():
+        yield p.term, p.shift_var, p.sum_var
+
+
+def test_factored_normal_form_matches_reference_on_registry():
+    shifted = 0
+    for term, shift_var, sum_var in _registry_summands():
+        for order in (0, 1):
+            r, s, factors = discovery_inputs(term, shift_var, sum_var, order)
+            factored_normal_form(r, s, factors)
+            shifted += bool(affine_shift_candidates(*factors, sum_var))
+    assert shifted >= 10
+
+
+def lf(const=0, **coeffs):
+    return LinearForm.make(coeffs, const)
+
+
+# binomials affine in n and k, with a sign, a power and a prefactor free of
+# k; r and s of one to four factors in k keep the reference's resultants small
+_tops = st.builds(lambda n, k, c: lf(c, n=n, k=k), st.integers(0, 2), st.integers(-1, 2),
+                  st.integers(0, 3))
+_bottoms = st.builds(lambda n, k, c: lf(c, n=n, k=k), st.integers(-1, 1), st.integers(-1, 2),
+                     st.integers(-1, 1)) | st.integers(1, 3).map(lf)
+_affine_terms = st.builds(
+    lambda sign, power, binomials, den: HyperTerm.build(
+        ("n", "k"), sign_exp=sign, powers=[(4, power)], binomials=binomials,
+        prefactor=RationalFunction(MultiPoly.const(1), den.to_poly())),
+    st.builds(lambda n, k: lf(n=n, k=k), st.integers(0, 1), st.integers(0, 1)),
+    st.builds(lambda k: lf(k=k), st.integers(-1, 1)),
+    st.lists(st.tuples(_tops, _bottoms), min_size=1, max_size=2),
+    st.builds(lambda n, c: lf(c, n=n), st.integers(0, 2), st.integers(1, 3))).filter(
+        lambda t: 0 < max(map(len, affine_factors(t, "n", "k", 1))) <= 4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_affine_terms, st.integers(0, 1))
+def test_factored_normal_form_matches_reference_on_hypothesis_terms(term, order):
+    factored_normal_form(*discovery_inputs(term, "n", "k", order))
+
+
+def test_factored_normal_form_builds_c_part():
+    # binom(k + 3, 2): r/s = (k+4)/(k+2), so C = (k+2)(k+3) and A = B = 1
+    term = HyperTerm.build(("n", "k"), binomials=[(lf(3, k=1), lf(2))])
+    r, s, factors = discovery_inputs(term, "n", "k", 0)
+    assert affine_shift_candidates(*factors, "k") == [2]
+    a, b, c = factored_normal_form(r, s, factors)
+    assert (a.degree, b.degree) == (0, 0)
+    assert str(c) == "(6)*k^0 + (5)*k^1 + (1)*k^2"
+
+
+def test_prefactor_in_k_takes_the_resultant_path(monkeypatch):
+    term = registry().problem("thm1", "corrected").term.absorb(
+        RationalFunction(MultiPoly.const(1), lf(1, k=1).to_poly()))
+    assert discovery_inputs(term, "n", "k", 0)[2] is None
+    seen = []
+    resultant = gosper._sylvester_resultant_shifted
+
+    def spy(a, b):
+        seen.append((a, b))
+        return resultant(a, b)
+
+    monkeypatch.setattr(gosper, "_sylvester_resultant_shifted", spy)
+    assert discover_certificate(term, "n", "k", 0) is None
+    assert len(seen) == 1

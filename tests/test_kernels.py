@@ -490,11 +490,12 @@ class _Captured(Exception):
 
 
 def test_shift_candidates_match_fraction_scan_on_registry_inputs(monkeypatch):
-    # discovery hands r and s to gosper_normal, which makes them monic and
-    # scans them; capture every registry summand's pair at orders 0 and 1
+    # discovery hands r and s to gosper_normal, whose resultant path makes
+    # them monic and scans them; capture every registry summand's pair at
+    # orders 0 and 1
     seen = []
 
-    def capture(r, s):
+    def capture(r, s, *factors):
         seen.append((r.monic(), s.monic()))
         raise _Captured
 

@@ -4,7 +4,8 @@ sympy is an independent implementation of the same exact algebra:
 polynomial products and evaluation; rational-function arithmetic,
 shifts and evaluation; the division with remainder and gcds of
 univariate polynomials; fraction-free determinants; and the integer
-shifts that make two polynomials share a factor must agree with it.  The module is skipped when
+shifts that make two polynomials share a factor, from the resultant and
+from affine factors, must agree with it.  The module is skipped when
 sympy is not installed; wzkit itself never imports it.
 """
 
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzkit.gosper import UPoly, _det_bareiss, shift_candidates
-from wzkit.symalg import MultiPoly, PoleError, RationalFunction, _upoly_gcd, rf_arith
+from wzkit.gosper import UPoly, _det_bareiss, affine_shift_candidates, shift_candidates
+from wzkit.symalg import (LinearForm, MultiPoly, PoleError, RationalFunction, _upoly_gcd,
+                          rf_arith)
 
 sympy = pytest.importorskip("sympy")
 
@@ -183,6 +185,12 @@ def from_roots(rs) -> UPoly:
     return p
 
 
+def root_forms(rs) -> tuple[LinearForm, ...]:
+    """The factors k - (r + s*n) of ``from_roots(rs)`` as integer affine forms."""
+    return tuple(LinearForm.make({"k": r.denominator, "n": -s * r.denominator}, -r.numerator)
+                 for r, s in rs)
+
+
 def sympy_shifts(a: UPoly, b: UPoly) -> list[int]:
     """Integers g >= 0 where a(k) and b(k+g) share a factor for every n."""
     h = sympy.Symbol("h")
@@ -197,12 +205,16 @@ def sympy_shifts(a: UPoly, b: UPoly) -> list[int]:
 @settings(max_examples=40, deadline=None)
 @given(st.lists(roots, min_size=1, max_size=3), st.lists(roots, min_size=1, max_size=2))
 def test_shift_candidates_match_sympy_integer_roots(ra, rb):
+    # the resultant's shifts and those read from the affine factors
     a, b = from_roots(ra), from_roots(rb)
-    assert shift_candidates(a, b) == sympy_shifts(a, b)
+    want = sympy_shifts(a, b)
+    assert shift_candidates(a, b) == want
+    assert affine_shift_candidates(root_forms(ra), root_forms(rb), "k") == want
 
 
 def test_shift_candidates_match_sympy_on_parametric_roots():
     # roots n+3 against n and n+5: only the shift 2 aligns a pair for every n
-    a = from_roots([(Fraction(3), 1)])
-    b = from_roots([(Fraction(0), 1), (Fraction(5), 1), (Fraction(4), 0)])
+    ra, rb = [(Fraction(3), 1)], [(Fraction(0), 1), (Fraction(5), 1), (Fraction(4), 0)]
+    a, b = from_roots(ra), from_roots(rb)
     assert shift_candidates(a, b) == sympy_shifts(a, b) == [2]
+    assert affine_shift_candidates(root_forms(ra), root_forms(rb), "k") == [2]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,30 @@ def test_prove_never_concludes_on_telescope_mismatch(monkeypatch):
     assert rep.telescope == [(2, 2, 0)]
     assert rep.failed_stage is None
     assert rep.conclusion is None
+
+
+def _over_common_factor(p: WZProblem, factor) -> WZProblem:
+    """``p`` with R's numerator and denominator both times ``factor``: R off its zeros."""
+    r = p.certificate
+    return replace(p, certificate=RationalFunction(r.num * factor, r.den * factor))
+
+
+def test_prove_fails_lower_boundary_on_a_pole_of_r_at_k_zero():
+    # R * k / k: G(n, 0) is no longer an honest finite * 0
+    p = _over_common_factor(registry().problem("thm1", "corrected"), P(lf(k=1)))
+    rep = prove_constant_sum(p, (0, 3))
+    assert rep.cert.status and not rep.cert.lower_boundary_ok
+    assert rep.failed_stage == "lower-boundary" and rep.conclusion is None
+
+
+def test_prove_fails_upper_boundary_on_a_pole_of_r_past_the_support():
+    # F(n + j, k) vanishes past k = n + 1, and R * (n + 2 - k) / (n + 2 - k)
+    # has a pole at k = n + 2 for every n
+    p = _over_common_factor(registry().problem("thm1", "corrected"), P(lf(2, n=1, k=-1)))
+    rep = prove_constant_sum(p, (0, 3))
+    assert rep.cert.status and rep.cert.lower_boundary_ok
+    assert not rep.upper_boundary_ok
+    assert rep.failed_stage == "upper-boundary" and rep.conclusion is None
 
 
 # ---------------------------------------------------------------------------
