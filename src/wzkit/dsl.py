@@ -1,6 +1,20 @@
 """Identity-definition DSL: parser, resolver, and canonical printer.
 
-The grammar (free-form whitespace, ``#`` line comments):
+The tokens, one row each of the table ``_TOKENS``, tried in this order
+at each position of the text:
+
+    SKIP       := { " " | TAB | CR }+ | "#" { any character except newline }
+    NEWLINE    := newline
+    INT        := { "0".."9" }+
+    STRING     := '"' { any character except '"' and newline } '"'
+    NAME       := ( letter | "_" ) { letter | digit | "_" }
+    SYM        := ":=" | "==" | ">=" | one of ( ) [ ] , + - * / ^
+
+SKIP and NEWLINE make no token; a token's column counts characters from
+the start of its line.  ``letter`` and ``digit`` are Unicode's
+(``str.isalpha`` and ``str.isalnum``).
+
+The grammar:
 
     document   := { statement }
     statement  := termDef | certDef | sumDef | recDef | checkDef
@@ -22,7 +36,6 @@ The grammar (free-form whitespace, ``#`` line comments):
                   { clause | "base" SINT "==" SINT }
     clause     := "erratum" STRING | "as" NAME [ "literal" | "corrected" ]
     checkDef   := "check" KIND NAME [ "[" SINT "," SINT "]" ]
-    STRING     := '"' { any character except '"' and newline } '"'
 
 ``sign(e)`` denotes (-1)^e and ``floor2(e)`` denotes floor(e/2).
 ``ratExpr`` and ``closedForm`` are ``expr``s, and ``linear`` is an
@@ -55,6 +68,8 @@ interpreter's recursion limit is reported at the start of its statement.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -66,12 +81,18 @@ from .wzengine import WZProblem
 
 KEYWORDS = {"term", "cert", "sum", "recurrence", "check", "for",
             "binom", "pow", "sign", "floor2", "erratum", "base", "as"}
-CHECK_KINDS = {"oracle", "verify", "involution", "lemma"}
+#: each check kind and the names its target may take in a document
+CHECK_KINDS = {"oracle": lambda doc: doc.sums,
+               "verify": lambda doc: doc.recurrences,
+               "involution": lambda doc: MODELS,
+               "lemma": lambda doc: LEMMAS}
 MODES = ("literal", "corrected")
 #: largest ``^`` exponent, which is expanded while parsing, and largest
 #: coefficient or constant of a pow exponent in a closed form's parts; pow
 #: is no longer expanded, but the guard keeps closed forms small
 MAX_EXPONENT = 64
+#: binary operators by binding level, loosest first; each level is left-associative
+_BINARY_OPS = (("+", "-"), ("*", "/"))
 
 
 class ParseError(ValueError):
@@ -86,73 +107,49 @@ class ParseError(ValueError):
 # lexer
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME, INT, STRING, SYM, EOF
-    text: str
-    line: int
-    col: int
+#: ``kind`` is NAME, INT, STRING, SYM or EOF.  A named tuple builds in about
+#: a third of the time of a frozen dataclass, and a document makes one per word
+Token = namedtuple("Token", ("kind", "text", "line", "col"))
 
 
-_SYMBOLS = (":=", "==", ">=", "(", ")", "[", "]", ",", "+", "-", "*", "/", "^")
+#: the token table of the module docstring.  ``\w`` is ``str.isalnum`` or
+#: ``_``, which admits a digit such as ``²`` that cannot start a NAME,
+#: so ``tokenize`` checks a NAME's first character
+_TOKENS = (
+    ("SKIP", r"[ \t\r]+|#[^\n]*"),
+    ("NEWLINE", r"\n"),
+    ("INT", r"[0-9]+"),
+    ("STRING", r'"[^"\n]*"'),
+    ("NAME", r"\w+"),
+    ("SYM", r":=|==|>=|[()\[\],+\-*/^]"),
+)
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TOKENS))
 
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
+    line, line_start, i = 1, 0, 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        col = i - line_start + 1
+        if m is None:
+            if text[i] == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+        kind, word = m.lastgroup, m.group()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "NAME" and not (word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {word[0]!r}", line, col)
+        elif kind == "INT":
             try:
-                int(text[i:j])
+                int(word)
             except ValueError:  # past the interpreter's digit limit
                 raise ParseError("integer literal too long", line, col) from None
-            out.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i:j]:
-                raise ParseError("unterminated string", line, col)
-            out.append(Token("STRING", text[i + 1:j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                out.append(Token("SYM", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("EOF", "", line, col))
+        if kind not in ("SKIP", "NEWLINE"):
+            out.append(Token(kind, word[1:-1] if kind == "STRING" else word, line, col))
+        i = m.end()
+    out.append(Token("EOF", "", line, i - line_start + 1))
     return out
 
 
@@ -242,28 +239,17 @@ class CheckDef:
 
 @dataclass
 class SpecDocument:
+    """Definitions in document order; equal documents have equal definitions.
+
+    The indexes by name, and the list of checks, are filled by ``add``.
+    """
+
     definitions: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.terms: dict[str, TermDef] = {}
-        self.certs: dict[str, CertDef] = {}
-        self.sums: dict[str, SumDef] = {}
-        self.recurrences: dict[str, RecurrenceDef] = {}
-        self.checks: list[CheckDef] = []
-        for d in self.definitions:
-            self._index(d)
-
-    def _index(self, d) -> None:
-        if isinstance(d, TermDef):
-            self.terms[d.name] = d
-        elif isinstance(d, CertDef):
-            self.certs[d.name] = d
-        elif isinstance(d, SumDef):
-            self.sums[d.name] = d
-        elif isinstance(d, RecurrenceDef):
-            self.recurrences[d.name] = d
-        elif isinstance(d, CheckDef):
-            self.checks.append(d)
+    terms: dict[str, TermDef] = field(default_factory=dict, compare=False)
+    certs: dict[str, CertDef] = field(default_factory=dict, compare=False)
+    sums: dict[str, SumDef] = field(default_factory=dict, compare=False)
+    recurrences: dict[str, RecurrenceDef] = field(default_factory=dict, compare=False)
+    checks: list[CheckDef] = field(default_factory=list, compare=False)
 
     def names(self) -> set[str]:
         return (set(self.terms) | set(self.certs) | set(self.sums)
@@ -271,12 +257,12 @@ class SpecDocument:
 
     def add(self, d) -> None:
         self.definitions.append(d)
-        self._index(d)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpecDocument):
-            return NotImplemented
-        return self.definitions == other.definitions
+        if isinstance(d, CheckDef):
+            self.checks.append(d)
+            return
+        index = {TermDef: self.terms, CertDef: self.certs, SumDef: self.sums,
+                 RecurrenceDef: self.recurrences}[type(d)]
+        index[d.name] = d
 
 
 # ---------------------------------------------------------------------------
@@ -319,40 +305,23 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self):
-        node = self.parse_mul()
-        while True:
-            t = self.peek()
-            if t.kind == "SYM" and t.text in ("+", "-"):
-                self.advance()
-                rhs = self.parse_mul()
-                node = EBin(t.text, node, rhs, t.line, t.col)
-            else:
-                return node
-
-    def parse_mul(self):
-        node = self.parse_unary()
-        while True:
-            t = self.peek()
-            if t.kind == "SYM" and t.text in ("*", "/"):
-                self.advance()
-                rhs = self.parse_unary()
-                node = EBin(t.text, node, rhs, t.line, t.col)
-            else:
-                return node
+    def parse_expr(self, level: int = 0):
+        """Operands joined by the operators of ``_BINARY_OPS[level]``, left to right."""
+        if level == len(_BINARY_OPS):
+            return self.parse_unary()
+        node = self.parse_expr(level + 1)
+        while (t := self.peek()).kind == "SYM" and t.text in _BINARY_OPS[level]:
+            self.advance()
+            node = EBin(t.text, node, self.parse_expr(level + 1), t.line, t.col)
+        return node
 
     def parse_unary(self):
         t = self.peek()
-        if t.kind == "SYM" and t.text == "-":
-            self.advance()
+        if self.accept("SYM", "-"):
             return ENeg(self.parse_unary(), t.line, t.col)
-        return self.parse_power()
-
-    def parse_power(self):
         node = self.parse_atom()
         t = self.peek()
-        if t.kind == "SYM" and t.text == "^":
-            self.advance()
+        if self.accept("SYM", "^"):
             e = self.expect("INT")
             if int(e.text) > MAX_EXPONENT:
                 raise self.error(f"exponent above {MAX_EXPONENT}", e)
@@ -368,9 +337,7 @@ class _Parser:
             if t.text in ("binom", "pow", "sign", "floor2"):
                 self.advance()
                 self.expect("SYM", "(")
-                args = [self.parse_expr()]
-                while self.accept("SYM", ","):
-                    args.append(self.parse_expr())
+                args = self._comma_list(self.parse_expr)
                 self.expect("SYM", ")")
                 return ECall(t.text, tuple(args), t.line, t.col)
             self.advance()
@@ -382,6 +349,13 @@ class _Parser:
             return node
         found = t.text if t.kind != "EOF" else "end of input"
         raise self.error(f"expected an expression, found {found!r}")
+
+    def _comma_list(self, item) -> list:
+        """``item { "," item }``."""
+        out = [item()]
+        while self.accept("SYM", ","):
+            out.append(item())
+        return out
 
     def parse_signed_int(self) -> int:
         neg = self.accept("SYM", "-") is not None
@@ -453,9 +427,7 @@ class _Parser:
 
     def _params(self) -> tuple[str, ...]:
         self.expect("SYM", "(")
-        params = [self.expect("NAME").text]
-        while self.accept("SYM", ","):
-            params.append(self.expect("NAME").text)
+        params = self._comma_list(lambda: self.expect("NAME").text)
         self.expect("SYM", ")")
         if len(set(params)) != len(params):
             raise self.error("duplicate parameter name")
@@ -574,9 +546,7 @@ class _Parser:
         self.expect("SYM", ")")
         self.expect("SYM", ":=")
         self.expect("SYM", "[")
-        coeffs = [_to_rf(self.parse_expr(), {shift_var})]
-        while self.accept("SYM", ","):
-            coeffs.append(_to_rf(self.parse_expr(), {shift_var}))
+        coeffs = self._comma_list(lambda: _to_rf(self.parse_expr(), {shift_var}))
         self.expect("SYM", "]")
         self.expect("SYM", "*")
         term_tok = self.expect("NAME")
@@ -610,16 +580,7 @@ class _Parser:
                 f"{sorted(CHECK_KINDS)})", kind_tok)
         target_tok = self.expect("NAME")
         target = target_tok.text
-        known: set[str]
-        if kind == "oracle":
-            known = set(doc.sums)
-        elif kind == "verify":
-            known = set(doc.recurrences)
-        elif kind == "involution":
-            known = set(MODELS)
-        else:
-            known = set(LEMMAS)
-        if target not in known:
+        if target not in CHECK_KINDS[kind](doc):
             raise self.error(
                 f"{kind} check names unknown target {target!r}", target_tok)
         rng = None

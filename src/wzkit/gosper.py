@@ -263,13 +263,15 @@ def _resultant_slice(a: UPoly, b: UPoly) -> dict[int, int | Fraction]:
     if res.is_zero():
         raise ValueError("degenerate resultant (inputs share a factor for all shifts)")
     # slice away the parameters: any specialization keeping the slice nonzero
-    # yields a superset of the integer roots in h
+    # yields a superset of the integer roots in h.  The points are not
+    # integers, so a gap that moves with a parameter (n + 1, say) does not
+    # become an integer root whose false candidate costs a gcd over Q(n)
     params = [v for v in res.vars if v != _H]
     phi = None
     for base in range(0, 64):
         cand = res
         for i, v in enumerate(params):
-            cand = cand.subst_int(v, base + 7 * i + 1)
+            cand = cand.subst(v, MultiPoly.const(base + Fraction(1, 2 * i + 3)))
         if not cand.is_zero():
             phi = cand
             break

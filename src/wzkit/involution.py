@@ -244,13 +244,6 @@ class InvolutionReport:
     sign_violations: list[tuple[str, str]] = field(default_factory=list)
 
     @property
-    def violations_involved(self) -> int:
-        bad = {w for w, _ in self.closure_violations}
-        bad.update(w for w, _, _ in self.involutivity_violations)
-        bad.update(w for w, _ in self.sign_violations)
-        return len(bad)
-
-    @property
     def clean(self) -> bool:
         return not (self.closure_violations or self.involutivity_violations
                     or self.sign_violations)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wzkit.dsl import (ECall, ENeg, ENum, EVar, ParseError, SpecDocument,
+from wzkit.dsl import (ECall, ENeg, ENum, EVar, ParseError, SpecDocument, Token,
                        _fold, _Parser, parse_document, parse_spec,
-                       print_document)
+                       print_document, tokenize)
 from wzkit.hyperterm import HyperTerm
 from wzkit.identities import registry
 from wzkit.symalg import LinearForm, MultiPoly, RationalFunction, rf_equal
@@ -389,3 +389,114 @@ def test_powers_of_sums_fold_to_few_parts(closed_form, count):
     node = _Parser(closed_form).parse_expr()
     for n in (0, 1, 2, 7):
         assert case.rhs_value(n) == _ref(node, n)
+
+
+# ---------------------------------------------------------------------------
+# the token table against the hand-written lexer it replaced
+
+
+_REF_SYMBOLS = (":=", "==", ">=", "(", ")", "[", "]", ",", "+", "-", "*", "/", "^")
+
+
+def _ref_tokenize(text: str) -> list[Token]:
+    """The character-by-character lexer the token table replaced, kept as the reference."""
+    out: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("integer literal too long", line, col) from None
+            out.append(Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i:j]:
+                raise ParseError("unterminated string", line, col)
+            out.append(Token("STRING", text[i + 1:j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _REF_SYMBOLS:
+            if text.startswith(sym, i):
+                out.append(Token("SYM", sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    out.append(Token("EOF", "", line, col))
+    return out
+
+
+def _lex(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as err:
+        return (err.message, err.line, err.col)
+
+
+def _assert_same_tokens(text):
+    got, want = _lex(tokenize, text), _lex(_ref_tokenize, text)
+    if isinstance(got, list) and isinstance(want, list) and got[-1] != want[-1]:
+        # the reference never advanced the column over a comment, so only
+        # the EOF token after a trailing comment may differ: it now sits
+        # where the input ends
+        last_line = text.rsplit("\n", 1)[-1]
+        assert "#" in last_line
+        assert got[-1] == Token("EOF", "", want[-1].line, len(last_line) + 1)
+        got, want = got[:-1], want[:-1]
+    assert got == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_fuzz_text(), st.lists(_fuzz_atom, max_size=30).map(" ".join),
+                 st.text(alphabet="ab_1\u00b2\u0663 \t\r\f\u00a0\n#\"()=:>-^", max_size=30)))
+def test_token_table_matches_reference_lexer(text):
+    _assert_same_tokens(text)
+
+
+@pytest.mark.parametrize("text", sorted(_bundled_texts().values()) + list(_FUZZ_DOCS)
+                         + ["term A(n) := (n) * \u00b2\n", "x\u00b2 _\u0663 1\u0663",
+                            "term A(n) := (n) * " + "9" * 5000 + "\n", '"a\nb"', '1 "open'])
+def test_token_table_matches_reference_lexer_on_documents(text):
+    _assert_same_tokens(text)
+
+
+def test_eof_after_a_trailing_comment_is_where_the_input_ends():
+    text = "term A(n) := # c"
+    assert tokenize(text)[-1] == Token("EOF", "", 1, 17)
+    assert _ref_tokenize(text)[-1] == Token("EOF", "", 1, 14)
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.col) == (1, 17)
+    assert "end of input" in err.value.message

@@ -248,3 +248,33 @@ def test_prefactor_in_k_takes_the_resultant_path(monkeypatch):
     monkeypatch.setattr(gosper, "_sylvester_resultant_shifted", spy)
     assert discover_certificate(term, "n", "k", 0) is None
     assert len(seen) == 1
+
+
+# certificates found at order 1 when the slice points were the integers
+# base + 7*i + 1 (38 s and 94 s then); non-integral points find the same
+_TIMES_2K1_CERT = (
+    "(-16*k^3*n^2 - 32*k^3*n - 12*k^3 + 4*k*n^2 + 8*k*n + 3*k) / (8*k^2*n^3 + 24*k^2*n^2"
+    " + 18*k^2*n + 4*k^2 - 8*k*n^4 - 28*k*n^3 - 30*k*n^2 - 13*k*n - 2*k - 4*n^4 - 16*n^3"
+    " - 21*n^2 - 11*n - 2)")
+_OVER_K1_CERT = (
+    "(-2*k^3*n^4 - 14*k^3*n^3 - 36*k^3*n^2 - 40*k^3*n - 16*k^3 - 5*k^2*n^4 - 35*k^2*n^3"
+    " - 90*k^2*n^2 - 100*k^2*n - 40*k^2 - 4*k*n^4 - 28*k*n^3 - 72*k*n^2 - 80*k*n - 32*k"
+    " - n^4 - 7*n^3 - 18*n^2 - 20*n - 8) / (k^2*n^5 + 10*k^2*n^4 + 40*k^2*n^3"
+    " + 80*k^2*n^2 + 80*k^2*n + 32*k^2 - k*n^6 - 10*k*n^5 - 40*k*n^4 - 80*k*n^3"
+    " - 80*k*n^2 - 32*k*n - n^6 - 11*n^5 - 50*n^4 - 120*n^3 - 160*n^2 - 112*n - 32)")
+
+
+@pytest.mark.parametrize("num, den, certificate, coeffs", [
+    (lf(1, k=2), lf(1), _TIMES_2K1_CERT, ["(-2*n - 5) / (2*n + 1)", "1"]),
+    (lf(1), lf(1, k=1), _OVER_K1_CERT, ["(-n^2 - 2*n - 1) / (n^2 + 4*n + 4)", "1"]),
+], ids=["times_2k_plus_1", "over_k_plus_1"])
+def test_order_one_discovery_with_a_prefactor_in_k(num, den, certificate, coeffs):
+    # thm1's corrected summand times (2k + 1) and times 1/(k + 1): the
+    # fallback path, whose resultant slice has a gap n + 1 among its roots
+    term = registry().problem("thm1", "corrected").term.absorb(
+        RationalFunction(num.to_poly(), den.to_poly()))
+    assert affine_factors(term, "n", "k", 1) is None
+    assert discover_certificate(term, "n", "k", 0) is None
+    problem = discover_certificate(term, "n", "k", 1)
+    assert str(problem.certificate) == certificate
+    assert [str(c) for c in problem.coeffs] == coeffs

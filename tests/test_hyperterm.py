@@ -222,6 +222,31 @@ def test_support_bounds_sound_everywhere():
                             pass
 
 
+@pytest.mark.parametrize("c", [-3, -2, 2, 3])
+def test_support_bounds_exact_for_large_coefficients(c):
+    # a binomial with bottom c*k + d, and one with top c*k + d + 10: each
+    # bound is the brute-force last (upper) or first (lower) nonzero k, and
+    # where nothing is nonzero the bounds cross
+    ks = range(-40, 41)
+    for top_t in range(0, 9):
+        for d in range(-4, 5):
+            for top, bottom, count in ((lf(top_t), lf(d, k=c), 2),
+                                       (lf(d + 10, k=c), lf(top_t), 1)):
+                term = HyperTerm.build(("k",), binomials=((top, bottom),))
+                bounds = support_bounds(term, "k")
+                assert len(bounds) == count
+                uppers = [b.bound.const for b in bounds if b.direction == "upper"]
+                lowers = [b.bound.const for b in bounds if b.direction == "lower"]
+                nonzero = [k for k in ks
+                           if 0 <= bottom.eval({"k": k}) <= top.eval({"k": k})]
+                case = (str(top), str(bottom))
+                if nonzero:
+                    assert all(u == nonzero[-1] for u in uppers), case
+                    assert all(lo == nonzero[0] for lo in lowers), case
+                else:
+                    assert max(lowers) > min(uppers), case
+
+
 # ---------------------------------------------------------------------------
 # absorb
 

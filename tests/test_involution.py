@@ -144,8 +144,10 @@ def test_accounting_invariant():
     for model in (WordModel("thm1", 3), WordModel("thm2", 2),
                   WordModel("thm3", 3)):
         rep = check_involution(model)
-        assert rep.total_words == (rep.fixed_count + rep.paired_count
-                                   + rep.violations_involved)
+        bad = {w for w, _ in rep.closure_violations}
+        bad.update(w for w, _, _ in rep.involutivity_violations)
+        bad.update(w for w, _ in rep.sign_violations)
+        assert rep.total_words == rep.fixed_count + rep.paired_count + len(bad)
 
 
 def test_signed_total_consistent_with_oracle():
