@@ -5,11 +5,14 @@ Subcommands, each with the options it reads:
 * ``oracle``      -- exact range check of a registry identity.
                      ``--id --mode --n-min --n-max --spec --format --jobs``
 * ``verify``      -- certificate check plus the full proof pipeline:
-                     on a failed certificate a pointwise witness on
-                     the first 9 n of the range; on a verified one the
-                     boundaries, the base case and the summed
-                     recurrence on the whole range, the prefix check on
-                     its first 31 n, and seeded mutation sensitivity.
+                     on a failed certificate the search for a pointwise
+                     witness, on only the first ``WITNESS_WINDOW`` (9)
+                     n of the range; on a verified one the boundaries,
+                     the base case and the summed recurrence on the
+                     whole range, the prefix check on only its first
+                     ``TELESCOPE_WINDOW`` (31) n, and seeded mutation
+                     sensitivity.  The windows are ``wzengine``'s; the
+                     report states the whole range.
                      ``--id --mode --n-min --n-max --spec --format --seed``
 * ``involution``  -- exhaustive word-model checks, violations reported
                      verbatim.

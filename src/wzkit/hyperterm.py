@@ -99,6 +99,23 @@ def line_terms(t0: int, dt: int, b0: int, db: int, lo: int, hi: int, weight_step
 Row = tuple[list[tuple[int, int]], Exception | None]
 
 
+def slice_row(row: Row, first: int, last: int, lo: int, hi: int) -> Row | None:
+    """The row over lo..hi cut from ``row``, the row over first..last; None if it is not there.
+
+    Every entry of a row is its point's own value, so the row over lo..hi
+    is entries lo - first to hi - first, provided first <= lo, hi <= last
+    and the row did not stop before lo.  It ends with the row's exception
+    when the row stopped inside lo..hi, and with None otherwise.
+    """
+    if hi < lo:
+        return [], None
+    values, error = row
+    stop = first + len(values)  # the first point not in the row
+    if lo < first or hi > last or lo > stop:
+        return None
+    return values[lo - first:hi - first + 1], error if stop <= hi else None
+
+
 @dataclass(frozen=True)
 class SupportBound:
     """Vanishing bound: the term is exactly 0 at integer points beyond it.
@@ -205,7 +222,8 @@ class HyperTerm:
         ks = range(lo, end + 1)
         nums, dens = [v * dd for v in nums[:len(ks)]], [v * nd for v in dens[:len(ks)]]
         for base, exp in ((-1, self.sign_exp), *self.powers):  # (-1)^-e = (-1)^e
-            es = [exp.eval(at0) + exp.coeff(var) * k for k in ks]
+            e0, de = exp.eval(at0), exp.coeff(var)
+            es = [e0 + de * k for k in ks]
             nums = [v * base**e if e > 0 else v for v, e in zip(nums, es)]
             dens = [v * base**-e if e < 0 else v for v, e in zip(dens, es)]
         for t0, dt, b0, db in lines:
@@ -295,9 +313,10 @@ class HyperTerm:
         """Multiply the prefactor by ``r`` (how a companion G = R*F is built).
 
         Evaluation of the result at a pole of ``r`` raises ``PoleError``
-        even where a binomial vanishes; see the module docstring.
+        even where a binomial vanishes; see the module docstring.  R = 1
+        gives the term itself.
         """
-        return replace(self, prefactor=self.prefactor * r)
+        return self if _is_one(r) else replace(self, prefactor=self.prefactor * r)
 
     def __mul__(self, other: "HyperTerm") -> "HyperTerm":
         """The product, in canonical form.

@@ -31,6 +31,18 @@ failing prefix.  A row stops where a point evaluation would raise, and a
 check raises that exception only when its order of evaluation gets there.
 ``_k_range`` refuses a term unbounded above in k.
 
+Neighbouring n read the same rows: F(n+1, .) is side's j = 1 row at n and
+its j = 0 row at n + 1, and G = F when R = 1.  So ``prove_constant_sum``
+gives the summed stage, and the prefix stage at each grid point, one
+``RowStore``, planned with the widest span of k that any n of the stage
+reads from each row.  Each row is evaluated once, over that span, every
+request is cut from it (``hyperterm.slice_row``), and it is dropped after
+its last planned read.  Every entry is its own point's value, and a cut
+carries the row's exception only when the row stopped inside it.  A
+request outside the plan is evaluated afresh, so the plan changes speed,
+never results.  G = R*F is formed once per problem
+(``WZProblem.companion``), as are the support bounds.
+
 ``prove_constant_sum`` runs each stage of ``verify`` once.  A failed
 certificate gets the pointwise witness on the first ``WITNESS_WINDOW`` n
 of the range.  A verified one gets, with a base case, the boundaries and
@@ -62,12 +74,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping
 
 from .exactnum import UnsupportedArgumentError
 from .gosper import UPoly, degree_bound, gosper_normal, nullspace
-from .hyperterm import HyperTerm, Row, SupportBound
+from .hyperterm import HyperTerm, Row, SupportBound, slice_row
 from .symalg import LinearForm, MultiPoly, RationalFunction
 
 
@@ -87,6 +100,16 @@ class WZProblem:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def support(self) -> tuple[SupportBound, ...]:
+        """The term's support bounds in the summation variable, found once per problem."""
+        return tuple(self.term.support_bounds(self.sum_var))
+
+    @cached_property
+    def companion(self) -> HyperTerm:
+        """G = R * F with absorb semantics, formed once per problem; F itself when R = 1."""
+        return self.term.absorb(self.certificate)
 
 
 @dataclass(eq=False)
@@ -152,7 +175,7 @@ def verify_certificate(p: WZProblem) -> CertCheck:
     num_low = r.num.subst_int(p.sum_var, 0)
     den_low = r.den.subst_int(p.sum_var, 0)
     lower_ok = num_low.is_zero() and not den_low.is_zero()
-    uppers = tuple(b for b in p.term.support_bounds(p.sum_var) if b.direction == "upper")
+    uppers = tuple(b for b in p.support if b.direction == "upper")
     return CertCheck(
         status=residual.is_zero(),
         residual=residual,
@@ -167,7 +190,7 @@ def verify_certificate(p: WZProblem) -> CertCheck:
 
 def require_upper_support(p: WZProblem) -> None:
     """Refuse a term with no finite upper support in k: a sum over the support needs one."""
-    if not any(b.direction == "upper" for b in p.term.support_bounds(p.sum_var)):
+    if not any(b.direction == "upper" for b in p.support):
         raise UnsupportedArgumentError(
             f"term {p.term} of {p.problem_id} has no finite upper support "
             f"in {p.sum_var}")
@@ -183,37 +206,86 @@ def _k_range(p: WZProblem, point: Mapping[str, int], shifts: int = 0,
     """
     if bounded:
         require_upper_support(p)
-    bounds = p.term.support_bounds(p.sum_var)
-    uppers = [b.bound for b in bounds if b.direction == "upper"]
+    uppers = [b.bound for b in p.support if b.direction == "upper"]
     if not uppers:
         return 0, None
     n = point[p.shift_var]
     pts = [dict(point, **{p.shift_var: n + j}) for j in range(shifts + 1)]
     high = max(min(u.eval(pt) for u in uppers) for pt in pts)
-    lowers = [b.bound for b in bounds if b.direction == "lower"]
+    lowers = [b.bound for b in p.support if b.direction == "lower"]
     low = min(max((lo.eval(pt) for lo in lowers), default=0) for pt in pts)
     return low, high
 
 
-def _recurrence_side(p: WZProblem, point: Mapping[str, int]
-                     ) -> Callable[[int, int], Row]:
+class RowStore:
+    """Rows along k of F and of G = R*F at one point of the grid, each evaluated once.
+
+    ``plan(n, lo, hi)`` announces one read of F(n, .) over lo..hi (of
+    G(n, .) with ``g=True``).  The first ``row`` request for a planned row
+    evaluates it over the widest span announced, each request inside the
+    span is cut from it by ``slice_row``, and the row is dropped after its
+    last announced read, so a stage that reads n in order keeps only the
+    rows of its next few n.  Any other request is evaluated afresh: a plan
+    changes speed and memory, never results, and an empty store evaluates
+    every request.  When R = 1, G's rows are F's.
+    """
+
+    def __init__(self, p: WZProblem, point: Mapping[str, int] | None = None):
+        self._p = p
+        self._point = dict(point or {})  # the grid point; each row sets n
+        self._spans: dict[tuple[bool, int], tuple[int, int]] = {}
+        self._reads: dict[tuple[bool, int], int] = {}
+        self._rows: dict[tuple[bool, int], Row] = {}
+
+    def _key(self, n: int, g: bool) -> tuple[bool, int]:
+        return g and self._p.companion is not self._p.term, n
+
+    def plan(self, n: int, lo: int, hi: int, g: bool = False) -> None:
+        if hi < lo:
+            return
+        key = self._key(n, g)
+        first, last = self._spans.get(key, (lo, hi))
+        self._spans[key] = min(first, lo), max(last, hi)
+        self._reads[key] = self._reads.get(key, 0) + 1
+
+    def row(self, n: int, lo: int, hi: int, g: bool = False) -> Row:
+        if hi < lo:
+            return [], None
+        p = self._p
+        term = p.companion if g else p.term
+        point = dict(self._point, **{p.shift_var: n})
+        key = self._key(n, g)
+        span = self._spans.get(key)
+        if span is not None:
+            if key not in self._rows:
+                self._rows[key] = term.eval_line(point, p.sum_var, *span)
+            cut = slice_row(self._rows[key], *span, lo, hi)
+            if cut is not None:
+                self._reads[key] -= 1
+                if not self._reads[key]:
+                    del self._spans[key], self._reads[key], self._rows[key]
+                return cut
+        return term.eval_line(point, p.sum_var, lo, hi)
+
+
+def _recurrence_side(p: WZProblem, point: Mapping[str, int],
+                     rows: RowStore | None = None) -> Callable[[int, int], Row]:
     """(lo, hi) -> the row of sum_j a_j(n) F(n+j, k) at ``point``; a_j(n) evaluated once.
 
-    The row ends with the shortest F(n+j, .) row, with the least such j's exception.
+    The F rows come from ``rows``, a store at ``point``'s grid point.  The
+    row ends with the shortest F(n+j, .) row, with the least such j's exception.
     """
     n = point[p.shift_var]
     coeffs = [(c.numerator, c.denominator) for c in (a.eval(point) for a in p.coeffs)]
-    points = [dict(point, **{p.shift_var: n + j}) for j in range(len(coeffs))]
+    rows = rows or RowStore(p, point)
 
     def side(lo: int, hi: int) -> Row:
-        rows = [p.term.eval_line(pt, p.sum_var, lo, hi) for pt in points]
-        out = []
-        for terms in zip(*(values for values, _ in rows)):
-            num, den = 0, 1
-            for (an, ad), (fn, fd) in zip(coeffs, terms):
-                num, den = num * fd * ad + an * fn * den, den * fd * ad
-            out.append((num, den))
-        return out, next(err for values, err in rows if len(values) == len(out))
+        rows_j = [rows.row(n + j, lo, hi) for j in range(len(coeffs))]
+        out, *rest = ([(an * fn, ad * fd) for fn, fd in values]
+                      for (an, ad), (values, _) in zip(coeffs, rows_j))
+        for col in rest:
+            out = [(sn * d + cn * sd, sd * d) for (sn, sd), (cn, d) in zip(out, col)]
+        return out, next(err for values, err in rows_j if len(values) == len(out))
 
     return side
 
@@ -244,17 +316,19 @@ def _first_bad_step(side: Row, g: Row) -> int | None:
 
 
 def summed_recurrence_value(p: WZProblem, n: int,
-                            extra: Mapping[str, int] | None = None) -> Fraction:
+                            extra: Mapping[str, int] | None = None, *,
+                            rows: RowStore | None = None) -> Fraction:
     """sum_k sum_j a_j(n) F(n+j, k) over the full support (should be 0).
 
     Never forms R*F, so certificate poles inside or at the edge of the
     support are irrelevant here.  Requires every shifted term to have a
-    finite upper support bound in the summation variable.
+    finite upper support bound in the summation variable.  ``rows``, a
+    store at ``extra``, serves the F rows (see ``_summed_rows``).
     """
     base = dict(extra or {})
     base[p.shift_var] = n
     low, high = _k_range(p, base, p.order)
-    return _row_sum(_recurrence_side(p, base)(low, high))
+    return _row_sum(_recurrence_side(p, base, rows)(low, high))
 
 
 def summed_recurrence_check(p: WZProblem, n: int,
@@ -262,30 +336,46 @@ def summed_recurrence_check(p: WZProblem, n: int,
     return summed_recurrence_value(p, n, extra) == 0
 
 
+def _last_prefix(p: WZProblem, base: Mapping[str, int], kappa_cap: int = 48) -> int:
+    """The last kappa whose prefix ``telescope_first_mismatch`` checks at ``base``.
+
+    It is kappa_cap when F has no upper bound u in k, and else u + order + 1,
+    one past the support of every F(n+j, .) when u grows by at most one a
+    step in n, as every bundled term's does: each further prefix adds
+    side(kappa) = 0 on the left and G(n, kappa+1) - G(n, kappa) = 0 - 0 on
+    the right.  A zero of R's denominator at z stops it at z - 2.
+    """
+    _, u = _k_range(p, base, bounded=False)
+    limit = kappa_cap if u is None else max(u + p.order + 1, 0)
+    dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, limit + 1)
+    return limit if all(dens) else dens.index(0) - 2
+
+
 def telescope_first_mismatch(p: WZProblem, n: int,
                              extra: Mapping[str, int] | None = None,
-                             kappa_cap: int = 48
+                             kappa_cap: int = 48, *,
+                             rows: RowStore | None = None
                              ) -> tuple[int, Fraction, Fraction] | None:
     """First prefix where the telescoped form disagrees, or None.
 
     Checks sum_{k=0}^{kappa} sum_j a_j F(n+j,k) = G(n,kappa+1) - G(n,0)
-    over every pole-free prefix: kappa+1 stays strictly below the first
-    zero of R's denominator in the summation variable, one k at a time
-    (see the module docstring).  G values use absorb semantics, so a pole
-    inside the checked region raises rather than being silently defined
-    away: G(n,0) first, then side(kappa), then G(n,kappa+1).
+    over every pole-free prefix up to ``_last_prefix``: kappa+1 stays
+    strictly below the first zero of R's denominator in the summation
+    variable, one k at a time (see the module docstring).  G values use
+    absorb semantics, so a pole inside the checked region raises rather
+    than being silently defined away: G(n,0) first, then side(kappa), then
+    G(n,kappa+1).  ``rows``, a store at ``extra``, serves the F and G rows
+    (see ``_prefix_rows``).
     """
     base = dict(extra or {})
     base[p.shift_var] = n
-    _, u = _k_range(p, base, bounded=False)
-    limit = kappa_cap if u is None else max(u + p.order + 2, 0)
-    dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, limit + 1)
-    kappa_max = limit if all(dens) else dens.index(0) - 2
-    g_row = p.term.absorb(p.certificate).eval_line(base, p.sum_var, 0, kappa_max + 1)
+    kappa_max = _last_prefix(p, base, kappa_cap)
+    rows = rows or RowStore(p, base)
+    g_row = rows.row(n, 0, kappa_max + 1, g=True)
     g = g_row[0]
     if kappa_max >= -1 and not g:  # G(n, 0) can be a pole, which must raise
         raise g_row[1]
-    side = _recurrence_side(p, base)(0, kappa_max)
+    side = _recurrence_side(p, base, rows)(0, kappa_max)
     kappa = _first_bad_step(side, g_row)
     if kappa is None:
         return None
@@ -300,6 +390,27 @@ def telescope_prefix_check(p: WZProblem, n: int,
     return telescope_first_mismatch(p, n, extra, kappa_cap) is None
 
 
+def _summed_rows(p: WZProblem, ns: range) -> RowStore:
+    """A store planned with the F rows that ``summed_recurrence_value`` reads for each n."""
+    rows = RowStore(p)
+    for n in ns:
+        span = _k_range(p, {p.shift_var: n}, p.order)
+        for j in range(p.order + 1):
+            rows.plan(n + j, *span)
+    return rows
+
+
+def _prefix_rows(p: WZProblem, ns: range, extra: Mapping[str, int]) -> RowStore:
+    """A store planned with the F and G rows that ``telescope_first_mismatch`` reads."""
+    rows = RowStore(p, extra)
+    for n in ns:
+        last = _last_prefix(p, dict(extra, **{p.shift_var: n}))
+        rows.plan(n, 0, last + 1, g=True)
+        for j in range(p.order + 1):
+            rows.plan(n + j, 0, last)
+    return rows
+
+
 def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
                       ) -> tuple[int, int, Fraction, Fraction] | None:
     """First integer point where the pointwise recurrence breaks.
@@ -312,7 +423,7 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
     """
     if _free_vars(p):
         return None
-    g_term = p.term.absorb(p.certificate)
+    g_term = p.companion
     for n in range(n_lo, n_hi + 1):
         base = {p.shift_var: n}
         _, u = _k_range(p, base, bounded=False)
@@ -392,12 +503,16 @@ def prove_constant_sum(p: WZProblem, rng: tuple[int, int], seed: int = 0) -> Pro
     summed, telescope, survivors = [], [], []
     if cert.status:
         if p.base_case is not None:
+            rows = _summed_rows(p, range(lo, hi + 1))
             summed = [(n, value) for n in range(lo, hi + 1)
-                      if (value := summed_recurrence_value(p, n)) != 0]
+                      if (value := summed_recurrence_value(p, n, rows=rows)) != 0]
         free = _free_vars(p)
+        window = range(lo, min(hi + 1, lo + TELESCOPE_WINDOW))
         for values in product(EXTRA_VAR_GRID, repeat=len(free)):
-            for n in range(lo, min(hi + 1, lo + TELESCOPE_WINDOW)):
-                bad = telescope_first_mismatch(p, n, extra=dict(zip(free, values)))
+            extra = dict(zip(free, values))
+            rows = _prefix_rows(p, window, extra)
+            for n in window:
+                bad = telescope_first_mismatch(p, n, extra=extra, rows=rows)
                 if bad is not None:
                     telescope.append((n, bad[1], bad[2]))
         survivors = [i for i, killed in enumerate(mutation_check(p, MUTANTS, seed))

@@ -656,7 +656,8 @@ def test_verify_wrong_base(tmp_path, capsys):
 def test_verify_summed_failure(monkeypatch, capsys):
     real = wzengine.summed_recurrence_value
     monkeypatch.setattr(wzengine, "summed_recurrence_value",
-                        lambda p, n, extra=None: real(p, n, extra) + (n == 2))
+                        lambda p, n, extra=None, rows=None:
+                        real(p, n, extra, rows=rows) + (n == 2))
     code, got = _verify_json(capsys, ["--id", "thm1", "--n-min", "0", "--n-max", "3"])
     assert code == 1
     assert got == _verify_report(
@@ -668,7 +669,7 @@ def test_verify_telescope_mismatch_over_grid_and_window(monkeypatch, capsys):
     # every prefix check fails: the failures list each m of the grid, and
     # within it the first 31 n of the range
     monkeypatch.setattr(wzengine, "telescope_first_mismatch",
-                        lambda p, n, extra=None, kappa_cap=48:
+                        lambda p, n, extra=None, kappa_cap=48, rows=None:
                         (0, Fraction(n), Fraction(extra["m"])))
     code, got = _verify_json(capsys, ["--id", "thm3", "--n-min", "0", "--n-max", "40"])
     assert code == 1

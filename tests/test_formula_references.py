@@ -16,12 +16,15 @@ and compare the telescope one k at a time.  The per-point evaluator
 they replaced, ``_recurrence_side`` over ``HyperTerm.eval`` with
 ``Fraction`` prefix sums, is kept here with its four consumers; both
 must give equal results, or raise the same exception with the same
-message, on every registry problem and 40 seeded mutants of each.
+message, on every registry problem and 40 seeded mutants of each.  The
+same holds for the summed and prefix lists of ``prove_constant_sum``,
+whose stages share rows across n, against the per-n references.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -441,3 +444,60 @@ def test_numeric_layer_matches_reference_on_registry_problems(key):
             want = _outcome(ref_pointwise_witness, q, n_lo, 12)
             assert _outcome(wzengine.pointwise_witness, q, n_lo, 12) == want, (q, n_lo)
     assert checked == 41 * len(_NUMERIC_NS) * 3 * len(_extras(p))
+
+
+# ---------------------------------------------------------------------------
+# the stages of prove_constant_sum, on rows shared across each window
+
+
+def ref_stage_lists(p: WZProblem, rng):
+    """``prove_constant_sum``'s summed and telescope lists from the per-n references."""
+    lo, hi = rng
+    summed = []
+    if p.base_case is not None:
+        ref_sum_over_support(p, p.base_case[0])
+        summed = [(n, value) for n in range(lo, hi + 1)
+                  if (value := ref_summed_recurrence_value(p, n)) != 0]
+    free = [v for v in p.term.variables if v not in (p.shift_var, p.sum_var)]
+    telescope = []
+    for values in product(wzengine.EXTRA_VAR_GRID, repeat=len(free)):
+        for n in range(lo, min(hi + 1, lo + wzengine.TELESCOPE_WINDOW)):
+            bad = ref_telescope_first_mismatch(p, n, dict(zip(free, values)))
+            if bad is not None:
+                telescope.append((n, bad[1], bad[2]))
+    return summed, telescope
+
+
+def _stage_lists(p: WZProblem, rng):
+    rep = wzengine.prove_constant_sum(p, rng)
+    return rep.summed, rep.telescope
+
+
+# each range crosses the prefix window; the second starts below the support,
+# where the first negative binomial top ends the run with the same message
+_STAGE_RANGES = {"wz_thm1_corrected": ((0, 60), (-3, 2)),
+                 "wz_thm1_literal": ((0, 40), (-2, 2)),
+                 "wz_thm2": ((-1, 60), (-5, 40)),
+                 "wz_thm3": ((0, 33), (-5, 33))}
+
+
+def test_stage_ranges_cover_the_registry():
+    assert set(_STAGE_RANGES) == set(registry().problems)
+    assert all(hi - lo >= wzengine.TELESCOPE_WINDOW
+               for ranges in _STAGE_RANGES.values() for lo, hi in ranges[:1])
+
+
+@pytest.mark.parametrize("key", sorted(registry().problems))
+def test_proof_stages_match_reference_on_registry_problems(key, monkeypatch):
+    # every certificate passes, so that the mutants' stages run too
+    real = wzengine.verify_certificate
+    monkeypatch.setattr(wzengine, "verify_certificate", lambda p: replace(real(p), status=True))
+    monkeypatch.setattr(wzengine, "mutation_check", lambda p, count, seed: [])
+    p = registry().problems[key]
+    rng = random.Random(2203)
+    for i, q in enumerate([p] + [mutate_problem(p, rng) for _ in range(40)]):
+        if i:  # the mutants on three points of the grid
+            monkeypatch.setattr(wzengine, "EXTRA_VAR_GRID", (2, 5, 10))
+        for stage_range in _STAGE_RANGES[key]:
+            want = _outcome(ref_stage_lists, q, stage_range)
+            assert _outcome(_stage_lists, q, stage_range) == want, (q, stage_range)

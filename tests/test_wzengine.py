@@ -2,11 +2,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzkit import wzengine
+from wzkit.hyperterm import HyperTerm
 from wzkit.identities import registry
 from wzkit.symalg import LinearForm, RationalFunction, rf_equal
-from wzkit.wzengine import (WZProblem, mutation_check, pointwise_witness,
+from wzkit.wzengine import (RowStore, WZProblem, mutation_check, pointwise_witness,
                             prove_constant_sum, summed_recurrence_check,
                             summed_recurrence_value, telescope_prefix_check,
                             verify_certificate)
@@ -242,7 +245,7 @@ def test_prove_never_concludes_with_surviving_mutants(monkeypatch):
 
 def test_prove_never_concludes_on_telescope_mismatch(monkeypatch):
     monkeypatch.setattr(wzengine, "telescope_first_mismatch",
-                        lambda p, n, extra=None, kappa_cap=48:
+                        lambda p, n, extra=None, kappa_cap=48, rows=None:
                         (0, Fraction(n), Fraction(0)) if n == 2 else None)
     rep = prove_constant_sum(registry().problem("thm1"), (0, 3))
     assert rep.telescope == [(2, 2, 0)]
@@ -274,6 +277,25 @@ def test_prove_fails_upper_boundary_on_a_pole_of_r_past_the_support():
     assert rep.failed_stage == "upper-boundary" and rep.conclusion is None
 
 
+@pytest.mark.parametrize("first_break,witness_n", [(8, 8), (9, None)])
+def test_prove_scans_the_witness_window_exactly(first_break, witness_n):
+    # a_1 = 1 + n(n - 1)...(n - first_break + 1) keeps thm1's corrected
+    # recurrence below n = first_break and breaks it there; the witness scan
+    # covers n = 0..8 of [0, 20], the first WITNESS_WINDOW = 9
+    p = registry().problem("thm1", "corrected")
+    breaks = P(lf(1))
+    for i in range(first_break):
+        breaks = breaks * P(lf(-i, n=1))
+    q = replace(p, coeffs=(p.coeffs[0], p.coeffs[1] + RationalFunction(breaks)))
+    rep = prove_constant_sum(q, (0, 20))
+    assert not rep.cert.status and rep.failed_stage == "certificate"
+    assert pointwise_witness(q, 0, first_break - 1) is None
+    if witness_n is None:
+        assert rep.witness is None
+    else:
+        assert rep.witness == pointwise_witness(q, 0, 20) and rep.witness[0] == witness_n
+
+
 # ---------------------------------------------------------------------------
 # mutation sensitivity
 
@@ -292,3 +314,58 @@ def test_mutations_all_fail(key, mode):
 def test_mutation_determinism():
     p = registry().problem("thm2")
     assert mutation_check(p, count=8, seed=3) == mutation_check(p, count=8, seed=3)
+
+
+# ---------------------------------------------------------------------------
+# rows shared across a window
+
+
+def _pole_and_falling_top() -> WZProblem:
+    """F = binom(n - k + 2, k) / (k - 3), R = k / (k - 7): poles in k and a top falling in k."""
+    term = HyperTerm.build(("n", "k"), binomials=((lf(2, n=1, k=-1), lf(k=1)),),
+                           prefactor=RationalFunction(P(lf(1)), P(lf(-3, k=1))))
+    return WZProblem("pole_and_falling_top", term, "n", "k", const_coeffs(-1, 1),
+                     RationalFunction(P(lf(k=1)), P(lf(-7, k=1))))
+
+
+_STORE_PROBLEMS = [*(registry().problems[key] for key in sorted(registry().problems)),
+                   _pole_and_falling_top()]
+# (n offset, lo, hi, G rather than F)
+_spans = st.tuples(st.integers(0, 1), st.integers(-3, 8), st.integers(-4, 26), st.booleans())
+
+
+def _error(exc):
+    return None if exc is None else (type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(range(len(_STORE_PROBLEMS))), st.integers(-4, 12),
+       st.lists(_spans, max_size=4), st.lists(_spans, min_size=1, max_size=6))
+def test_row_store_serves_what_eval_line_gives(index, n, plans, requests):
+    # n <= -2 meets negative binomial tops; thm1's G and the last problem have poles in k
+    p = _STORE_PROBLEMS[index]
+    extra = {"m": 3} if "m" in p.term.variables else {}
+    rows = RowStore(p, extra)
+    for dn, lo, hi, g in plans:
+        rows.plan(n + dn, lo, hi, g=g)
+    for dn, lo, hi, g in requests:
+        term = p.companion if g else p.term
+        values, error = term.eval_line(dict(extra, n=n + dn), "k", lo, hi)
+        got_values, got_error = rows.row(n + dn, lo, hi, g=g)
+        assert got_values == values and _error(got_error) == _error(error)
+
+
+def test_row_store_evaluates_each_planned_row_once(monkeypatch):
+    p = registry().problem("thm3")  # R = 1, so G's rows are F's
+    rows = RowStore(p, {"m": 4})
+    rows.plan(5, 0, 30)
+    rows.plan(5, 2, 40, g=True)
+    calls = []
+    real = HyperTerm.eval_line
+    monkeypatch.setattr(HyperTerm, "eval_line",
+                        lambda self, *args: calls.append(args[2:]) or real(self, *args))
+    for lo, hi, g in ((3, 12, True), (1, 41, False), (0, 40, False), (0, 0, True)):
+        rows.row(5, lo, hi, g=g)
+    # the planned span once; a request past it, and one after the two planned
+    # reads have dropped the row, afresh
+    assert calls == [(0, 40), (1, 41), (0, 0)]
