@@ -11,8 +11,10 @@ Subcommands, each with the options it reads:
                      the base case and the summed recurrence on the
                      whole range, the prefix check on only its first
                      ``TELESCOPE_WINDOW`` (31) n, and seeded mutation
-                     sensitivity.  The windows are ``wzengine``'s; the
-                     report states the whole range.
+                     sensitivity: one exact evaluation refutes a mutant,
+                     and the symbolic decider runs only for a mutant
+                     that point does not refute.  The windows are
+                     ``wzengine``'s; the report states the whole range.
                      ``--id --mode --n-min --n-max --spec --format --seed``
 * ``involution``  -- exhaustive word-model checks, violations reported
                      verbatim.

@@ -20,7 +20,13 @@ so G is a 0*inf form).  The summed check therefore re-derives
 summation over the full support, never forming R*F at a pole; and the
 prefix check exercises the telescoped form G(n,kappa+1) - G(n,0) on
 every pole-free prefix.  Symbolic identity + per-n summation together
-give the rigor the printed one-line telescoping argument skips.
+give the rigor the printed one-line telescoping argument skips.  The
+mutants that show the check is sensitive need less: a residual whose
+exact value at one point, where none of its denominators vanishes, is
+nonzero is not the zero function.  So one exact evaluation at
+``EVAL_POINT`` refutes a mutant, and the symbolic decider runs only for
+a mutant that point does not refute.  The certificate itself, and the
+one discovery returns, are always decided symbolically.
 
 The numeric layer reads rows along k (``HyperTerm.eval_line``), which
 ``_recurrence_side`` combines into rows of sum_j a_j(n) F(n+j, k).  The
@@ -32,8 +38,8 @@ check raises that exception only when its order of evaluation gets there.
 ``_k_range`` refuses a term unbounded above in k.
 
 Neighbouring n read the same rows: F(n+1, .) is side's j = 1 row at n and
-its j = 0 row at n + 1, and G = F when R = 1.  So ``prove_constant_sum``
-gives the summed stage, and the prefix stage at each grid point, one
+its j = 0 row at n + 1, and G = F when R = 1.  So the summed stage, the
+prefix stage at each grid point and the witness scan each read one
 ``RowStore``, planned with the widest span of k that any n of the stage
 reads from each row.  Each row is evaluated once, over that span, every
 request is cut from it (``hyperterm.slice_row``), and it is dropped after
@@ -49,7 +55,9 @@ of the range.  A verified one gets, with a base case, the boundaries and
 the summed recurrence on the whole range; the prefix check on the first
 ``TELESCOPE_WINDOW`` n at each point of ``EXTRA_VAR_GRID``, where every
 variable besides n and k takes each value of the grid; and ``MUTANTS``
-seeded mutants.  A base case is summed either way.
+seeded mutants, each refuted by one exact evaluation of its residual or,
+where that point does not refute it, by the symbolic decider.  A base
+case is summed either way.
 
 Discovery is parameterized Gosper: H(k) = sum_j sigma_j F(n+j,k) with
 unknown sigma has k-quotient (p(k+1)/p(k)) * (r(k)/s(k)) where p is
@@ -81,7 +89,8 @@ from typing import Callable, Mapping
 from .exactnum import UnsupportedArgumentError
 from .gosper import UPoly, degree_bound, gosper_normal, nullspace
 from .hyperterm import HyperTerm, Row, SupportBound, slice_row
-from .symalg import LinearForm, MultiPoly, RationalFunction
+from .symalg import (LinearForm, MissingVariableError, MultiPoly, PoleError,
+                     RationalFunction)
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,10 @@ EXTRA_VAR_GRID = range(2, 11)
 WITNESS_WINDOW = 9
 TELESCOPE_WINDOW = 31
 MUTANTS = 20
+# the values of n, k and then each free variable at which ``mutation_check``
+# evaluates a mutant's residual: distinct, and away from the small integers
+# where the bundled terms' and certificates' factors vanish
+EVAL_POINT = (29, 17, 41, 53, 67)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +240,8 @@ class RowStore:
     last announced read, so a stage that reads n in order keeps only the
     rows of its next few n.  Any other request is evaluated afresh: a plan
     changes speed and memory, never results, and an empty store evaluates
-    every request.  When R = 1, G's rows are F's.
+    every request.  When R = 1, G's rows are F's.  ``last_prefix`` finds
+    ``_last_prefix`` at this grid point once per n and cap.
     """
 
     def __init__(self, p: WZProblem, point: Mapping[str, int] | None = None):
@@ -236,6 +250,14 @@ class RowStore:
         self._spans: dict[tuple[bool, int], tuple[int, int]] = {}
         self._reads: dict[tuple[bool, int], int] = {}
         self._rows: dict[tuple[bool, int], Row] = {}
+        self._last: dict[tuple[int, int], int] = {}
+
+    def last_prefix(self, n: int, kappa_cap: int = 48) -> int:
+        key = n, kappa_cap
+        if key not in self._last:
+            point = dict(self._point, **{self._p.shift_var: n})
+            self._last[key] = _last_prefix(self._p, point, kappa_cap)
+        return self._last[key]
 
     def _key(self, n: int, g: bool) -> tuple[bool, int]:
         return g and self._p.companion is not self._p.term, n
@@ -369,8 +391,8 @@ def telescope_first_mismatch(p: WZProblem, n: int,
     """
     base = dict(extra or {})
     base[p.shift_var] = n
-    kappa_max = _last_prefix(p, base, kappa_cap)
     rows = rows or RowStore(p, base)
+    kappa_max = rows.last_prefix(n, kappa_cap)
     g_row = rows.row(n, 0, kappa_max + 1, g=True)
     g = g_row[0]
     if kappa_max >= -1 and not g:  # G(n, 0) can be a pole, which must raise
@@ -404,11 +426,36 @@ def _prefix_rows(p: WZProblem, ns: range, extra: Mapping[str, int]) -> RowStore:
     """A store planned with the F and G rows that ``telescope_first_mismatch`` reads."""
     rows = RowStore(p, extra)
     for n in ns:
-        last = _last_prefix(p, dict(extra, **{p.shift_var: n}))
+        last = rows.last_prefix(n)
         rows.plan(n, 0, last + 1, g=True)
         for j in range(p.order + 1):
             rows.plan(n + j, 0, last)
     return rows
+
+
+def _witness_runs(p: WZProblem, n: int, rows: RowStore
+                  ) -> list[tuple[int, int]] | MissingVariableError:
+    """The runs lo..last of k that ``pointwise_witness`` scans at n, planned in ``rows``.
+
+    Each run ends two before a zero of R's denominator, so that k + 1 is
+    off it too.  An R naming a variable that n and k do not give is
+    returned as its exception, for the scan to raise in its turn.
+    """
+    base = {p.shift_var: n}
+    _, u = _k_range(p, base, bounded=False)
+    hi = (u if u is not None else n + 2) + p.order + 1
+    try:
+        dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, hi + 1)
+    except MissingVariableError as exc:
+        return exc
+    poles = [k for k, d in enumerate(dens) if d == 0]
+    runs = [(lo, last) for lo, last in zip([0] + [z + 1 for z in poles],
+                                           [z - 2 for z in poles] + [hi]) if lo <= last]
+    for lo, last in runs:
+        rows.plan(n, lo, last + 1, g=True)
+        for j in range(p.order + 1):
+            rows.plan(n + j, lo, last)
+    return runs
 
 
 def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
@@ -419,23 +466,22 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
     returns (n, k, recurrence side, telescoped side) for the first
     mismatch; None when the recurrence holds on the whole grid.  Only
     problems whose term has no leftover symbolic variables are scanned.
-    Each run of k between two zeros of R's denominator is one row.
+    Each run of k between two zeros of R's denominator is one row.  The
+    rows come from one store, and each n's runs are planned in it when
+    the scan reaches n - order, the first n to read F(n, .).
     """
     if _free_vars(p):
         return None
-    g_term = p.companion
+    rows, runs = RowStore(p), []
     for n in range(n_lo, n_hi + 1):
-        base = {p.shift_var: n}
-        _, u = _k_range(p, base, bounded=False)
-        hi = (u if u is not None else n + 2) + p.order + 1
-        side = _recurrence_side(p, base)
-        dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, hi + 1)
-        poles = [k for k, d in enumerate(dens) if d == 0]
-        for lo, last in zip([0] + [z + 1 for z in poles], [z - 2 for z in poles] + [hi]):
-            if last < lo:
-                continue
+        runs += [_witness_runs(p, m, rows)
+                 for m in range(n_lo + len(runs), min(n + p.order, n_hi) + 1)]
+        side = _recurrence_side(p, {p.shift_var: n}, rows)
+        if isinstance(runs[n - n_lo], Exception):
+            raise runs[n - n_lo]
+        for lo, last in runs[n - n_lo]:
             # off R's poles G(n, k) raises only where F(n, k), met first by side(k), does
-            row, g_row = side(lo, last), g_term.eval_line(base, p.sum_var, lo, last + 1)
+            row, g_row = side(lo, last), rows.row(n, lo, last + 1, g=True)
             i = _first_bad_step(row, g_row)
             if i is not None:
                 g = g_row[0]
@@ -561,18 +607,65 @@ def mutate_problem(p: WZProblem, rng: random.Random) -> WZProblem:
         return replace(p, certificate=mutant[0], coeffs=mutant[1:])
 
 
+def _refuted_at(p: WZProblem, point: Mapping[str, int],
+                at: tuple[list[Fraction], Fraction] | None) -> bool:
+    """True when ``_residual`` of ``p`` has a nonzero value at ``point``.
+
+    ``at`` holds the term's q_0..q_J and q_k at ``point``.  The value is
+    taken only where every denominator of R and of the a_j is nonzero, so
+    True proves the residual is not the zero function.  False proves
+    nothing: the value is 0, or a pole or a variable ``point`` lacks
+    stopped it.
+    """
+    if at is None:
+        return False
+    qs, qk = at
+    r, k = p.certificate, p.sum_var
+    try:
+        value = sum((a.eval(point) * q for a, q in zip(p.coeffs, qs)), Fraction(0))
+        return value != r.eval(dict(point, **{k: point[k] + 1})) * qk - r.eval(point)
+    except (PoleError, MissingVariableError):
+        return False
+
+
+def _quotients_at(p: WZProblem, point: Mapping[str, int]
+                  ) -> tuple[list[Fraction], Fraction] | None:
+    """The term's q_0..q_J and q_k at ``point``, or None where one has a pole there."""
+    n = point[p.shift_var]
+    q1, qk = p.term.shift_quotient(p.shift_var), p.term.shift_quotient(p.sum_var)
+    try:
+        qs = [Fraction(1)]
+        for i in range(p.order):
+            qs.append(qs[-1] * q1.eval(dict(point, **{p.shift_var: n + i})))
+        return qs, qk.eval(point)
+    except (PoleError, MissingVariableError):
+        return None
+
+
 def mutation_check(p: WZProblem, count: int = MUTANTS, seed: int = 0) -> list[bool]:
     """Returns one flag per mutant: True means the mutant certificate fails.
 
-    A mutant changes only the certificate or the coefficients, so the
-    term's shift quotients are computed once and shared by every
-    mutant's residual; a flag is ``not verify_certificate(mutant).status``.
+    A flag is ``not verify_certificate(mutant).status``.  One exact
+    evaluation refutes a mutant: its residual's value at ``EVAL_POINT``,
+    from the term's quotients evaluated there once per problem, is
+    nonzero (``_refuted_at``).  Only a mutant the point does not refute
+    has its symbolic residual decided by ``is_zero()``; the term's
+    symbolic quotients are formed for the first such mutant and shared.
     """
     rng = random.Random(seed)
-    qs = shift_quotients(p.term, p.shift_var, p.order)
-    qk = p.term.shift_quotient(p.sum_var)
-    return [not _residual(mutate_problem(p, rng), qs, qk).is_zero()
-            for _ in range(count)]
+    point = dict(zip((p.shift_var, p.sum_var, *_free_vars(p)), EVAL_POINT))
+    at = _quotients_at(p, point)
+    symbolic = None
+    flags = []
+    for _ in range(count):
+        mutant = mutate_problem(p, rng)
+        killed = _refuted_at(mutant, point, at)
+        if not killed:
+            symbolic = symbolic or (shift_quotients(p.term, p.shift_var, p.order),
+                                    p.term.shift_quotient(p.sum_var))
+            killed = not _residual(mutant, *symbolic).is_zero()
+        flags.append(killed)
+    return flags
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ the same order, not only equal rational functions) on every registry
 term and problem and on hypothesis inputs, and the same mutant sequence
 for every seed.
 
+``wzengine.mutation_check`` refutes a mutant by its residual's exact
+value at one point and decides symbolically only what that point cannot
+refute; its flags must equal per-mutant ``verify_certificate`` on
+hypothesis problems and on two built so that some mutant's residual
+vanishes at the point without vanishing, or meets a pole there.
+
 The numeric checks of ``wzengine`` read rows of ``HyperTerm.eval_line``
 and compare the telescope one k at a time.  The per-point evaluator
 they replaced, ``_recurrence_side`` over ``HyperTerm.eval`` with
@@ -321,6 +327,58 @@ def test_mutants_match_reference_on_hypothesis_problems(p, seed):
     _same_mutants(p, [seed], count=10)
 
 
+def _verified_flags(p: WZProblem, count: int, seed: int) -> list[bool]:
+    rng = random.Random(seed)
+    return [not wzengine.verify_certificate(mutate_problem(p, rng)).status
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_problems, st.integers(0, 10**6))
+def test_mutation_check_matches_verification_on_hypothesis_problems(p, seed):
+    assert wzengine.mutation_check(p, 10, seed) == _verified_flags(p, 10, seed)
+
+
+def _at_point_problem(coeffs, cert) -> WZProblem:
+    """F = 1 in n and k; each a_j and R a polynomial over a polynomial in n."""
+    def rf(num, den):  # (c1, c0) stands for c1*n + c0
+        return RationalFunction(*(MultiPoly.var("n").scaled(c1) + MultiPoly.const(c0)
+                                  for c1, c0 in (num, den)))
+
+    return WZProblem("at_point", HyperTerm.build(("n", "k")), "n", "k",
+                     tuple(rf(*c) for c in coeffs), rf(*cert))
+
+
+_N_PT = wzengine.EVAL_POINT[0]  # the value of n where mutation_check evaluates
+# a_0 = n - n_pt, a_1 = n_pt - n and R = 0: a mutant of a_0's denominator
+# (1 -> 2) leaves (n - n_pt)/2 - (n - n_pt), which is 0 at the point only
+_ZERO_AT_POINT = _at_point_problem((((1, -_N_PT), (0, 1)), ((-1, _N_PT), (0, 1))),
+                                   ((0, 0), (0, 1)))
+# a_0 = -1, a_1 = 1 and R = 1/(n - n_pt): a mutant of R's numerator still
+# verifies, as R does not involve k, and has a pole at the point
+_POLE_AT_POINT = _at_point_problem((((0, -1), (0, 1)), ((0, 1), (0, 1))),
+                                   ((0, 1), (1, -_N_PT)))
+
+
+@pytest.mark.parametrize("kind", ["zero", "pole"])
+def test_mutation_check_decides_what_the_point_cannot_refute(kind):
+    p = {"zero": _ZERO_AT_POINT, "pole": _POLE_AT_POINT}[kind]
+    point = dict(zip(("n", "k"), wzengine.EVAL_POINT))
+    met = 0
+    for seed in range(10):
+        flags = wzengine.mutation_check(p, 20, seed)
+        assert flags == _verified_flags(p, 20, seed), seed
+        rng = random.Random(seed)
+        for flag in flags:
+            mutant = mutate_problem(p, rng)
+            if kind == "zero":  # a residual that vanishes at the point only
+                residual = wzengine.verify_certificate(mutant).residual
+                met += flag and residual.eval(point) == 0
+            else:  # a surviving mutant whose R has a pole at the point
+                met += not flag and mutant.certificate.den.eval(point) == 0
+    assert met
+
+
 # ---------------------------------------------------------------------------
 # the numeric layer
 
@@ -444,6 +502,19 @@ def test_numeric_layer_matches_reference_on_registry_problems(key):
             want = _outcome(ref_pointwise_witness, q, n_lo, 12)
             assert _outcome(wzengine.pointwise_witness, q, n_lo, 12) == want, (q, n_lo)
     assert checked == 41 * len(_NUMERIC_NS) * 3 * len(_extras(p))
+
+
+def test_pointwise_witness_raises_as_reference_where_r_names_a_free_variable():
+    # a_0 = 1/n has a pole at n = 0, and R = k/m names m, which the term
+    # lacks: at n = 0 the pole is met first, at n = 1 the missing m
+    n = MultiPoly.var("n")
+    p = WZProblem("free_r", HyperTerm.build(("n", "k")), "n", "k",
+                  (RationalFunction(MultiPoly.const(1), n), RationalFunction.const(1)),
+                  RationalFunction(MultiPoly.var("k"), MultiPoly.var("m")))
+    for n_lo in (0, 1):
+        want = _outcome(ref_pointwise_witness, p, n_lo, 3)
+        assert _outcome(wzengine.pointwise_witness, p, n_lo, 3) == want
+        assert want[0].__name__ == ("PoleError", "MissingVariableError")[n_lo]
 
 
 # ---------------------------------------------------------------------------

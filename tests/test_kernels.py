@@ -8,8 +8,9 @@ of every ``symalg`` operation (an ``int`` where integral) and the
 normalization by integer lcm and gcd against the ratio of contents,
 hypergeometric term evaluation at integer points (the only points a
 term is defined on), the integer root scan of ``shift_candidates``,
-and the mutation check that shares the term's shift quotients across
-mutants.
+and the mutation check, which refutes a mutant at one exact point and
+decides symbolically, from the term's shift quotients shared across
+mutants, only what that point cannot refute.
 
 The Pascal-line walk of ``identities`` keeps its naive form here too:
 one generic binomial ratio step and one weight multiply per point, and
@@ -564,6 +565,22 @@ def test_mutation_check_matches_per_mutant_verification(key):
     # the registry certificates kill every mutant; the constant problem
     # has survivors too, so a check that flags everything fails here
     assert all(flags) == (key != "constant") and any(flags)
+
+
+@pytest.mark.parametrize("key", [*sorted(registry().problems), "constant"])
+def test_mutation_check_decides_symbolically_only_what_the_point_cannot(key, monkeypatch):
+    # every registry mutant is refuted at wzengine.EVAL_POINT; the constant
+    # problem's survivors have the value 0 there, so they, and only they,
+    # reach the symbolic residual
+    p = _constant_problem() if key == "constant" else registry().problems[key]
+    real, reached = wzengine._residual, []
+    monkeypatch.setattr(wzengine, "_residual",
+                        lambda *args: reached.append(args[0]) or real(*args))
+    survivors = 0
+    for seed in range(10):
+        survivors += mutation_check(p, count=20, seed=seed).count(False)
+    assert len(reached) == (survivors if key == "constant" else 0)
+    assert (survivors > 0) == (key == "constant")
 
 
 # ---------------------------------------------------------------------------
