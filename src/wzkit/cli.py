@@ -37,7 +37,12 @@ or an argument outside what the engine supports (a parameter below an
 identity's ``valid_from``, a negative binomial top in a ``--spec`` sum,
 a range that meets a pole of the term or a coefficient, a term with
 no finite upper support where a recurrence sum needs one, an
-``--order`` outside [0, 1]).
+``--order`` outside [0, 1], a range past its bound).  Each kind of
+check has one bound, which a range from ``--n-min``/``--n-max`` and one
+from a ``check`` line meet alike: |n| <= 1000 for ``oracle`` and
+``lemmas`` and |n| <= 2000 for ``verify`` (``MAX_N``); an
+``involution`` range ends at the word caps ``involution.MAX_COST`` and
+``MAX_THM3_N``.
 ``--format json`` emits an array of report objects that validate
 against the bundled schema; the text format renders the same facts.  A
 command's default range is the ``check`` line declared for its target.
@@ -107,12 +112,42 @@ def _meta(command: str, subject: str, rng: tuple[int, int], ok: bool,
                   failures=failures or [], errata=errata or [], ms=ms)
 
 
-def _pick_range(args, default: tuple[int, int]) -> tuple[int, int]:
+def _pick_range(args, reg: Registry, kind: str, target: str) -> tuple[int, int]:
+    """``--n-min``/``--n-max`` over the check line's range, refused past its bound."""
+    default = _check_range(reg, kind, target)
     lo = args.n_min if args.n_min is not None else default[0]
     hi = args.n_max if args.n_max is not None else default[1]
     if hi < lo:
         raise UsageError(f"malformed range [{lo}, {hi}]")
+    _check_bound(kind, target, (lo, hi))
     return lo, hi
+
+
+#: largest |n| in a range, by check kind, so that one check ends well inside
+#: a minute.  Single process on a 2-vCPU host with Python 3.11.7: the
+#: slowest bundled oracle, cor5 on [0, 1000], took 15.1 s (thm3_eq6 5.2 s);
+#: lemmas on [1, 1000] 10.2 s and on [1, 1500] 26.1 s; verify on thm2's
+#: [-1, 2000] 21.9 s and on [-1, 1200] 4.3 s.  An involution range is
+#: bounded instead by the word caps ``involution.MAX_COST`` and
+#: ``MAX_THM3_N``, one n at a time.
+MAX_N = {"oracle": 1000, "lemma": 1000, "verify": 2000}
+
+
+def _check_bound(kind: str, target: str, rng: tuple[int, int]) -> None:
+    """Refuse a range past its kind's bound before it is checked.
+
+    An involution range is refused at its first n with too many words,
+    as is an unknown model.
+    """
+    lo, hi = rng
+    if kind == "involution":
+        if target not in inv.MODELS:
+            raise UnknownIdentityError(target)
+        for n in range(lo, hi + 1):
+            inv.WordModel(target, n).check_size()
+    elif max(abs(lo), abs(hi)) > MAX_N[kind]:
+        raise UsageError(f"{kind} range [{lo}, {hi}] is past the bound "
+                         f"|n| <= {MAX_N[kind]}")
 
 
 def _effective_jobs(jobs: int, cpus: int | None = None) -> int:
@@ -196,16 +231,8 @@ def _run_verify(reg: Registry, problem: wzengine.WZProblem, mode: str,
 # involution
 
 
-def _check_involution_range(ident: str, rng: tuple[int, int]) -> None:
-    """Refuse an unknown model, or an n with too many words, before enumerating."""
-    if ident not in inv.MODELS:
-        raise UnknownIdentityError(ident)
-    for n in range(rng[0], rng[1] + 1):
-        inv.WordModel(ident, n).check_size()
-
-
 def _run_involution(ident: str, rng: tuple[int, int], jobs: int) -> Report:
-    _check_involution_range(ident, rng)
+    """The word-model checks of ``ident`` on ``rng``, which ``_check_bound`` accepted."""
     t0 = time.perf_counter()
     # largest n first, whose strata are the biggest
     models = [inv.WordModel(ident, n) for n in range(rng[1], rng[0] - 1, -1)]
@@ -323,10 +350,10 @@ def _run_all(reg: Registry, seed: int, jobs: int) -> list[Report]:
     # every check line is resolved, and a bad one refused, before any check runs
     oracles, lemmas, verifies, involutions = map(
         declared, ("oracle", "lemma", "verify", "involution"))
+    for c in reg.checks.values():
+        _check_bound(c.kind, c.target, _check_range(reg, c.kind, c.target))
     for t, _ in verifies:
         wzengine.check_problem(reg.problems[t])
-    for t, rng in involutions:
-        _check_involution_range(t, rng)
 
     reports = [_run_oracle(reg, reg.cases[t], "corrected", rng) for t, rng in oracles]
     reports += [_sign_erratum(reg, t, rng) for t, rng in declared("oracle", True)]
@@ -416,19 +443,19 @@ def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
         reg = _runtime_registry(args.spec)
         if args.command == "oracle":
             case = reg.case(args.id, args.mode)
-            rng = _pick_range(args, _check_range(reg, "oracle", case.case_id))
+            rng = _pick_range(args, reg, "oracle", case.case_id)
             reports = [_run_oracle(reg, case, args.mode, rng)]
         elif args.command == "verify":
             problem = reg.problem(args.id, args.mode)
-            rng = _pick_range(args, _check_range(reg, "verify", problem.problem_id))
+            rng = _pick_range(args, reg, "verify", problem.problem_id)
             reports = [_run_verify(reg, problem, args.mode, rng, args.seed)]
         elif args.command == "involution":
-            rng = _pick_range(args, _check_range(reg, "involution", args.id))
+            rng = _pick_range(args, reg, "involution", args.id)
             reports = [_run_involution(args.id, rng, jobs)]
         elif args.command == "discover":
             reports = [_run_discover(reg, args.id, args.mode, args.order)]
         elif args.command == "lemmas":
-            reports = [_run_lemma(reg, name, _pick_range(args, _check_range(reg, "lemma", name)))
+            reports = [_run_lemma(reg, name, _pick_range(args, reg, "lemma", name))
                        for name in LEMMAS]
         else:
             reports = _run_all(reg, args.seed, jobs)

@@ -21,6 +21,7 @@ the product would paper over exactly the subtlety worth reporting.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
@@ -116,18 +117,11 @@ def slice_row(row: Row, first: int, last: int, lo: int, hi: int) -> Row | None:
     return values[lo - first:hi - first + 1], error if stop <= hi else None
 
 
-@dataclass(frozen=True)
-class SupportBound:
-    """Vanishing bound: the term is exactly 0 at integer points beyond it.
-
-    ``direction == "upper"`` means ``t = 0`` whenever ``var > bound``;
-    ``"lower"`` means ``t = 0`` whenever ``var < bound``.  ``bound`` is a
-    linear form in the remaining variables.
-    """
-
-    var: str
-    direction: str  # "upper" | "lower"
-    bound: LinearForm
+#: Vanishing bound: the term is exactly 0 at integer points beyond it.
+#: ``direction == "upper"`` means ``t = 0`` whenever ``var > bound``;
+#: ``"lower"`` means ``t = 0`` whenever ``var < bound``.  ``bound`` is a
+#: ``LinearForm`` in the remaining variables.
+SupportBound = namedtuple("SupportBound", ("var", "direction", "bound"))
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,7 @@ class RangeError(ValueError):
 # case types
 
 
-@dataclass(frozen=True)
-class SumBound:
+class SumBound(NamedTuple):
     kind: str  # "affine" | "floored-half"
     form: LinearForm
 
@@ -85,15 +84,13 @@ class SumBound:
         return v // 2 if self.kind == "floored-half" else v
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     var: str
     lower: SumBound
     upper: SumBound
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     case_id: str
     param: str
     loops: tuple[Loop, ...]  # outermost first, 1 or 2

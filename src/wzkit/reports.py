@@ -16,9 +16,26 @@ from fractions import Fraction
 from importlib.resources import files
 
 
+def _int_str(n: int) -> str:
+    """All decimal digits of ``n``, also past the interpreter's int-to-str limit.
+
+    Python 3.11 (and 3.10.7 on) refuses ``str`` of an int with more digits
+    than ``sys.get_int_max_str_digits()``; such an int is split at a power
+    of ten into halves that convert, so no process-wide setting changes.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half of its digits: log10(2) > 3/10
+        high, low = divmod(abs(n), 10**half)
+        return "-" * (n < 0) + _int_str(high) + _int_str(low).zfill(half)
+
+
 def frac_str(x: Fraction | int) -> str:
-    """Exact decimal string of a rational, ``p`` or ``p/q``."""
-    return str(Fraction(x))
+    """Exact decimal string of a rational, ``p`` or ``p/q``, however long."""
+    x = Fraction(x)
+    num = _int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
 
 
 @dataclass

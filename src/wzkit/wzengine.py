@@ -47,7 +47,9 @@ its last planned read.  Every entry is its own point's value, and a cut
 carries the row's exception only when the row stopped inside it.  A
 request outside the plan is evaluated afresh, so the plan changes speed,
 never results.  G = R*F is formed once per problem
-(``WZProblem.companion``), as are the support bounds.
+(``WZProblem.companion``), as are the support bounds and the shift
+quotients (``WZProblem.quotients``), which the certificate check and
+every mutant of ``verify`` read.
 
 ``prove_constant_sum`` runs each stage of ``verify`` once.  A failed
 certificate gets the pointwise witness on the first ``WITNESS_WINDOW`` n
@@ -116,6 +118,12 @@ class WZProblem:
         return tuple(self.term.support_bounds(self.sum_var))
 
     @cached_property
+    def quotients(self) -> tuple[tuple[RationalFunction, ...], RationalFunction]:
+        """The term's q_0..q_J in the shift variable and q_k, formed once per problem."""
+        return (tuple(shift_quotients(self.term, self.shift_var, self.order)),
+                self.term.shift_quotient(self.sum_var))
+
+    @cached_property
     def companion(self) -> HyperTerm:
         """G = R * F with absorb semantics, formed once per problem; F itself when R = 1."""
         return self.term.absorb(self.certificate)
@@ -170,7 +178,7 @@ def shift_quotients(term: HyperTerm, var: str, order: int) -> list[RationalFunct
     return out
 
 
-def _residual(p: WZProblem, qs: list[RationalFunction],
+def _residual(p: WZProblem, qs: tuple[RationalFunction, ...],
               qk: RationalFunction) -> RationalFunction:
     """sum_j a_j q_j - (R(n, k+1) q_k - R(n, k)), given the term's quotients."""
     residual = RationalFunction.const(0)
@@ -182,8 +190,7 @@ def _residual(p: WZProblem, qs: list[RationalFunction],
 
 def verify_certificate(p: WZProblem) -> CertCheck:
     """Decide the certificate identity exactly; no numerics involved."""
-    residual = _residual(p, shift_quotients(p.term, p.shift_var, p.order),
-                         p.term.shift_quotient(p.sum_var))
+    residual = _residual(p, *p.quotients)
     r = p.certificate
     num_low = r.num.subst_int(p.sum_var, 0)
     den_low = r.den.subst_int(p.sum_var, 0)
@@ -631,13 +638,9 @@ def _refuted_at(p: WZProblem, point: Mapping[str, int],
 def _quotients_at(p: WZProblem, point: Mapping[str, int]
                   ) -> tuple[list[Fraction], Fraction] | None:
     """The term's q_0..q_J and q_k at ``point``, or None where one has a pole there."""
-    n = point[p.shift_var]
-    q1, qk = p.term.shift_quotient(p.shift_var), p.term.shift_quotient(p.sum_var)
+    qs, qk = p.quotients
     try:
-        qs = [Fraction(1)]
-        for i in range(p.order):
-            qs.append(qs[-1] * q1.eval(dict(point, **{p.shift_var: n + i})))
-        return qs, qk.eval(point)
+        return [q.eval(point) for q in qs], qk.eval(point)
     except (PoleError, MissingVariableError):
         return None
 
@@ -647,24 +650,20 @@ def mutation_check(p: WZProblem, count: int = MUTANTS, seed: int = 0) -> list[bo
 
     A flag is ``not verify_certificate(mutant).status``.  One exact
     evaluation refutes a mutant: its residual's value at ``EVAL_POINT``,
-    from the term's quotients evaluated there once per problem, is
-    nonzero (``_refuted_at``).  Only a mutant the point does not refute
-    has its symbolic residual decided by ``is_zero()``; the term's
-    symbolic quotients are formed for the first such mutant and shared.
+    from the term's quotients evaluated there once, is nonzero
+    (``_refuted_at``).  Only a mutant the point does not refute has its
+    symbolic residual decided by ``is_zero()``.  Mutants share the term,
+    so every one reads ``p.quotients``, which ``verify_certificate(p)``
+    formed already when it ran first.
     """
     rng = random.Random(seed)
     point = dict(zip((p.shift_var, p.sum_var, *_free_vars(p)), EVAL_POINT))
     at = _quotients_at(p, point)
-    symbolic = None
     flags = []
     for _ in range(count):
         mutant = mutate_problem(p, rng)
-        killed = _refuted_at(mutant, point, at)
-        if not killed:
-            symbolic = symbolic or (shift_quotients(p.term, p.shift_var, p.order),
-                                    p.term.shift_quotient(p.sum_var))
-            killed = not _residual(mutant, *symbolic).is_zero()
-        flags.append(killed)
+        flags.append(_refuted_at(mutant, point, at)
+                     or not _residual(mutant, *p.quotients).is_zero())
     return flags
 
 

@@ -15,7 +15,7 @@ from wzkit import wzengine
 from wzkit.cli import (UsageError, _effective_jobs, _runtime_registry, main,
                        run_command)
 from wzkit.identities import check_identity, corollary_derivations, registry
-from wzkit.reports import render, report_schema
+from wzkit.reports import frac_str, render, report_schema
 
 
 def _validate(reports):
@@ -598,6 +598,84 @@ def test_all_refuses_a_bad_line_before_any_check(tmp_path, capsys, monkeypatch, 
     code, reports = run_command(["all", "--spec", str(path)])
     assert code == 2 and reports == []
     assert capsys.readouterr().err == f"wzkit: error: {err}\n"
+
+
+# ---------------------------------------------------------------------------
+# range bounds: an absurd range is refused before any check starts
+
+
+_HUGE_CHECK_LINE = ("term B(n, k) := binom(n, k)\n"
+                    "sum s(n) := sum(k, 0, n, B) == pow(2, n) for n >= 0\n"
+                    "check oracle s [0, 99999999999]\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["oracle", "--id", "thm1", "--n-max", "100000000"],
+     "oracle range [0, 100000000] is past the bound |n| <= 1000"),
+    (["oracle", "--id", "thm1", "--n-min", "100000000", "--n-max", "100000000"],
+     "oracle range [100000000, 100000000] is past the bound |n| <= 1000"),
+    (["verify", "--id", "thm1", "--n-max", "100000000"],
+     "verify range [0, 100000000] is past the bound |n| <= 2000"),
+    (["lemmas", "--n-max", "100000000"],
+     "lemma range [1, 100000000] is past the bound |n| <= 1000"),
+    (["oracle", "--id", "s", "--spec", "{spec}"],
+     "oracle range [0, 99999999999] is past the bound |n| <= 1000"),
+    (["all", "--spec", "{spec}"],
+     "oracle range [0, 99999999999] is past the bound |n| <= 1000"),
+])
+def test_absurd_ranges_exit_two_before_any_check(tmp_path, monkeypatch, capsys, argv, err):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check started on an absurd range")
+
+    for name in ("_run_oracle", "_run_verify", "_run_lemma", "_run_involution"):
+        monkeypatch.setattr(cli, name, no_check)
+    spec = tmp_path / "huge.wz"
+    spec.write_text(_HUGE_CHECK_LINE)
+    assert main([a.replace("{spec}", str(spec)) for a in argv]) == 2
+    out, got = capsys.readouterr()
+    assert out == "" and got == f"wzkit: error: {err}\n"
+
+
+def test_declared_ranges_are_inside_their_bounds():
+    reg = registry()
+    for c in reg.checks.values():
+        cli._check_bound(c.kind, c.target, cli._check_range(reg, c.kind, c.target))
+    for kind, bound in cli.MAX_N.items():
+        cli._check_bound(kind, "thm1", (-bound, bound))
+        for rng in ((-bound - 1, 0), (0, bound + 1)):
+            with pytest.raises(UsageError, match=rf"\|n\| <= {bound}$"):
+                cli._check_bound(kind, "thm1", rng)
+
+
+def _digits_value(digits: str) -> int:
+    """The int a decimal string names, read in chunks below the int-from-str limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10**len(chunk) + int(chunk)
+    return value
+
+
+def test_failure_values_past_the_digit_limit_print_exactly(tmp_path, capsys):
+    # 2^100000 has 30103 digits, past Python's default limit of 4300 for str(int)
+    spec = tmp_path / "big.wz"
+    spec.write_text("term B(n, k) := binom(n, k) * pow(2, 100000)\n"
+                    "sum s(n) := sum(k, 0, n, B) == pow(2, n) for n >= 0\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["oracle", "--id", "s", "--spec", str(spec), "--n-max", "1"]
+    assert main([*argv, "--format", "json"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    got = [(f["n"], _digits_value(f["lhs"]), _digits_value(f["rhs"]))
+           for f in report["failures"]]
+    assert got == [(n, 2**(100000 + n), 2**n) for n in (0, 1)]
+    assert main([*argv, "--format", "text"]) == 1
+    text = capsys.readouterr().out
+    assert all(f"n={f['n']}: lhs={f['lhs']} rhs={f['rhs']}" in text
+               for f in report["failures"])
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    num, den = frac_str(Fraction(-(3**20000), 7**9000)).split("/")
+    assert num[1] != "0" and den[0] != "0"
+    assert (num[0], _digits_value(num[1:]), _digits_value(den)) == ("-", 3**20000, 7**9000)
 
 
 # ---------------------------------------------------------------------------

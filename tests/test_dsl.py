@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
@@ -159,6 +160,41 @@ def test_roundtrip_idempotence(name):
     assert reparsed == doc
     # and printing is a fixpoint from here on
     assert print_document(reparsed) == printed
+
+
+def _variants(record):
+    """``record`` with one field changed, for each field of it and of its nested records."""
+    for name, value in zip(record._fields, record):
+        yield record._replace(**{name: object()})
+        if hasattr(value, "_fields"):
+            yield from (record._replace(**{name: v}) for v in _variants(value))
+
+
+@pytest.mark.parametrize("name", sorted(_bundled_texts()))
+def test_bundled_parses_are_equal_until_one_definition_changes(name):
+    text = _bundled_texts()[name]
+    doc, other = parse_document(text), parse_document(text)
+    assert doc == other
+    for i, d in enumerate(doc.definitions):
+        for changed in _variants(d):
+            other.definitions[i] = changed
+            assert doc != other, changed
+        other.definitions[i] = d
+    assert doc == other
+
+
+def test_records_are_named_tuples():
+    # a frozen dataclass takes about sixteen times as long as a named tuple to
+    # define, and wzkit defines every one of these classes at each start
+    from wzkit import dsl, hyperterm, identities
+
+    records = [getattr(dsl, n) for n in ("Token", "ENum", "EVar", "ENeg", "EBin", "ECall",
+                                         "TermDef", "CertDef", "SumDef", "RecurrenceDef",
+                                         "CheckDef")]
+    records += [identities.SumBound, identities.Loop, identities.IdentityCase,
+                hyperterm.SupportBound]
+    for cls in records:
+        assert not dataclasses.is_dataclass(cls) and issubclass(cls, tuple), cls
 
 
 def _lf(const=0, **coeffs):

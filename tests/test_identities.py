@@ -145,7 +145,7 @@ def test_values_match_eval_sum_on_subranges(cid, start, length, warm_at):
 def test_values_memo_keeps_cases_apart_by_prefactor():
     # a case that differs from thm1 only in its prefactor has its own sums
     case = registry().case("thm1")
-    tripled = replace(case, summand=replace(
+    tripled = case._replace(summand=replace(
         case.summand, prefactor=case.summand.prefactor * RationalFunction.const(3)))
     _VALUES.clear()
     want = values(case, 0, 12)
@@ -197,8 +197,8 @@ def test_clamped_limits_match_printed_limits():
                            ("cor4", LinearForm.make({"n": 2, "k": 1}, 1))):
         case = reg.case(cid)
         inner = case.loops[1]
-        clamped = replace(case, loops=(
-            case.loops[0], replace(inner, upper=SumBound("affine", top_clamp))))
+        clamped = case._replace(loops=(
+            case.loops[0], inner._replace(upper=SumBound("affine", top_clamp))))
         for n in range(0, 25):
             assert eval_sum(case, n) == eval_sum(clamped, n), (cid, n)
 

@@ -316,6 +316,25 @@ def test_mutation_determinism():
     assert mutation_check(p, count=8, seed=3) == mutation_check(p, count=8, seed=3)
 
 
+def test_verify_forms_the_shift_quotients_once(monkeypatch):
+    # the certificate check and every mutant read one q_n and one q_k;
+    # replace() makes a problem on which nothing is formed yet
+    calls = []
+    real = HyperTerm.shift_quotient
+
+    def counted(term, var):
+        calls.append(var)
+        return real(term, var)
+
+    monkeypatch.setattr(HyperTerm, "shift_quotient", counted)
+    rep = prove_constant_sum(replace(registry().problem("thm1")), (0, 3))
+    assert rep.conclusion is not None and not rep.survivors
+    assert sorted(calls) == ["k", "n"]
+    calls.clear()
+    assert all(mutation_check(replace(registry().problem("thm2")), count=8, seed=3))
+    assert sorted(calls) == ["k", "n"]
+
+
 # ---------------------------------------------------------------------------
 # rows shared across a window
 
