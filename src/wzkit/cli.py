@@ -64,6 +64,7 @@ import argparse
 import os
 import sys
 import time
+from functools import lru_cache
 
 from . import involution as inv
 from . import wzengine
@@ -432,9 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; parsing does not change it."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> tuple[int, list[Report]]:
     """Parse argv, run, and return (exit code, reports)."""
-    return _run_parsed(build_parser().parse_args(argv))
+    return _run_parsed(_parser().parse_args(argv))
 
 
 def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
@@ -470,7 +477,7 @@ def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
     code, reports = _run_parsed(args)
     if reports:
         print(render(reports, args.format))

@@ -52,7 +52,9 @@ form is an expression in the sum's parameter whose parts are checked
 after the fold: no ``binom``, a constant denominator, and pow exponents
 nondecreasing in the parameter with coefficient and constant at most
 ``MAX_EXPONENT``; such an error is reported at the closed form's first
-token.
+token.  A term's pow exponents, after the fold, have coefficients at most
+``MAX_EXPONENT`` and a constant at most ``MAX_POW_CONSTANT`` in absolute
+value; such an error names the term and is reported at its first token.
 
 Clauses hold a definition's own facts: each ``erratum`` says what a
 literal statement gets wrong or a corrected one changed; ``base n0 == v``
@@ -91,6 +93,10 @@ MODES = ("literal", "corrected")
 #: coefficient or constant of a pow exponent in a closed form's parts; pow
 #: is no longer expanded, but the guard keeps closed forms small
 MAX_EXPONENT = 64
+#: largest |constant| of a pow exponent in a term; with the coefficients
+#: bounded by ``MAX_EXPONENT`` it bounds every power a summand makes at a
+#: bounded point, so one term cannot make a single n arbitrarily costly
+MAX_POW_CONSTANT = 100_000
 #: binary operators by binding level, loosest first; each level is left-associative
 _BINARY_OPS = (("+", "-"), ("*", "/"))
 
@@ -392,6 +398,13 @@ class _Parser:
         if len(parts) != 1:
             raise self.error(
                 f"a term must fold to one product, got {len(parts)} parts", start)
+        for _, e in parts[0].powers:
+            if any(abs(c) > MAX_EXPONENT for _, c in e.coeffs):
+                raise self.error(f"term {name.text}: pow exponent coefficient above "
+                                 f"{MAX_EXPONENT}", start)
+            if abs(e.const) > MAX_POW_CONSTANT:
+                raise self.error(f"term {name.text}: pow exponent constant above "
+                                 f"{MAX_POW_CONSTANT}", start)
         return TermDef(name.text, params, parts[0])
 
     def parse_cert_def(self, doc: SpecDocument) -> CertDef:

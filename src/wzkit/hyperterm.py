@@ -11,6 +11,9 @@ factors for any integer shift coefficients p and q, so arguments like
 is the one statement of this ratio, for ``HyperTerm.shift_quotient`` and
 ``line_terms``: the integer walk of a binomial along a line, which
 ``HyperTerm.eval_line`` and the Pascal-line sums of ``identities`` share.
+Its optional first-term factor carries through the walk exactly; the
+Pascal-line sums fold a weight common to a whole line into it, and
+``eval_line`` leaves it at 1.
 
 Pole semantics are strict: evaluating a term whose prefactor denominator
 vanishes raises ``PoleError`` even if some binomial factor is zero.
@@ -58,15 +61,12 @@ def step_factors(dt: int, db: int) -> tuple[tuple[tuple[int, int, int], ...], ..
     return tuple(num), tuple(den)
 
 
-def line_terms(t0: int, dt: int, b0: int, db: int, lo: int, hi: int, weight_step: int,
-               factors) -> tuple[int, list[int]]:
-    """binom(t0 + j*dt, b0 + j*db) * weight_step**i at j = first + i, over its span.
+def line_span(t0: int, dt: int, b0: int, db: int, lo: int, hi: int) -> tuple[int, int]:
+    """The part of lo..hi where binom(t0 + j*dt, b0 + j*db) is nonzero, given tops >= 0.
 
-    The span is the part of lo..hi where the bottom and the top minus the
-    bottom, each affine in j, are >= 0: where the binomial is nonzero,
-    given tops >= 0.  Returns (first, terms).  One ``binomial`` call gives
-    the first term and each later one is term * weight_step * N // D,
-    with ``factors`` = ``step_factors(dt, db)`` at the previous point.
+    That is where the bottom and the top minus the bottom, each affine in
+    j, are >= 0: one interval, returned as (first, last), empty when
+    last < first.
     """
     for u, v in ((db, b0), (dt - db, t0 - b0)):  # u*j + v >= 0
         if u > 0:
@@ -75,6 +75,21 @@ def line_terms(t0: int, dt: int, b0: int, db: int, lo: int, hi: int, weight_step
             hi = min(hi, v // -u)
         elif v < 0:
             hi = lo - 1
+    return lo, hi
+
+
+def line_terms(t0: int, dt: int, b0: int, db: int, lo: int, hi: int, weight_step: int,
+               factors, first_factor: int = 1) -> tuple[int, list[int]]:
+    """binom(t0 + j*dt, b0 + j*db) * first_factor * weight_step**i at j = first + i.
+
+    The terms cover the ``line_span`` of lo..hi, and ``first`` is its
+    first point.  Returns (first, terms).  One ``binomial`` call times
+    ``first_factor`` gives the first term, and each later one is
+    term * weight_step * N // D, with ``factors`` = ``step_factors(dt,
+    db)`` at the previous point.  The division is exact for any integer
+    ``first_factor``: D divides binom * N at every step inside the span.
+    """
+    lo, hi = line_span(t0, dt, b0, db, lo, hi)
     if hi < lo:
         return lo, []
     top, bottom, steps = t0 + dt * lo, b0 + db * lo, hi - lo
@@ -88,7 +103,7 @@ def line_terms(t0: int, dt: int, b0: int, db: int, lo: int, hi: int, weight_step
             elif x != 1:
                 col = [v * x for v in col]
         cols.append(col)
-    term = binomial(top, bottom)
+    term = binomial(top, bottom) * first_factor
     terms = [term]
     for num, den in zip(*cols):
         term = term * num // den

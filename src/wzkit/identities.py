@@ -25,7 +25,16 @@ each visits only the n whose outer range reaches it.  A line's weighted
 terms come from ``hyperterm.line_terms`` (one ``binomial`` call and an
 exact integer recurrence), every (n, outer) pair that lands on the line
 is answered by a difference of two prefix sums, and the line is then
-dropped.  Every bundled sum takes this path.
+dropped.  Every bundled sum takes this path.  When the linear forms show
+that the sign's parity and every power exponent, taken where the line's
+walk starts, are the same for every (n, outer) pair of a line (all the
+bundled sums but ``thm3_printed``, whose sign (-1)^(m+k) flips between
+neighbouring pairs), that weight is folded into the line's first term
+once; a pair then costs one prefix difference and one add.  The fold is
+exact: the weight is an integer common to every pair's segment, so
+multiplying the terms by it gives the same integers as multiplying
+each segment.  A line whose weight has a negative exponent keeps the
+per-pair weighting.
 
 ``eval_sum`` is the uncached term-by-term reference: the literal nested
 sum of ``HyperTerm.eval`` values.  The test suite checks the line walk
@@ -52,10 +61,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactnum import UnsupportedArgumentError
-from .hyperterm import HyperTerm, line_terms, step_factors
+from .hyperterm import HyperTerm, line_span, line_terms, step_factors
 from .symalg import LinearForm
 from .wzengine import WZProblem
 
@@ -164,6 +174,19 @@ class _LinePlan(NamedTuple):
     sign: tuple[int, ...]
     powers: tuple[tuple[int, tuple[int, ...]], ...]
     weight_step: int  # summand ratio for one step of j at fixed (n, outer)
+    fold: bool  # the sign parity and every power exponent are constant along each line
+
+    def weight(self, n: int, a: int, b: int) -> tuple[int, int]:
+        """Sign times powers at (n, outer, inner) = (n, a, b), as (num, den) ints."""
+        sn, sa, sb, s0 = self.sign
+        num, den = -1 if (sn * n + sa * a + sb * b + s0) % 2 else 1, 1
+        for base, (en, ea, eb, e0) in self.powers:
+            e = en * n + ea * a + eb * b + e0
+            if e >= 0:
+                num *= base**e
+            else:
+                den *= base**-e
+        return num, den
 
 
 def _loop_pair(case: IdentityCase) -> tuple[Loop, Loop]:
@@ -204,11 +227,25 @@ def _line_plan(case: IdentityCase) -> _LinePlan | None:
     weight_step = -1 if forms[4][2] % 2 else 1
     for base, e in powers:
         weight_step *= base ** e[2]
+    # The pairs (n, a) of line c solve gn*n + ga*a = c - g0, so neighbours
+    # differ by (ga, -gn)/g.  A weight form at the inner value b = start - i0,
+    # where the line's walk starts, is A*n + B*a + (terms of c and start);
+    # it moves by (A*ga - B*gn)/g per step, and by A and B when every (n, a)
+    # lies on the one line c = g0.
+    (gn, ga, _, _), (xn, xa, _, _) = forms[0], forms[1]
+    g = gcd(gn, ga)
+
+    def moves(f: tuple[int, ...]) -> tuple[int, ...]:
+        a, b = f[0] - f[2] * xn, f[1] - f[2] * xa
+        return ((a * ga - b * gn) // g,) if g else (a, b)
+
+    fold = (all(d % 2 == 0 for d in moves(forms[4]))
+            and not any(d for _, e in powers for d in moves(e)))
     return _LinePlan(
         by_top=p == 1, slope=slope, line=forms[0], index=forms[1],
         inner_lower=(inner.lower.kind == "floored-half", forms[2]),
         inner_upper=(inner.upper.kind == "floored-half", forms[3]),
-        sign=forms[4], powers=tuple(powers), weight_step=weight_step)
+        sign=forms[4], powers=tuple(powers), weight_step=weight_step, fold=fold)
 
 
 def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
@@ -222,6 +259,17 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
     from ``line_terms`` over the part of the line where the binomial is
     nonzero; its prefix sums answer every (n, outer) pair on it, and then
     the line is dropped.
+
+    A pair's segment of the line is weighted by the sign and powers at the
+    inner value where the line's walk starts.  When the plan folds, that
+    weight is one value for every pair of the line (``_line_plan`` proves
+    it from the linear forms), so it is computed once, from the line's
+    first pair, and passed to ``line_terms`` as the first-term factor;
+    each pair then costs one prefix difference and one add.  The fold is
+    exact because the terms are the same integers the per-pair product
+    would give.  A line whose weight has a negative exponent is not an
+    integer factor, and keeps the per-pair weighting, as does every line
+    of a plan that does not fold.
 
     A negative binomial top raises ``UnsupportedArgumentError`` after the
     walk, naming the smallest n where one lies in the summation region.
@@ -242,7 +290,6 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
     xn, xa, _, x0 = plan.index
     (lhalf, (ln, la, _, l0)), (uhalf, (un, ua, _, u0)) = (plan.inner_lower,
                                                            plan.inner_upper)
-    sn, sa, sb, s0 = plan.sign
     by_top, slope = plan.by_top, plan.slope
     dt, db = (1, slope) if by_top else (slope, 1)
     factors = step_factors(dt, db)
@@ -289,11 +336,18 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
             continue
         # line c has (top, bottom) = (j, slope*j + c) or (slope*j + c, j)
         t0, b0 = (0, c) if by_top else (c, 0)
-        start, terms = line_terms(t0, dt, b0, db, min(p[3] for p in pairs),
-                                  max(p[4] for p in pairs), plan.weight_step, factors)
-        if not terms:
+        start, end = line_span(t0, dt, b0, db, min(p[3] for p in pairs),
+                               max(p[4] for p in pairs))
+        if end < start:
             continue
-        end = start + len(terms) - 1
+        # the weight at j = start, one value for every pair when the plan folds
+        folded = False
+        if plan.fold:
+            n, a, i0 = pairs[0][:3]
+            first, den = plan.weight(n, a, start - i0)
+            folded = den == 1
+        _, terms = line_terms(t0, dt, b0, db, start, end, plan.weight_step, factors,
+                              first if folded else 1)
         prefix = list(accumulate(terms, initial=0))
         for n, a, i0, jlo, jhi in pairs:
             lo_j = jlo if jlo > start else start
@@ -303,20 +357,14 @@ def _line_sums(case: IdentityCase, plan: _LinePlan, ns: list[int]
             seg = prefix[hi_j - start + 1] - prefix[lo_j - start]
             if not seg:
                 continue
-            b0 = start - i0  # the inner variable where the weight is 1
-            if (sn * n + sa * a + sb * b0 + s0) % 2:
-                seg = -seg
-            den = 1
-            for base, (en, ea, eb, e0) in plan.powers:
-                e = en * n + ea * a + eb * b0 + e0
-                if e >= 0:
-                    seg *= base**e
-                else:
-                    den *= base**-e
-            if den == 1:
+            if folded:
                 acc[n] += seg
+                continue
+            num, den = plan.weight(n, a, start - i0)  # b = start - i0 is where j = start
+            if den == 1:
+                acc[n] += seg * num
             else:
-                rest[n] += Fraction(seg, den)
+                rest[n] += Fraction(seg * num, den)
     if bad is not None:
         raise UnsupportedArgumentError(
             f"binomial top must be >= 0, got {bad[1]} at {case.param}={bad[0]}")

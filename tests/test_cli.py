@@ -35,6 +35,32 @@ def test_oracle_pass_exit_zero():
     _validate(reports)
 
 
+def test_parser_built_once_parses_each_call_afresh(monkeypatch):
+    real, builds = cli.build_parser, []
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        code, (first,) = run_command(["oracle", "--id", "thm3", "--mode", "literal",
+                                      "--n-min", "1", "--n-max", "4"])
+        assert code == 1
+        assert (first.subject_id, first.mode, first.range) == ("thm3_printed", "literal", (1, 4))
+        # no option of the call before carries over: mode and n-min are the
+        # defaults again, and then a subcommand without --id parses
+        code, (second,) = run_command(["oracle", "--id", "thm3", "--n-max", "3"])
+        assert code == 0
+        assert (second.subject_id, second.mode, second.range) == ("thm3_eq6", "corrected", (1, 3))
+        code, reports = run_command(["lemmas", "--n-max", "2"])
+        assert code == 0 and {r.range for r in reports} == {(1, 2)}
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_oracle_literal_thm3_exit_one_with_erratum():
     code, reports = run_command(
         ["oracle", "--id", "thm3_printed", "--n-min", "1", "--n-max", "10"])
@@ -676,6 +702,24 @@ def test_failure_values_past_the_digit_limit_print_exactly(tmp_path, capsys):
     num, den = frac_str(Fraction(-(3**20000), 7**9000)).split("/")
     assert num[1] != "0" and den[0] != "0"
     assert (num[0], _digits_value(num[1:]), _digits_value(den)) == ("-", 3**20000, 7**9000)
+
+
+@pytest.mark.parametrize("power, error", [
+    ("pow(2, 10000000000)", "constant above 100000"),
+    ("pow(2, k - 100001)", "constant above 100000"),
+    ("pow(2, 60000) * pow(2, 40001)", "constant above 100000"),
+    ("pow(3, 65*k)", "coefficient above 64"),
+    ("pow(3, (-65)*n)", "coefficient above 64"),
+])
+def test_unbounded_term_power_exit_two(tmp_path, capsys, power, error):
+    # refused while parsing, before any sum computes base**e
+    spec = tmp_path / "huge.wz"
+    spec.write_text(f"term B(n, k) := binom(n, k) * {power}\n"
+                    "sum s(n) := sum(k, 0, n, B) == pow(2, n) for n >= 0\n")
+    assert main(["oracle", "--id", "s", "--spec", str(spec), "--n-max", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"wzkit: spec error: 1:17: term B: pow exponent {error}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,18 @@ term S3(n, k) := sign(k) * binom(n + k, 2*k) * pow(3, k) * 4 / 7
 sum single_slope_two(n) := sum(k, 0, n, S3) == 0 for n >= 0
 term S4(n, k) := binom(k - n, k) * pow(2, k)
 sum single_negative_top(n) := sum(k, 0, n, S4) == 0 for n >= 0
+term D(n, k) := binom(k, 3) * pow(2, n)
+sum degenerate_line(n) := sum(k, 0, n, D) == 0 for n >= 0
+term V1(n, k, m) := sign(n) * binom(n + k, m) * pow(2, m)
+sum sign_along_line(n) := sum(k, 0, n, V1) sum(m, 0, n + k, V1) == 0 for n >= 0
+term V2(n, k, m) := sign(m) * binom(n + 2*k, m) * pow(3, n + m)
+sum power_along_line(n) := sum(k, 0, n, V2) sum(m, 0, n + 2*k, V2) == 0 for n >= 0
 """
+
+#: the shapes whose weight at a line's start varies between the pairs of a
+#: line: every n on the one line binom(k, 3), a sign flipping with n along
+#: the lines n + k, and a power rising with n along the lines n + 2k
+_VARYING = ("degenerate_line", "sign_along_line", "power_along_line")
 
 
 def _spec_cases():
@@ -167,12 +178,23 @@ def test_line_walk_edge_shapes_match_eval_sum():
     # line under a non-unit constant prefactor; as double and single sums
     cases = _spec_cases()
     for cid in ("negative_power", "line_of_n", "slope_two", "single_below_support",
-                "single_negative_power", "single_slope_two"):
+                "single_negative_power", "single_slope_two", *_VARYING):
         case = cases[cid]
         assert _line_plan(case) is not None, cid
         lo = case.valid_from
         _VALUES.clear()
         assert values(case, lo, lo + 15) == _per_n(case, lo, lo + 15), cid
+
+
+def test_weight_varying_along_a_line_is_not_folded():
+    cases = _spec_cases()
+    for cid in _VARYING:
+        plan = _line_plan(cases[cid])
+        assert plan is not None and not plan.fold, cid
+    # every n lies on the line binom(k, 3): the weight 2^n differs between them
+    _VALUES.clear()
+    assert values(cases["degenerate_line"], 0, 7) == [0, 0, 0, 8, 80, 480, 2240, 8960]
+    assert all(type(v) is Fraction for v in values(cases["degenerate_line"], 0, 7))
 
 
 def test_negative_binomial_top_raises_on_both_paths():

@@ -17,7 +17,10 @@ one generic binomial ratio step and one weight multiply per point, and
 every n of the range scanned for every line.  ``values`` must equal it
 exactly on every declared check range and on the edge shapes of
 ``test_identities``.  The per-line term recurrence of the walk is
-compared with ``binomial`` on its own.
+compared with ``binomial`` on its own, with and without a first-term
+factor, and the walk's choice to fold a line's weight into that factor
+is checked pair by pair: no plan folds where two pairs of a line have
+different signs or power exponents.
 """
 
 import random
@@ -621,6 +624,19 @@ def test_line_terms_match_binomial(by_top, slope):
                             for i in range(steps + 1)]
                     got = line_terms(top, dt, bottom, db, 0, steps, weight, factors)
                     assert got == (0, want), (c, start, steps, weight)
+                    for factor in (1, -1, 3, -8, 2**70):
+                        got = line_terms(top, dt, bottom, db, 0, steps, weight, factors, factor)
+                        assert got == (0, [v * factor for v in want]), (c, start, steps, factor)
+        # eval_line leaves the factor out: its row is the plain binomials
+        t0, b0 = _line_point(by_top, slope, c, 0)
+        term = HyperTerm.build(("j",), binomials=((LinearForm.make({"j": dt}, t0),
+                                                   LinearForm.make({"j": db}, b0)),))
+        lo, hi = support[0], support[-1]
+        row, error = term.eval_line({}, "j", lo, hi)
+        assert error is None
+        assert row == [(binomial(*_line_point(by_top, slope, c, j)), 1)
+                       for j in range(lo, hi + 1)], c
+        assert [v for v, _ in row] == line_terms(t0, dt, b0, db, lo, hi, 1, factors)[1]
     assert lines >= 5
 
 
@@ -664,6 +680,50 @@ def test_values_match_naive_walk_on_declared_ranges():
         assert identities.values(case, lo, hi) == ref_values(case, lo, hi), cid
 
 
+def _line_weights(case, plan, lo: int, hi: int) -> dict[int, set]:
+    """Per line, the (sign parity, power exponents) of every (n, outer) pair at index j = 0.
+
+    Read from the summand's own forms, pair by pair: the weight at any
+    fixed j of a line is one value exactly when the weight where the
+    line's walk starts is.
+    """
+    outer, inner = _loop_pair(case)
+    t = case.summand
+    gn, ga, _, g0 = plan.line
+    xn, xa, _, x0 = plan.index
+    lines: dict[int, set] = {}
+    for n in range(lo, hi + 1):
+        pt = {case.param: n}
+        for a in range(outer.lower.eval(pt), outer.upper.eval(pt) + 1):
+            point = {case.param: n, outer.var: a, inner.var: -(xn * n + xa * a + x0)}
+            weight = (t.sign_exp.eval(point) % 2, tuple(e.eval(point) for _, e in t.powers))
+            lines.setdefault(gn * n + ga * a + g0, set()).add(weight)
+    return lines
+
+
+def test_fold_only_where_every_line_has_one_weight():
+    from test_identities import _VARYING, _spec_cases
+
+    reg = registry()
+    shapes = [(reg.case(cid), rng) for cid, rng in _declared_ranges(reg).items()]
+    shapes += [(case, (case.valid_from, case.valid_from + 15))
+               for case in _spec_cases().values()]
+    folded, varying = set(), set()
+    for case, (lo, hi) in shapes:
+        plan = _line_plan(case)
+        if plan is None:
+            continue
+        if any(len(w) > 1 for w in _line_weights(case, plan, lo, hi).values()):
+            varying.add(case.case_id)
+            assert not plan.fold, case.case_id
+        if plan.fold:
+            folded.add(case.case_id)
+    assert folded == set(reg.oracle_ids()) - {"thm3_printed"} | {
+        "slope_two", "negative_top_column", "single_below_support",
+        "single_negative_power", "single_slope_two", "single_negative_top"}
+    assert {"thm3_printed", *_VARYING} <= varying
+
+
 def test_values_match_naive_walk_on_edge_shapes():
     from test_identities import _spec_cases
 
@@ -676,4 +736,4 @@ def test_values_match_naive_walk_on_edge_shapes():
                        (case.valid_from + 3, case.valid_from + 9)):
             _VALUES.clear()
             assert outcome(identities.values, case, lo, hi) == outcome(ref_values, case, lo, hi), cid
-    assert walked == 9
+    assert walked == 12
