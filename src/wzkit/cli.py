@@ -42,7 +42,10 @@ check has one bound, which a range from ``--n-min``/``--n-max`` and one
 from a ``check`` line meet alike: |n| <= 1000 for ``oracle`` and
 ``lemmas`` and |n| <= 2000 for ``verify`` (``MAX_N``); an
 ``involution`` range ends at the word caps ``involution.MAX_COST`` and
-``MAX_THM3_N``.
+``MAX_THM3_N``.  A ``--spec`` file is refused while parsing, with exit
+2, when a term's pow exponent or binomial top or bottom, or a sum call's
+lower or upper bound, has a coefficient above 64 (``dsl.MAX_EXPONENT``)
+or a constant above 100,000 (``dsl.MAX_CONSTANT``) in absolute value.
 ``--format json`` emits an array of report objects that validate
 against the bundled schema; the text format renders the same facts.  A
 command's default range is the ``check`` line declared for its target.
@@ -311,7 +314,8 @@ def _run_discover(reg: Registry, ident: str, mode: str, order: int) -> Report:
     return Report(
         command="discover", subject_id=base.problem_id,
         mode=reg.mode_of("recurrence", base.problem_id, mode), range=(order, order),
-        status="fail" if found is None else "pass", errata=[erratum], ms=ms)
+        status="fail" if found is None else "pass", failures=[], errata=[erratum],
+        ms=ms)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,11 @@ form is an expression in the sum's parameter whose parts are checked
 after the fold: no ``binom``, a constant denominator, and pow exponents
 nondecreasing in the parameter with coefficient and constant at most
 ``MAX_EXPONENT``; such an error is reported at the closed form's first
-token.  A term's pow exponents, after the fold, have coefficients at most
-``MAX_EXPONENT`` and a constant at most ``MAX_POW_CONSTANT`` in absolute
-value; such an error names the term and is reported at its first token.
+token.  A term's pow exponents and binomial tops and bottoms, after the
+fold, and each bound of a sum call have coefficients at most
+``MAX_EXPONENT`` and a constant at most ``MAX_CONSTANT`` (100,000) in
+absolute value.  Such an error names the term, reported at its first
+token, or the sum and the bound, reported at the bound's first token.
 
 Clauses hold a definition's own facts: each ``erratum`` says what a
 literal statement gets wrong or a corrected one changed; ``base n0 == v``
@@ -72,7 +74,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .hyperterm import HyperTerm
@@ -89,14 +90,17 @@ CHECK_KINDS = {"oracle": lambda doc: doc.sums,
                "involution": lambda doc: MODELS,
                "lemma": lambda doc: LEMMAS}
 MODES = ("literal", "corrected")
-#: largest ``^`` exponent, which is expanded while parsing, and largest
-#: coefficient or constant of a pow exponent in a closed form's parts; pow
-#: is no longer expanded, but the guard keeps closed forms small
+#: largest ``^`` exponent, which is expanded while parsing; largest
+#: coefficient or constant of a pow exponent in a closed form's parts; and
+#: largest |coefficient| of a term's pow exponents and binomial arguments
+#: and of a sum call's bounds
 MAX_EXPONENT = 64
-#: largest |constant| of a pow exponent in a term; with the coefficients
-#: bounded by ``MAX_EXPONENT`` it bounds every power a summand makes at a
-#: bounded point, so one term cannot make a single n arbitrarily costly
-MAX_POW_CONSTANT = 100_000
+#: largest |constant| of a term's pow exponents and binomial arguments and
+#: of a sum call's bounds.  With the coefficients bounded by
+#: ``MAX_EXPONENT`` it bounds every power and binomial a summand makes, and
+#: every loop, at a bounded point, so one spec cannot make a single n
+#: arbitrarily costly
+MAX_CONSTANT = 100_000
 #: binary operators by binding level, loosest first; each level is left-associative
 _BINARY_OPS = (("+", "-"), ("*", "/"))
 
@@ -113,13 +117,10 @@ class ParseError(ValueError):
 # lexer
 
 
-#: ``kind`` is NAME, INT, STRING, SYM or EOF.  Every record of this module
-#: (a token, an AST node, a definition) is a named tuple.  An instance builds
-#: in about half the time of a frozen dataclass's, and a document makes one
-#: per word; the class is made in about a sixteenth of the time, and every
-#: start of wzkit makes them all (0.7 against 1.2 us, 58 against 960 us, on
-#: Python 3.11 and 2 vCPUs).  Equality is a tuple's, which no two kinds here
-#: share by accident, as their fields differ in number or in type
+#: ``kind`` is NAME, INT, STRING, SYM or EOF.  Like every record of this
+#: module (an AST node, a definition), a token is a named tuple (see the
+#: package docstring); equality is a tuple's, which no two kinds here share
+#: by accident, as their fields differ in number or in type
 Token = namedtuple("Token", ("kind", "text", "line", "col"))
 
 
@@ -192,19 +193,24 @@ RecurrenceDef = namedtuple("RecurrenceDef",
 CheckDef = namedtuple("CheckDef", ("kind", "target", "range"))
 
 
-@dataclass
 class SpecDocument:
     """Definitions in document order; equal documents have equal definitions.
 
     The indexes by name, and the list of checks, are filled by ``add``.
     """
 
-    definitions: list = field(default_factory=list)
-    terms: dict[str, TermDef] = field(default_factory=dict, compare=False)
-    certs: dict[str, CertDef] = field(default_factory=dict, compare=False)
-    sums: dict[str, SumDef] = field(default_factory=dict, compare=False)
-    recurrences: dict[str, RecurrenceDef] = field(default_factory=dict, compare=False)
-    checks: list[CheckDef] = field(default_factory=list, compare=False)
+    def __init__(self):
+        self.definitions: list = []
+        self.terms: dict[str, TermDef] = {}
+        self.certs: dict[str, CertDef] = {}
+        self.sums: dict[str, SumDef] = {}
+        self.recurrences: dict[str, RecurrenceDef] = {}
+        self.checks: list[CheckDef] = []
+
+    def __eq__(self, other):
+        if type(other) is not SpecDocument:
+            return NotImplemented
+        return self.definitions == other.definitions
 
     def names(self) -> set[str]:
         return (set(self.terms) | set(self.certs) | set(self.sums)
@@ -257,6 +263,13 @@ class _Parser:
     def error(self, message: str, tok: Token | None = None) -> ParseError:
         t = tok or self.peek()
         return ParseError(message, t.line, t.col)
+
+    def check_form(self, form: LinearForm, what: str, tok: Token) -> None:
+        """Refuse ``form`` past ``MAX_EXPONENT`` or ``MAX_CONSTANT``, at ``tok``."""
+        if any(abs(c) > MAX_EXPONENT for _, c in form.coeffs):
+            raise self.error(f"{what} coefficient above {MAX_EXPONENT}", tok)
+        if abs(form.const) > MAX_CONSTANT:
+            raise self.error(f"{what} constant above {MAX_CONSTANT}", tok)
 
     # -- expressions ---------------------------------------------------------
 
@@ -399,12 +412,10 @@ class _Parser:
             raise self.error(
                 f"a term must fold to one product, got {len(parts)} parts", start)
         for _, e in parts[0].powers:
-            if any(abs(c) > MAX_EXPONENT for _, c in e.coeffs):
-                raise self.error(f"term {name.text}: pow exponent coefficient above "
-                                 f"{MAX_EXPONENT}", start)
-            if abs(e.const) > MAX_POW_CONSTANT:
-                raise self.error(f"term {name.text}: pow exponent constant above "
-                                 f"{MAX_POW_CONSTANT}", start)
+            self.check_form(e, f"term {name.text}: pow exponent", start)
+        for top, bottom in parts[0].binomials:
+            self.check_form(top, f"term {name.text}: binomial top", start)
+            self.check_form(bottom, f"term {name.text}: binomial bottom", start)
         return TermDef(name.text, params, parts[0])
 
     def parse_cert_def(self, doc: SpecDocument) -> CertDef:
@@ -415,24 +426,27 @@ class _Parser:
         rf = _to_rf(self.parse_expr(), set(params))
         return CertDef(name.text, params, rf)
 
-    def _parse_bound(self) -> SumBound:
+    def _parse_bound(self, what: str) -> SumBound:
+        """A bound, checked by ``check_form`` at its first token."""
         t = self.peek()
         if t.kind == "NAME" and t.text == "floor2":
             self.advance()
             self.expect("SYM", "(")
-            form = _to_linear(self.parse_expr(), self._bound_vars)
+            bound = SumBound("floored-half", _to_linear(self.parse_expr(), self._bound_vars))
             self.expect("SYM", ")")
-            return SumBound("floored-half", form)
-        return SumBound("affine", _to_linear(self.parse_expr(), self._bound_vars))
+        else:
+            bound = SumBound("affine", _to_linear(self.parse_expr(), self._bound_vars))
+        self.check_form(bound.form, what, t)
+        return bound
 
-    def _parse_sum_call(self) -> tuple[str, SumBound, SumBound, str, Token]:
+    def _parse_sum_call(self, name: str) -> tuple[str, SumBound, SumBound, str, Token]:
         self.expect("NAME", "sum")
         self.expect("SYM", "(")
         var = self.expect("NAME").text
         self.expect("SYM", ",")
-        lower = self._parse_bound()
+        lower = self._parse_bound(f"sum {name}: lower bound")
         self.expect("SYM", ",")
-        upper = self._parse_bound()
+        upper = self._parse_bound(f"sum {name}: upper bound")
         self.expect("SYM", ",")
         ref = self.expect("NAME")
         self.expect("SYM", ")")
@@ -466,9 +480,9 @@ class _Parser:
         self.expect("SYM", ")")
         self.expect("SYM", ":=")
         self._bound_vars = {param}
-        calls = [self._parse_sum_call()]
+        calls = [self._parse_sum_call(name.text)]
         if self.peek().kind == "NAME" and self.peek().text == "sum":
-            calls.append(self._parse_sum_call())
+            calls.append(self._parse_sum_call(name.text))
         self.expect("SYM", "==")
         rhs = self._closed_form(param)
         valid_from = 0
@@ -672,7 +686,7 @@ def _collect(parts) -> tuple[HyperTerm, ...]:
     for p in parts:
         key = (p.sign_exp, p.powers, p.binomials)
         q = sums.get(key)
-        sums[key] = p if q is None else replace(q, prefactor=q.prefactor + p.prefactor)
+        sums[key] = p if q is None else q._replace(prefactor=q.prefactor + p.prefactor)
     return tuple(p for p in sums.values() if not p.prefactor.is_zero())
 
 

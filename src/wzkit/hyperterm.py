@@ -25,9 +25,8 @@ the product would paper over exactly the subtlety worth reporting.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exactnum import UnsupportedArgumentError, binomial
 from .symalg import LinearForm, MultiPoly, PoleError, RationalFunction
@@ -139,9 +138,12 @@ def slice_row(row: Row, first: int, last: int, lo: int, hi: int) -> Row | None:
 SupportBound = namedtuple("SupportBound", ("var", "direction", "bound"))
 
 
-@dataclass(frozen=True)
-class HyperTerm:
-    """Sign * powers * binomials * prefactor, all exponents affine."""
+class HyperTerm(NamedTuple):
+    """Sign * powers * binomials * prefactor, all exponents affine.
+
+    ``*`` of two terms is their product; ``+`` and an ``int`` times a
+    term are not defined, so a term is never joined or repeated as a tuple.
+    """
 
     sign_exp: LinearForm
     powers: tuple[tuple[int, LinearForm], ...]
@@ -325,7 +327,7 @@ class HyperTerm:
         even where a binomial vanishes; see the module docstring.  R = 1
         gives the term itself.
         """
-        return self if _is_one(r) else replace(self, prefactor=self.prefactor * r)
+        return self if _is_one(r) else self._replace(prefactor=self.prefactor * r)
 
     def __mul__(self, other: "HyperTerm") -> "HyperTerm":
         """The product, in canonical form.
@@ -348,6 +350,11 @@ class HyperTerm:
             variables=self.variables + tuple(
                 v for v in other.variables if v not in self.variables),
         )
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __radd__ = __rmul__ = __add__
 
     def __str__(self) -> str:
         """The term in DSL syntax, which parses back to an equal term."""

@@ -57,7 +57,6 @@ inner loop j = floor(m/2), since binomial arguments are affine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -541,8 +540,7 @@ BUNDLED = ("thm1.wz", "thm2.wz", "thm3.wz", "corollaries.wz", "lemmas.wz",
            "involutions.wz")
 
 
-@dataclass(eq=False)
-class Registry:
+class Registry(NamedTuple):
     documents: tuple  # (name, SpecDocument) pairs, in the order applied
     cases: dict[str, IdentityCase]
     problems: dict[str, WZProblem]
@@ -550,6 +548,9 @@ class Registry:
     aliases: dict[tuple[str, str, str], str]
     #: (check kind, target) -> CheckDef, in declaration order
     checks: dict[tuple[str, str], object]
+
+    # each build is its own registry: equal only to itself
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def case(self, ident: str, mode: str = "corrected") -> IdentityCase:
         key = self.aliases.get(("sum", ident, mode), ident)

@@ -24,7 +24,7 @@ argument closes and where it does not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator
 
 from .exactnum import binomial
@@ -63,28 +63,22 @@ def word_cost(w: str) -> int:
     return 2 * w.count("a") + w.count("b") + w.count("c")
 
 
-@dataclass(frozen=True)
-class WordModel:
-    """One of the three word sets, fixed parameter n."""
+class WordModel(namedtuple("WordModel", ("model_id", "n"))):
+    """One of the three word sets, fixed parameter n; ``model_id`` is one of ``MODELS``."""
 
-    model_id: str  # thm1 | thm2 | thm3
-    n: int
-    # the scan models' target cost, None for thm3; set once so that
-    # contains() makes no model test per word
-    _cost: int | None = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.model_id not in MODELS:
-            raise ValueError(f"unknown model {self.model_id!r}")
-        object.__setattr__(self, "_cost", {"thm1": 2 * self.n + 1,
-                                           "thm2": 2 * self.n + 2}.get(self.model_id))
+    def __new__(cls, model_id: str, n: int) -> "WordModel":
+        if model_id not in MODELS:
+            raise ValueError(f"unknown model {model_id!r}")
+        return super().__new__(cls, model_id, n)
 
     @property
     def cost(self) -> int:
         """Target 2#a + #b + #c for the scan models."""
-        if self._cost is None:
+        if self.model_id == "thm3":
             raise ValueError("thm3 words are stratified by length, not cost")
-        return self._cost
+        return 2 * self.n + (1 if self.model_id == "thm1" else 2)
 
     def check_size(self) -> None:
         if self.model_id in ("thm1", "thm2"):
@@ -101,8 +95,8 @@ class WordModel:
         # alphabet; past that test, len + #a is word_cost(w)
         if w.strip("abc"):
             return False
-        if self._cost is not None:
-            return len(w) + w.count("a") == self._cost
+        if self.model_id != "thm3":
+            return len(w) + w.count("a") == self.cost
         k = len(w) - (self.n + 1)
         if not 0 <= k <= self.n - 1:
             return False
@@ -229,19 +223,26 @@ def sigma(w: str) -> str | None:
 # the checker
 
 
-@dataclass
 class InvolutionReport:
-    model_id: str
-    n: int
-    stratum_counts: dict[int, int] = field(default_factory=dict)
-    total_words: int = 0
-    fixed_count: int = 0
-    fixed_signed_sum: int = 0
-    paired_count: int = 0
-    total_signed_sum: int = 0
-    closure_violations: list[tuple[str, str]] = field(default_factory=list)
-    involutivity_violations: list[tuple[str, str, str]] = field(default_factory=list)
-    sign_violations: list[tuple[str, str]] = field(default_factory=list)
+    """The counts and violations of a model's words; equal when every field is."""
+
+    def __init__(self, model_id: str, n: int):
+        self.model_id = model_id
+        self.n = n
+        self.stratum_counts: dict[int, int] = {}
+        self.total_words = 0
+        self.fixed_count = 0
+        self.fixed_signed_sum = 0
+        self.paired_count = 0
+        self.total_signed_sum = 0
+        self.closure_violations: list[tuple[str, str]] = []
+        self.involutivity_violations: list[tuple[str, str, str]] = []
+        self.sign_violations: list[tuple[str, str]] = []
+
+    def __eq__(self, other):
+        if type(other) is not InvolutionReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def clean(self) -> bool:
@@ -260,24 +261,27 @@ def check_involution(model: WordModel, pool: Executor | None = None) -> Involuti
     contains(back)``: the same conjunction, with the membership test
     skipped only when back == w, where it cannot change the outcome.
 
-    Without ``pool`` the strata run in this process.  With a
-    ``concurrent.futures`` executor, each stratum is one task, submitted
-    largest first, and the parts are merged here into the same report.
-    Spawned workers import this module afresh, so they use its own maps
-    and membership test, not replacements made in this process.
+    Each stratum k gives one part, ``_check_stratum(model, k)``, and the
+    parts are merged in stratum order, one at a time, into the report.
+    Without ``pool`` the parts are made in this process as the merge
+    reaches them.  With a ``concurrent.futures`` executor, each stratum is
+    one task, submitted largest first, and the merge reads the results in
+    stratum order.  Spawned workers import this module afresh, so they use
+    its own maps and membership test, not replacements made in this
+    process.
     """
     model.check_size()
-    rep = InvolutionReport(model_id=model.model_id, n=model.n)
+    strata = model.strata()
     if pool is None:
-        for k in model.strata():
-            _check_stratum(model, k, rep)
-        return rep
-    # largest first, so that no worker starts the biggest stratum last
-    order = sorted(model.strata(), key=model.expected_stratum_count, reverse=True)
-    parts = {k: pool.submit(_check_stratum, model, k) for k in order}
-    for k in model.strata():
-        part = parts[k].result()
-        rep.stratum_counts[k] = part.stratum_counts[k]
+        parts = (_check_stratum(model, k) for k in strata)
+    else:
+        # largest first, so that no worker starts the biggest stratum last
+        order = sorted(strata, key=model.expected_stratum_count, reverse=True)
+        tasks = {k: pool.submit(_check_stratum, model, k) for k in order}
+        parts = (tasks[k].result() for k in strata)
+    rep = InvolutionReport(model.model_id, model.n)
+    for part in parts:
+        rep.stratum_counts.update(part.stratum_counts)
         rep.total_words += part.total_words
         rep.total_signed_sum += part.total_signed_sum
         rep.fixed_count += part.fixed_count
@@ -289,21 +293,18 @@ def check_involution(model: WordModel, pool: Executor | None = None) -> Involuti
     return rep
 
 
-def _check_stratum(model: WordModel, k: int,
-                   rep: InvolutionReport | None = None) -> InvolutionReport:
-    """Check the words of stratum k and add them to ``rep``.
+def _check_stratum(model: WordModel, k: int) -> InvolutionReport:
+    """The report of the words of stratum k alone.
 
-    Without ``rep`` it returns a new report of stratum k alone, which is
-    what a pool worker sends back.  The map is looked up on the module at
-    each call, so a map replaced there applies.
+    The map is looked up on the module at each call, so a map replaced
+    there applies.
 
     For the scan models the image's a-count serves both the closure test
     and the sign test: closure is ``len + #a == cost`` and no letter
     outside the alphabet, which is ``contains`` for those models.
     """
-    if rep is None:
-        rep = InvolutionReport(model_id=model.model_id, n=model.n)
-    cost = model._cost
+    rep = InvolutionReport(model.model_id, model.n)
+    cost = None if model.model_id == "thm3" else model.cost
     mapper = sigma if cost is None else scan_involution
     contains = model.contains  # a wrapper set on the class still applies
     closure = rep.closure_violations.append
@@ -335,11 +336,11 @@ def _check_stratum(model: WordModel, k: int,
         if ok:
             paired += 1
     rep.stratum_counts[k] = count
-    rep.total_words += count
-    rep.total_signed_sum += signed
-    rep.fixed_count += fixed
-    rep.fixed_signed_sum += fixed_signed
-    rep.paired_count += paired
+    rep.total_words = count
+    rep.total_signed_sum = signed
+    rep.fixed_count = fixed
+    rep.fixed_signed_sum = fixed_signed
+    rep.paired_count = paired
     return rep
 
 
@@ -357,9 +358,8 @@ def unmet_expectations(rep: InvolutionReport) -> list[tuple[int, int, int]]:
         bad += [(n, got, want) for got in (rep.fixed_signed_sum, rep.total_signed_sum)
                 if got != want]
         model = WordModel(rep.model_id, n)
-        bad += [(n, count, model.expected_stratum_count(k))
-                for k, count in rep.stratum_counts.items()
-                if count != model.expected_stratum_count(k)]
+        bad += [(n, count, want) for k, count in rep.stratum_counts.items()
+                if count != (want := model.expected_stratum_count(k))]
     else:
         fixed = 2 * n * (n + 1)
         bad += [(n, got, want) for got, want in (

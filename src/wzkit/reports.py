@@ -11,9 +11,9 @@ parse errors and never produced from reports).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib.resources import files
+from typing import NamedTuple
 
 
 def _int_str(n: int) -> str:
@@ -38,8 +38,7 @@ def frac_str(x: Fraction | int) -> str:
     return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
 
 
-@dataclass
-class Failure:
+class Failure(NamedTuple):
     n: int
     lhs: str
     rhs: str
@@ -49,15 +48,14 @@ class Failure:
         return Failure(n, frac_str(lhs), frac_str(rhs))
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     subject_id: str
     mode: str  # "literal" | "corrected"
     range: tuple[int, int]
     status: str  # "pass" | "fail"
-    failures: list[Failure] = field(default_factory=list)
-    errata: list[str] = field(default_factory=list)
+    failures: list[Failure]
+    errata: list[str]
     ms: float = 0.0
 
     @property

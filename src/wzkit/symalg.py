@@ -22,11 +22,10 @@ top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class MissingVariableError(KeyError):
@@ -46,12 +45,12 @@ def _coeff(c: int | Fraction) -> int | Fraction:
 # linear forms
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """Integer-coefficient affine expression ``sum c_i * x_i + const``.
 
     Canonical: zero coefficients are never stored and names are sorted,
-    so equal forms compare and hash equal.
+    so equal forms compare and hash equal.  ``*`` is not defined: a form
+    is scaled with ``scaled``, never repeated as a tuple.
     """
 
     coeffs: tuple[tuple[str, int], ...]
@@ -98,6 +97,11 @@ class LinearForm:
 
     def __sub__(self, other: "LinearForm | int") -> "LinearForm":
         return self + (-other if isinstance(other, LinearForm) else -other)
+
+    def __mul__(self, other):
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def scaled(self, k: int) -> "LinearForm":
         if k == 0:

@@ -82,11 +82,10 @@ normal form wherever both apply.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .exactnum import UnsupportedArgumentError
 from .gosper import UPoly, degree_bound, gosper_normal, nullspace
@@ -95,10 +94,7 @@ from .symalg import (LinearForm, MissingVariableError, MultiPoly, PoleError,
                      RationalFunction)
 
 
-@dataclass(frozen=True)
-class WZProblem:
-    """A term, a recurrence sum_j a_j F(n+j, k), and a certificate R."""
-
+class _WZProblemFields(NamedTuple):
     problem_id: str
     term: HyperTerm
     shift_var: str
@@ -107,6 +103,15 @@ class WZProblem:
     certificate: RationalFunction
     base_case: tuple[int, Fraction] | None = None
     errata: tuple[str, ...] = ()
+
+
+class WZProblem(_WZProblemFields):
+    """A term, a recurrence sum_j a_j F(n+j, k), and a certificate R.
+
+    Equal and hashed by its fields.  Declared without ``__slots__``, so an
+    instance has the ``__dict__`` that holds its cached properties;
+    ``_replace`` gives a problem on which nothing is formed yet.
+    """
 
     @property
     def order(self) -> int:
@@ -129,16 +134,17 @@ class WZProblem:
         return self.term.absorb(self.certificate)
 
 
-@dataclass(eq=False)
-class CertCheck:
+class CertCheck(NamedTuple):
     status: bool
     residual: RationalFunction
     lower_boundary_ok: bool
     upper_bounds: tuple[SupportBound, ...]
 
+    # a check is one run's outcome: equal only to itself
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-@dataclass(eq=False)
-class ProofReport:
+
+class ProofReport(NamedTuple):
     problem_id: str
     cert: CertCheck
     upper_boundary_ok: bool
@@ -151,6 +157,9 @@ class ProofReport:
     failed_stage: str | None
     conclusion: str | None
     errata: tuple[str, ...]
+
+    # a report is one run's outcome: equal only to itself
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 # the grid, windows (counts of n from the start of the range) and mutants
@@ -611,7 +620,7 @@ def mutate_problem(p: WZProblem, rng: random.Random) -> WZProblem:
             mutant = rfs[:i] + (RationalFunction(*polys),) + rfs[i + 1:]
         except ZeroDivisionError:
             continue
-        return replace(p, certificate=mutant[0], coeffs=mutant[1:])
+        return p._replace(certificate=mutant[0], coeffs=mutant[1:])
 
 
 def _refuted_at(p: WZProblem, point: Mapping[str, int],

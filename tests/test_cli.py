@@ -214,8 +214,8 @@ def test_jobs_parallel_matches_sequential():
         ["oracle", "--id", "thm2", "--n-min", "-1", "--n-max", "60",
          "--jobs", "2"])
     assert seq[0].status == par[0].status == "pass"
-    assert [f.__dict__ for f in seq[0].failures] == \
-        [f.__dict__ for f in par[0].failures]
+    assert [f._asdict() for f in seq[0].failures] == \
+        [f._asdict() for f in par[0].failures]
 
 
 @pytest.fixture
@@ -250,8 +250,8 @@ def test_involution_jobs_matches_sequential(submitted, ident, lo, hi):
     assert submitted == order and len(order) > 1
     assert code == par_code == (1 if ident == "thm3" else 0)
     assert seq[0].status == par[0].status
-    assert [f.__dict__ for f in seq[0].failures] == \
-        [f.__dict__ for f in par[0].failures]
+    assert [f._asdict() for f in seq[0].failures] == \
+        [f._asdict() for f in par[0].failures]
     assert seq[0].errata == par[0].errata
     assert bool(seq[0].errata) == (ident == "thm3")
 
@@ -276,6 +276,19 @@ def test_cli_imports_no_pool_machinery():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, a fifth of wzkit's start-up;
+    # counted against the modules loaded before the import, such as site's
+    probe = ("import sys; before = set(sys.modules); import wzkit.cli; "
+             "added = set(sys.modules) - before; "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in added), "
+             "'wzkit.cli' in added)")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[] True"
 
 
 def test_jobs_from_a_script_on_stdin_runs_serially():
@@ -720,6 +733,31 @@ def test_unbounded_term_power_exit_two(tmp_path, capsys, power, error):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"wzkit: spec error: 1:17: term B: pow exponent {error}\n"
+
+
+@pytest.mark.parametrize("term, call, error", [
+    ("binom(n + 10000000000, k + 5000000000)", "sum(k, 0, n, T)",
+     "1:17: term T: binomial top constant above 100000"),
+    ("binom(n, k - 100001)", "sum(k, 0, n, T)",
+     "1:17: term T: binomial bottom constant above 100000"),
+    ("binom(65*n, k)", "sum(k, 0, n, T)", "1:17: term T: binomial top coefficient above 64"),
+    ("binom(n, k)^2 * binom(n, (-65)*k)", "sum(k, 0, n, T)",
+     "1:17: term T: binomial bottom coefficient above 64"),
+    ("pow(2, k)", "sum(k, 0, 10000000000, T)", "2:23: sum s: upper bound constant above 100000"),
+    ("pow(2, k)", "sum(k, -100001, n, T)", "2:20: sum s: lower bound constant above 100000"),
+    ("pow(2, k)", "sum(k, floor2((-65)*n), n, T)",
+     "2:20: sum s: lower bound coefficient above 64"),
+    ("pow(2, k)", "sum(k, 0, floor2(n + 200002), T)",
+     "2:23: sum s: upper bound constant above 100000"),
+])
+def test_unbounded_binomial_or_loop_exit_two(tmp_path, capsys, term, call, error):
+    # refused while parsing, before any binomial is computed or any loop runs
+    spec = tmp_path / "huge.wz"
+    spec.write_text(f"term T(n, k) := {term}\nsum s(n) := {call} == 1\n")
+    assert main(["oracle", "--id", "s", "--spec", str(spec), "--n-max", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"wzkit: spec error: {error}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -184,17 +184,45 @@ def test_bundled_parses_are_equal_until_one_definition_changes(name):
 
 
 def test_records_are_named_tuples():
-    # a frozen dataclass takes about sixteen times as long as a named tuple to
+    # a frozen dataclass takes several times as long as a named tuple to
     # define, and wzkit defines every one of these classes at each start
-    from wzkit import dsl, hyperterm, identities
+    # (see the wzkit package docstring)
+    import importlib
+    import pkgutil
+
+    import wzkit
+    from wzkit import dsl, hyperterm, identities, involution, reports, wzengine
 
     records = [getattr(dsl, n) for n in ("Token", "ENum", "EVar", "ENeg", "EBin", "ECall",
                                          "TermDef", "CertDef", "SumDef", "RecurrenceDef",
                                          "CheckDef")]
     records += [identities.SumBound, identities.Loop, identities.IdentityCase,
-                hyperterm.SupportBound]
+                identities.Registry, hyperterm.SupportBound, hyperterm.HyperTerm,
+                LinearForm, wzengine.WZProblem, wzengine.CertCheck, wzengine.ProofReport,
+                involution.WordModel, reports.Failure, reports.Report]
     for cls in records:
         assert not dataclasses.is_dataclass(cls) and issubclass(cls, tuple), cls
+    # nor is any other class of a wzkit module a dataclass
+    modules = [importlib.import_module(f"wzkit.{m.name}")
+               for m in pkgutil.iter_modules(wzkit.__path__)]
+    assert len(modules) == 10
+    classes = [c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__]
+    assert {involution.InvolutionReport, SpecDocument} <= set(classes)
+    for cls in classes:
+        assert not dataclasses.is_dataclass(cls), cls
+
+
+def test_records_add_no_tuple_arithmetic():
+    # a named tuple would repeat or join as a tuple where a term or form has no meaning
+    form = LinearForm.make({"n": 1}, 2)
+    term = HyperTerm.build(("n",), powers=((2, form),))
+    for op in (lambda: form * 2, lambda: 2 * form, lambda: 2 * term,
+               lambda: term + term, lambda: term + (1,)):
+        with pytest.raises(TypeError):
+            op()
+    assert form + form == LinearForm.make({"n": 2}, 4)
+    assert term * term == HyperTerm.build(("n",), powers=((2, form.scaled(2)),))
 
 
 def _lf(const=0, **coeffs):

@@ -28,7 +28,6 @@ whose stages share rows across n, against the per-n references.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -151,18 +150,18 @@ def ref_mutate_problem(p: WZProblem, rng: random.Random) -> WZProblem:
             if part == "cert_num":
                 cert = RationalFunction(_ref_perturb(p.certificate.num, exp, delta),
                                         p.certificate.den)
-                return replace(p, certificate=cert)
+                return p._replace(certificate=cert)
             if part == "cert_den":
                 cert = RationalFunction(p.certificate.num,
                                         _ref_perturb(p.certificate.den, exp, delta))
-                return replace(p, certificate=cert)
+                return p._replace(certificate=cert)
             coeffs = list(p.coeffs)
             a = coeffs[j]
             if part == "coeff_num":
                 coeffs[j] = RationalFunction(_ref_perturb(a.num, exp, delta), a.den)
             else:
                 coeffs[j] = RationalFunction(a.num, _ref_perturb(a.den, exp, delta))
-            return replace(p, coeffs=tuple(coeffs))
+            return p._replace(coeffs=tuple(coeffs))
         except ZeroDivisionError:
             continue
 
@@ -562,7 +561,7 @@ def test_stage_ranges_cover_the_registry():
 def test_proof_stages_match_reference_on_registry_problems(key, monkeypatch):
     # every certificate passes, so that the mutants' stages run too
     real = wzengine.verify_certificate
-    monkeypatch.setattr(wzengine, "verify_certificate", lambda p: replace(real(p), status=True))
+    monkeypatch.setattr(wzengine, "verify_certificate", lambda p: real(p)._replace(status=True))
     monkeypatch.setattr(wzengine, "mutation_check", lambda p, count, seed: [])
     p = registry().problems[key]
     rng = random.Random(2203)

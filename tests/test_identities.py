@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -156,8 +155,8 @@ def test_values_match_eval_sum_on_subranges(cid, start, length, warm_at):
 def test_values_memo_keeps_cases_apart_by_prefactor():
     # a case that differs from thm1 only in its prefactor has its own sums
     case = registry().case("thm1")
-    tripled = case._replace(summand=replace(
-        case.summand, prefactor=case.summand.prefactor * RationalFunction.const(3)))
+    tripled = case._replace(summand=case.summand._replace(
+        prefactor=case.summand.prefactor * RationalFunction.const(3)))
     _VALUES.clear()
     want = values(case, 0, 12)
     assert values(tripled, 0, 12) == [3 * v for v in want]

@@ -1,6 +1,6 @@
-import dataclasses
 import itertools
 import multiprocessing
+import pickle
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 
 import pytest
@@ -84,6 +84,18 @@ def test_enum_deterministic_order():
     a = list(enum_words(WordModel("thm2", 2)))
     b = list(enum_words(WordModel("thm2", 2)))
     assert a == b
+
+
+def test_model_and_report_survive_pickling():
+    # what a pool worker receives and sends back
+    for model in (WordModel("thm1", 2), WordModel("thm3", 4)):
+        assert pickle.loads(pickle.dumps(model)) == model
+        rep = check_involution(model)
+        back = pickle.loads(pickle.dumps(rep))
+        assert back == rep and back is not rep and vars(back) == vars(rep)
+    assert rep.closure_violations and back != InvolutionReport(rep.model_id, rep.n)
+    with pytest.raises(ValueError, match="unknown model"):
+        WordModel("thm4", 1)
 
 
 def test_size_limit():
@@ -325,16 +337,16 @@ _REFERENCE_MODELS = ([WordModel("thm1", n) for n in range(0, 7)]
 def test_check_involution_matches_reference():
     # field for field, each violation list in the same order
     for model in _REFERENCE_MODELS:
-        assert (dataclasses.asdict(check_involution(model))
-                == dataclasses.asdict(_check_involution_reference(model))), model
+        assert (vars(check_involution(model))
+                == vars(_check_involution_reference(model))), model
 
 
 def test_pool_check_matches_serial():
     # stratum tasks on spawned workers, merged in stratum order
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
         for model in _REFERENCE_MODELS:
-            assert (dataclasses.asdict(check_involution(model, pool))
-                    == dataclasses.asdict(check_involution(model))), model
+            assert (vars(check_involution(model, pool))
+                    == vars(check_involution(model))), model
 
 
 def test_maps_match_references_on_model_words():

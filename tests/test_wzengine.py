@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -256,7 +255,7 @@ def test_prove_never_concludes_on_telescope_mismatch(monkeypatch):
 def _over_common_factor(p: WZProblem, factor) -> WZProblem:
     """``p`` with R's numerator and denominator both times ``factor``: R off its zeros."""
     r = p.certificate
-    return replace(p, certificate=RationalFunction(r.num * factor, r.den * factor))
+    return p._replace(certificate=RationalFunction(r.num * factor, r.den * factor))
 
 
 def test_prove_fails_lower_boundary_on_a_pole_of_r_at_k_zero():
@@ -286,7 +285,7 @@ def test_prove_scans_the_witness_window_exactly(first_break, witness_n):
     breaks = P(lf(1))
     for i in range(first_break):
         breaks = breaks * P(lf(-i, n=1))
-    q = replace(p, coeffs=(p.coeffs[0], p.coeffs[1] + RationalFunction(breaks)))
+    q = p._replace(coeffs=(p.coeffs[0], p.coeffs[1] + RationalFunction(breaks)))
     rep = prove_constant_sum(q, (0, 20))
     assert not rep.cert.status and rep.failed_stage == "certificate"
     assert pointwise_witness(q, 0, first_break - 1) is None
@@ -318,7 +317,7 @@ def test_mutation_determinism():
 
 def test_verify_forms_the_shift_quotients_once(monkeypatch):
     # the certificate check and every mutant read one q_n and one q_k;
-    # replace() makes a problem on which nothing is formed yet
+    # _replace() makes a problem on which nothing is formed yet
     calls = []
     real = HyperTerm.shift_quotient
 
@@ -327,11 +326,11 @@ def test_verify_forms_the_shift_quotients_once(monkeypatch):
         return real(term, var)
 
     monkeypatch.setattr(HyperTerm, "shift_quotient", counted)
-    rep = prove_constant_sum(replace(registry().problem("thm1")), (0, 3))
+    rep = prove_constant_sum(registry().problem("thm1")._replace(), (0, 3))
     assert rep.conclusion is not None and not rep.survivors
     assert sorted(calls) == ["k", "n"]
     calls.clear()
-    assert all(mutation_check(replace(registry().problem("thm2")), count=8, seed=3))
+    assert all(mutation_check(registry().problem("thm2")._replace(), count=8, seed=3))
     assert sorted(calls) == ["k", "n"]
 
 
