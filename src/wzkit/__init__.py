@@ -9,23 +9,27 @@ its brute-force oracle (``identities``), exhaustive involution checking
 ``cli``).
 
 Every record class of wzkit is a named tuple (``collections.namedtuple``
-or ``typing.NamedTuple``), or a plain class with a short ``__init__``
-where code mutates the record in place (``InvolutionReport``,
-``SpecDocument``); no module uses ``@dataclass``.  Each start of
-wzkit, every command and every spawned ``--jobs`` worker, imports every
-module and so defines every class.  On Python 3.11.7 and 2 vCPUs,
-importing the dataclass module (which loads ``inspect``, ``ast`` and ``dis``)
+or ``typing.NamedTuple``) or a plain class with ``__slots__`` or a short
+``__init__``; no module uses ``@dataclass``.  Each start of wzkit,
+every command and every spawned ``--jobs`` worker, imports every module
+and so defines every class.  On Python 3.11.7 and 2 vCPUs, importing
+the dataclass module (which loads ``inspect``, ``ast`` and ``dis``)
 took 6.3 ms in a fresh interpreter, and a frozen dataclass of four
 fields took 780 us to define against 158 us for a ``typing.NamedTuple``.
 An instance of the named tuple builds, compares and hashes faster (279
 against 425 ns, 295 against 586 ns, 38 against 137 ns); an attribute
-read is slower (20 against 9 ns), which no benchmark workload shows.
-A record has a tuple's equality, hashing and pickling, with two
-exceptions: where a tuple operator has no meaning for the record
-(``LinearForm * 2``, ``2 * HyperTerm``, ``HyperTerm + HyperTerm``) it
-returns ``NotImplemented``, so the operation raises ``TypeError``; and
-a record that is the outcome of one run or one build (``CertCheck``,
-``ProofReport``, ``Registry``) is equal only to itself.
+read is slower (20 against 9 ns).
+
+A named tuple also takes every tuple operation: ``+``, ``*`` by an
+int, ordering, ``len`` and unpacking.  So the two algebraic values,
+``LinearForm`` and ``HyperTerm``, whose ``+`` and ``*`` mean something
+else, are immutable slotted classes that define their own equality,
+hashing and pickling: no tuple operation applies to them, and an
+attribute read takes 11 ns.  Records that code mutates in place
+(``InvolutionReport``, ``SpecDocument``) are plain classes.  The other
+records are named tuples, with a tuple's equality, hashing and pickling,
+except that a record that is the outcome of one run or one build
+(``CertCheck``, ``ProofReport``, ``Registry``) is equal only to itself.
 """
 
 from .exactnum import Rational, UnsupportedArgumentError, binomial, rat_arith

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .exactnum import UnsupportedArgumentError, binomial
 from .symalg import LinearForm, MultiPoly, PoleError, RationalFunction
@@ -138,18 +138,53 @@ def slice_row(row: Row, first: int, last: int, lo: int, hi: int) -> Row | None:
 SupportBound = namedtuple("SupportBound", ("var", "direction", "bound"))
 
 
-class HyperTerm(NamedTuple):
+class HyperTerm:
     """Sign * powers * binomials * prefactor, all exponents affine.
 
-    ``*`` of two terms is their product; ``+`` and an ``int`` times a
-    term are not defined, so a term is never joined or repeated as a tuple.
+    Immutable; a slotted class rather than a named tuple (see the wzkit
+    package docstring): ``*`` of two terms is their product, and a term
+    is never repeated, joined, ordered or iterated as a tuple.
     """
 
+    __slots__ = ("sign_exp", "powers", "binomials", "prefactor", "variables")
     sign_exp: LinearForm
     powers: tuple[tuple[int, LinearForm], ...]
     binomials: tuple[tuple[LinearForm, LinearForm], ...]  # (top, bottom)
     prefactor: RationalFunction
     variables: tuple[str, ...]
+
+    def __init__(self, sign_exp: LinearForm, powers: tuple[tuple[int, LinearForm], ...],
+                 binomials: tuple[tuple[LinearForm, LinearForm], ...],
+                 prefactor: RationalFunction, variables: tuple[str, ...]) -> None:
+        for setter, value in zip(_SETTERS, (sign_exp, powers, binomials, prefactor, variables)):
+            setter(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HyperTerm is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.sign_exp, self.powers, self.binomials, self.prefactor, self.variables)
+
+    def __reduce__(self):
+        return HyperTerm, self._key()
+
+    def __eq__(self, other):
+        if other.__class__ is not HyperTerm:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "HyperTerm(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._key())) + ")"
+
+    def _replace(self, **changes) -> "HyperTerm":
+        """A copy with the named fields changed, as on wzkit's named-tuple records."""
+        return HyperTerm(**dict(zip(self.__slots__, self._key()), **changes))
 
     @staticmethod
     def build(variables, sign_exp=None, powers=(), binomials=(),
@@ -351,11 +386,6 @@ class HyperTerm(NamedTuple):
                 v for v in other.variables if v not in self.variables),
         )
 
-    def __add__(self, other):
-        return NotImplemented
-
-    __radd__ = __rmul__ = __add__
-
     def __str__(self) -> str:
         """The term in DSL syntax, which parses back to an equal term."""
         parts: list[str] = []
@@ -370,6 +400,10 @@ class HyperTerm(NamedTuple):
             parts.append(f"({num})")
         s = " * ".join(parts)
         return s if den == _ONE.den else f"{s} / ({den})"
+
+
+# the slots' own setters, which __setattr__ refuses after __init__
+_SETTERS = tuple(getattr(HyperTerm, name).__set__ for name in HyperTerm.__slots__)
 
 
 def term_eval(t: HyperTerm, point: Mapping[str, int]) -> Fraction:

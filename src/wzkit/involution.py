@@ -358,8 +358,8 @@ def unmet_expectations(rep: InvolutionReport) -> list[tuple[int, int, int]]:
         bad += [(n, got, want) for got in (rep.fixed_signed_sum, rep.total_signed_sum)
                 if got != want]
         model = WordModel(rep.model_id, n)
-        bad += [(n, count, want) for k, count in rep.stratum_counts.items()
-                if count != (want := model.expected_stratum_count(k))]
+        bad += [(n, count, size) for k, count in rep.stratum_counts.items()
+                for size in (model.expected_stratum_count(k),) if count != size]
     else:
         fixed = 2 * n * (n + 1)
         bad += [(n, got, want) for got, want in (

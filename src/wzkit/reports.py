@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib.resources import files
 from typing import NamedTuple
 
 
@@ -98,4 +97,6 @@ def render(reports: list[Report], fmt: str) -> str:
 
 def report_schema() -> dict:
     """The bundled JSON schema every report object validates against."""
+    from importlib.resources import files  # deferred: from Python 3.12 on it imports inspect
+
     return json.loads(files("wzkit").joinpath("data/report_schema.json").read_text())

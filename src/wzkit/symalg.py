@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 
 class MissingVariableError(KeyError):
@@ -45,16 +45,39 @@ def _coeff(c: int | Fraction) -> int | Fraction:
 # linear forms
 
 
-class LinearForm(NamedTuple):
+class LinearForm:
     """Integer-coefficient affine expression ``sum c_i * x_i + const``.
 
     Canonical: zero coefficients are never stored and names are sorted,
-    so equal forms compare and hash equal.  ``*`` is not defined: a form
-    is scaled with ``scaled``, never repeated as a tuple.
+    so equal forms compare and hash equal.  Immutable; a slotted class
+    rather than a named tuple (see the wzkit package docstring), so a form
+    is never repeated, joined, ordered or iterated as a tuple.
     """
 
-    coeffs: tuple[tuple[str, int], ...]
-    const: int = 0
+    __slots__ = ("coeffs", "const")
+
+    def __init__(self, coeffs: tuple[tuple[str, int], ...], const: int = 0) -> None:
+        _set_coeffs(self, coeffs)
+        _set_const(self, const)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LinearForm is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return LinearForm, (self.coeffs, self.const)
+
+    def __eq__(self, other):
+        if other.__class__ is not LinearForm:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.const == other.const
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.const))
+
+    def __repr__(self) -> str:
+        return f"LinearForm(coeffs={self.coeffs!r}, const={self.const!r})"
 
     @staticmethod
     def make(coeffs: Mapping[str, int] | None = None, const: int = 0) -> "LinearForm":
@@ -98,11 +121,6 @@ class LinearForm(NamedTuple):
     def __sub__(self, other: "LinearForm | int") -> "LinearForm":
         return self + (-other if isinstance(other, LinearForm) else -other)
 
-    def __mul__(self, other):
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def scaled(self, k: int) -> "LinearForm":
         if k == 0:
             return LinearForm((), 0)
@@ -141,6 +159,10 @@ class LinearForm(NamedTuple):
             c = self.const
             parts.append((f"+ {c}" if c >= 0 else f"- {-c}") if parts else str(c))
         return " ".join(parts)
+
+
+# the slots' own setters, which __setattr__ refuses after __init__
+_set_coeffs, _set_const = LinearForm.coeffs.__set__, LinearForm.const.__set__
 
 
 # ---------------------------------------------------------------------------

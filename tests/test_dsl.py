@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
@@ -197,11 +198,14 @@ def test_records_are_named_tuples():
                                          "TermDef", "CertDef", "SumDef", "RecurrenceDef",
                                          "CheckDef")]
     records += [identities.SumBound, identities.Loop, identities.IdentityCase,
-                identities.Registry, hyperterm.SupportBound, hyperterm.HyperTerm,
-                LinearForm, wzengine.WZProblem, wzengine.CertCheck, wzengine.ProofReport,
-                involution.WordModel, reports.Failure, reports.Report]
+                identities.Registry, hyperterm.SupportBound, wzengine.WZProblem,
+                wzengine.CertCheck, wzengine.ProofReport, involution.WordModel,
+                reports.Failure, reports.Report]
     for cls in records:
         assert not dataclasses.is_dataclass(cls) and issubclass(cls, tuple), cls
+    # a term and a form are slotted plain classes: no tuple operator applies to them
+    for value in (LinearForm.make({"n": 1}), HyperTerm.build(("n",))):
+        assert not isinstance(value, tuple) and not hasattr(value, "__dict__"), value
     # nor is any other class of a wzkit module a dataclass
     modules = [importlib.import_module(f"wzkit.{m.name}")
                for m in pkgutil.iter_modules(wzkit.__path__)]
@@ -214,15 +218,26 @@ def test_records_are_named_tuples():
 
 
 def test_records_add_no_tuple_arithmetic():
-    # a named tuple would repeat or join as a tuple where a term or form has no meaning
+    # a named tuple would repeat, join, order or unpack as a tuple where a
+    # term or form has no meaning
     form = LinearForm.make({"n": 1}, 2)
     term = HyperTerm.build(("n",), powers=((2, form),))
     for op in (lambda: form * 2, lambda: 2 * form, lambda: 2 * term,
-               lambda: term + term, lambda: term + (1,)):
+               lambda: term + term, lambda: term + (1,), lambda: (1,) + term,
+               lambda: form < form, lambda: term < term, lambda: len(form),
+               lambda: len(term), lambda: iter(form), lambda: iter(term)):
         with pytest.raises(TypeError):
             op()
+    for value in (form, term):
+        with pytest.raises(AttributeError):
+            value.variables = ()
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and repr(copy) == repr(value)
+    assert hash(pickle.loads(pickle.dumps(form))) == hash(form)
+    assert form == LinearForm(form.coeffs, form.const) and form != (form.coeffs, form.const)
     assert form + form == LinearForm.make({"n": 2}, 4)
     assert term * term == HyperTerm.build(("n",), powers=((2, form.scaled(2)),))
+    assert term._replace(variables=("n", "k")).variables == ("n", "k")
 
 
 def _lf(const=0, **coeffs):
