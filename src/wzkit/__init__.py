@@ -32,6 +32,8 @@ except that a record that is the outcome of one run or one build
 (``CertCheck``, ``ProofReport``, ``Registry``) is equal only to itself.
 """
 
+import os
+
 from .exactnum import Rational, UnsupportedArgumentError, binomial, rat_arith
 from .hyperterm import (HyperTerm, SupportBound, absorb_rational,
                         shift_quotient, support_bounds, term_eval)
@@ -50,6 +52,19 @@ from .wzengine import (CertCheck, ProofReport, WZProblem,
                        telescope_prefix_check, verify_certificate)
 
 __version__ = "0.1.0"
+
+
+def read_data(name: str) -> str:
+    """The text of the bundled file ``data/<name>``.
+
+    Read through the package's loader, as ``pkgutil.get_data`` does, so
+    it works for file and zip installs; neither ``pkgutil`` nor
+    ``importlib.resources`` is imported, and from Python 3.12 on those
+    load ``inspect``.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path).decode("utf-8")
+
 
 __all__ = [
     "Rational", "UnsupportedArgumentError", "binomial", "rat_arith",

@@ -595,10 +595,7 @@ def build_registry(documents: Sequence[tuple[str, object]]) -> Registry:
 @lru_cache(maxsize=1)
 def registry() -> Registry:
     """The registry of the bundled DSL files (parsed once)."""
-    from importlib.resources import files
+    from . import dsl, read_data  # deferred: dsl imports this module's types
 
-    from . import dsl  # deferred: dsl imports this module's types
-
-    data = files("wzkit").joinpath("data")
-    return build_registry([(name, dsl.parse_document(data.joinpath(name).read_text()))
+    return build_registry([(name, dsl.parse_document(read_data(name)))
                            for name in BUNDLED])

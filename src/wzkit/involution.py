@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
+from operator import add, and_
 from typing import TYPE_CHECKING, Iterator
 
 from .exactnum import binomial
@@ -46,10 +48,10 @@ class SizeLimitError(ValueError):
 #: caps keep one exhaustive check near a minute or less.  Words are
 #: streamed, so only recorded violations take memory.  At the caps, on a
 #: 2-vCPU host with Python 3.11.7, single process, four runs each (a
-#: noisy host): thm2 n=8 (cost 18) is 6.6M words in 12.0-18.6 s, thm1 n=8
-#: 2.7M words in 4.4-7.5 s, and thm3 n=7 330k words with 237k recorded
-#: violations in 0.9-1.2 s and 63 MB peak RSS.  With ``--jobs 2`` (stratum
-#: tasks on two workers) thm2 n=8 took 7.0, 7.8 and 7.8 s on that host
+#: noisy host): thm2 n=8 (cost 18) is 6.6M words in 8.8-10.1 s, thm1 n=8
+#: 2.7M words in 3.1-4.1 s, and thm3 n=7 330k words with 237k recorded
+#: violations in 0.8-1.3 s and 60 MB peak RSS.  With ``--jobs 2`` (stratum
+#: tasks on two workers) thm2 n=8 took 4.9, 5.0 and 5.2 s on that host
 MAX_COST = 18          # thm1/thm2: 2#a + #b + #c
 MAX_THM3_N = 7
 
@@ -115,13 +117,13 @@ class WordModel(namedtuple("WordModel", ("model_id", "n"))):
     def stratum_words(self, k: int) -> Iterator[str]:
         """Stream the words of stratum k in a deterministic order."""
         if self.model_id == "thm1":
-            yield from _words_with_counts(self.n - k, 2 * k + 1)
-        elif self.model_id == "thm2":
-            yield from _words_with_counts(self.n + 1 - k, 2 * k)
-        else:
-            length = self.n + 1 + k
-            for non_a in range(2 * k + 2, length + 1):
-                yield from _words_with_counts(length - non_a, non_a)
+            return _words_with_counts(self.n - k, 2 * k + 1)
+        if self.model_id == "thm2":
+            return _words_with_counts(self.n + 1 - k, 2 * k)
+        length = self.n + 1 + k
+        return itertools.chain.from_iterable(
+            _words_with_counts(length - non_a, non_a)
+            for non_a in range(2 * k + 2, length + 1))
 
     def expected_stratum_count(self, k: int) -> int:
         """The size of stratum k from binomials.
@@ -143,18 +145,51 @@ def _words_with_counts(n_a: int, n_other: int) -> Iterator[str]:
     """All words with exactly ``n_a`` a's and ``n_other`` letters from {b, c}.
 
     Order: placements of the a's in ``itertools.combinations`` order,
-    then the {b, c} fills in ``itertools.product`` order.  Each placement
-    is one ``itertools.product`` over per-position letter choices ("a" at
-    the a positions, "bc" elsewhere), joined in C; the words are
-    streamed, never held in a list.
+    then the {b, c} fills in ``itertools.product`` order.  A placement
+    cuts the non-a positions into maximal runs, and each of its words is
+    one ``"".join`` of one element from each factor of a product over the
+    runs' cached fills (``_run_fills``) with the fixed ``"a"`` between
+    them (``_placement_words``); that is the same order, since product
+    varies its last factor fastest.  The words are streamed, never held
+    in a list, through a chain over the placements.
     """
     if n_a < 0 or n_other < 0:
-        return
+        return iter(())
     length = n_a + n_other
-    for positions in itertools.combinations(range(length), n_a):
-        pos = set(positions)
-        yield from map("".join, itertools.product(
-            *["a" if i in pos else "bc" for i in range(length)]))
+    return itertools.chain.from_iterable(map(
+        _placement_words, itertools.combinations(range(length), n_a),
+        itertools.repeat(length)))
+
+
+def _placement_words(positions: tuple[int, ...], length: int) -> Iterator[str]:
+    """The words of ``length`` letters with a's exactly at ``positions``."""
+    parts = []
+    start = 0
+    for p in positions:
+        if p > start:
+            parts += _run_fills(p - start)
+        parts.append(("a",))
+        start = p + 1
+    if length > start:
+        parts += _run_fills(length - start)
+    return map("".join, itertools.product(*parts))
+
+
+#: a run's fills are split into factors of at most 2**8 strings
+RUN_PIECE = 8
+
+
+@lru_cache(maxsize=None)
+def _run_fills(run: int) -> tuple[tuple[str, ...], ...]:
+    """The product factors of a run of ``run`` non-a letters.
+
+    Pieces of at most ``RUN_PIECE`` letters, left to right; each piece is
+    every {b, c} word of its length in ``itertools.product`` order, and
+    pieces of one length are one shared tuple.
+    """
+    if run > RUN_PIECE:
+        return _run_fills(RUN_PIECE) + _run_fills(run - RUN_PIECE)
+    return (tuple(map("".join, itertools.product("bc", repeat=run))),)
 
 
 def enum_words(model: WordModel) -> Iterator[str]:
@@ -176,13 +211,12 @@ def scan_involution(w: str) -> str | None:
     Fixed words are those with no ``a`` and no adjacent ``bc``, i.e.
     exactly c^i b^j.
     """
-    ia = w.find("a")
-    ibc = w.find("bc")
-    # replace(..., 1) rewrites exactly the first occurrence find() located
-    if ia >= 0 and (ia < ibc or ibc < 0):
-        return w.replace("a", "bc", 1)
-    if ibc >= 0:
+    head, a, tail = w.partition("a")
+    # a "bc" before the first a is the first "bc" of w, which replace finds
+    if "bc" in head:
         return w.replace("bc", "a", 1)
+    if a:
+        return head + "bc" + tail
     return None
 
 
@@ -293,11 +327,28 @@ def check_involution(model: WordModel, pool: Executor | None = None) -> Involuti
     return rep
 
 
+#: words per chunk of ``_check_stratum``'s verdict
+CHUNK = 4096
+#: ``str.translate`` table that deletes the alphabet's letters
+_DROP_ALPHABET = str.maketrans("", "", "".join(ALPHABET))
+
+
 def _check_stratum(model: WordModel, k: int) -> InvolutionReport:
     """The report of the words of stratum k alone.
 
     The map is looked up on the module at each call, so a map replaced
     there applies.
+
+    The words are taken ``CHUNK`` at a time.  For each chunk the a-counts
+    (weights and the signed sum) and the images are computed by C-level
+    passes.  A scan-model chunk is clean when no image is None (no fixed
+    word), every image is over the alphabet, has ``len + #a == cost`` and
+    the other a-parity than its word (closure and sign reversal), and the
+    images' images are the chunk's words (involutivity): then every word
+    of it is paired.  Every other chunk, so every thm3 chunk, is swept
+    word by word, reusing the a-counts, the images and, when they were
+    computed, the images' images, so each violation list keeps stream
+    order.
 
     For the scan models the image's a-count serves both the closure test
     and the sign test: closure is ``len + #a == cost`` and no letter
@@ -311,30 +362,45 @@ def _check_stratum(model: WordModel, k: int) -> InvolutionReport:
     sign = rep.sign_violations.append
     involutivity = rep.involutivity_violations.append
     count = signed = fixed = fixed_signed = paired = 0
-    for w in model.stratum_words(k):
-        count += 1
-        odd = w.count("a") & 1  # weight(w) = -1 exactly when odd
-        signed += -1 if odd else 1
-        img = mapper(w)
-        if img is None:
-            fixed += 1
-            fixed_signed += -1 if odd else 1
-            continue
-        n_img = img.count("a")
-        if not (contains(img) if cost is None
-                else len(img) + n_img == cost and not img.strip("abc")):
-            closure((w, img))
-            continue
-        ok = True
-        if (n_img & 1) == odd:  # same weight
-            sign((w, img))
-            ok = False
-        back = mapper(img)
-        if back is not None and back != w and contains(back):
-            involutivity((w, img, back))
-            ok = False
-        if ok:
-            paired += 1
+    stream = model.stratum_words(k)
+    while words := list(itertools.islice(stream, CHUNK)):
+        a_counts = list(map(str.count, words, itertools.repeat("a")))
+        n_odd = sum(map(and_, a_counts, itertools.repeat(1)))  # weight -1 exactly when odd
+        count += len(words)
+        signed += len(words) - 2 * n_odd
+        images = list(map(mapper, words))
+        backs = None
+        if (cost is not None and None not in images
+                and not "".join(images).translate(_DROP_ALPHABET)):
+            img_counts = list(map(str.count, images, itertools.repeat("a")))
+            if (set(map(add, map(len, images), img_counts)) == {cost}
+                    and all(map(and_, map(add, a_counts, img_counts), itertools.repeat(1)))):
+                backs = list(map(mapper, images))
+                if backs == words:
+                    paired += len(words)
+                    continue
+        for i, w in enumerate(words):
+            odd = a_counts[i] & 1
+            img = images[i]
+            if img is None:
+                fixed += 1
+                fixed_signed += -1 if odd else 1
+                continue
+            n_img = img.count("a")
+            if not (contains(img) if cost is None
+                    else len(img) + n_img == cost and not img.strip("abc")):
+                closure((w, img))
+                continue
+            ok = True
+            if (n_img & 1) == odd:  # same weight
+                sign((w, img))
+                ok = False
+            back = mapper(img) if backs is None else backs[i]
+            if back is not None and back != w and contains(back):
+                involutivity((w, img, back))
+                ok = False
+            if ok:
+                paired += 1
     rep.stratum_counts[k] = count
     rep.total_words = count
     rep.total_signed_sum = signed
@@ -347,9 +413,10 @@ def _check_stratum(model: WordModel, k: int) -> InvolutionReport:
 def unmet_expectations(rep: InvolutionReport) -> list[tuple[int, int, int]]:
     """(n, got, want) for each count of ``rep`` that misses the paper's claim.
 
-    Scan models: fixed and total signed sums 2n+2 (thm1) or 2n+3 (thm2) and
-    binomial stratum sizes; thm3: 2n(n+1) fixed words of weight (-1)^(n+1).
-    Violations of any kind add (n, their number, 0).
+    Every model: binomial stratum sizes (``expected_stratum_count``).  Scan
+    models: fixed and total signed sums 2n+2 (thm1) or 2n+3 (thm2); thm3:
+    2n(n+1) fixed words of weight (-1)^(n+1).  Violations of any kind add
+    (n, their number, 0).
     """
     n = rep.n
     bad: list[tuple[int, int, int]] = []
@@ -357,15 +424,15 @@ def unmet_expectations(rep: InvolutionReport) -> list[tuple[int, int, int]]:
         want = 2 * n + 2 if rep.model_id == "thm1" else 2 * n + 3
         bad += [(n, got, want) for got in (rep.fixed_signed_sum, rep.total_signed_sum)
                 if got != want]
-        model = WordModel(rep.model_id, n)
-        bad += [(n, count, size) for k, count in rep.stratum_counts.items()
-                for size in (model.expected_stratum_count(k),) if count != size]
     else:
         fixed = 2 * n * (n + 1)
         bad += [(n, got, want) for got, want in (
             (rep.fixed_count, fixed),
             (rep.fixed_signed_sum, -fixed if n % 2 == 0 else fixed))
             if got != want]
+    model = WordModel(rep.model_id, n)
+    bad += [(n, count, size) for k, count in rep.stratum_counts.items()
+            for size in (model.expected_stratum_count(k),) if count != size]
     violations = (len(rep.closure_violations) + len(rep.involutivity_violations)
                   + len(rep.sign_violations))
     if violations:

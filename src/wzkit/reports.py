@@ -97,6 +97,6 @@ def render(reports: list[Report], fmt: str) -> str:
 
 def report_schema() -> dict:
     """The bundled JSON schema every report object validates against."""
-    from importlib.resources import files  # deferred: from Python 3.12 on it imports inspect
+    from . import read_data
 
-    return json.loads(files("wzkit").joinpath("data/report_schema.json").read_text())
+    return json.loads(read_data("report_schema.json"))

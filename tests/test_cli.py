@@ -280,8 +280,10 @@ def test_cli_imports_no_pool_machinery():
 
 def test_cli_import_loads_no_dataclasses():
     # dataclasses pulls in inspect, ast and dis, a fifth of wzkit's start-up;
-    # counted against the modules loaded before the import, such as site's
+    # counted against the modules loaded before the import, such as site's.
+    # Reading the bundled .wz files and the schema loads neither
     probe = ("import sys; before = set(sys.modules); import wzkit.cli; "
+             "wzkit.cli.registry(); wzkit.reports.report_schema(); "
              "added = set(sys.modules) - before; "
              "print(sorted(m for m in ('dataclasses', 'inspect') if m in added), "
              "'wzkit.cli' in added)")

@@ -131,6 +131,20 @@ def test_check_thm3_n2():
     assert rep.total_signed_sum == 12
 
 
+def test_unmet_expectations_checks_every_models_stratum_sizes():
+    for model in (WordModel("thm1", 3), WordModel("thm2", 3),
+                  *(WordModel("thm3", n) for n in range(1, 7))):
+        rep = check_involution(model)
+        violations = (len(rep.closure_violations) + len(rep.involutivity_violations)
+                      + len(rep.sign_violations))
+        assert involution.unmet_expectations(rep) == (
+            [(model.n, violations, 0)] if violations else []), model
+        k = max(rep.stratum_counts)
+        rep.stratum_counts[k] += 1
+        assert (model.n, rep.stratum_counts[k], model.expected_stratum_count(k)) \
+            in involution.unmet_expectations(rep), model
+
+
 def test_stratum_counts_match_binomials():
     for n in range(0, 5):
         model = WordModel("thm1", n)
@@ -229,7 +243,9 @@ _SMALL_MODELS = ([WordModel("thm1", n) for n in range(0, 6)]
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 0), (0, 1), (2, 3), (3, 0),
-                                   (-1, 0), (0, -1), (-1, -2), (-2, 4)])
+                                   (-1, 0), (0, -1), (-1, -2), (-2, 4),
+                                   # runs longer than one cached fill piece
+                                   (0, 16), (0, 17), (1, 9), (2, 10)])
 def test_words_with_counts_matches_reference_on_edge_shapes(shape):
     assert (list(involution._words_with_counts(*shape))
             == list(_words_with_counts_reference(*shape)))
@@ -292,12 +308,14 @@ def _sigma_reference(w):
     return w[:cut] + w[cut + 1:]
 
 
-def _check_involution_reference(model):
+def _check_involution_reference(model, mapper=None):
     """The checker with ``weight()``, attribute counters on the report and
-    the involutivity conjunction in its plain order, over the reference maps."""
+    the involutivity conjunction in its plain order, over ``mapper`` or
+    else the reference maps."""
     model.check_size()
-    mapper = (_scan_involution_reference if model.model_id in ("thm1", "thm2")
-              else _sigma_reference)
+    if mapper is None:
+        mapper = (_scan_involution_reference if model.model_id in ("thm1", "thm2")
+                  else _sigma_reference)
     rep = InvolutionReport(model_id=model.model_id, n=model.n)
     for k in model.strata():
         count = 0
@@ -438,3 +456,29 @@ def test_each_check_records_its_own_violations(monkeypatch, broken, kind):
         assert rep.sign_violations == sign
         assert rep.involutivity_violations == involutivity
         assert rep.total_words == len(words)
+
+
+def test_chunk_verdict_matches_reference_around_chunk_edges(monkeypatch):
+    # one stratum of thm2 n=7 spans eight chunks; the map corrupts the last
+    # word of its first chunk, the first word of its second and its last
+    # word, so chunks 0, 1 and 7 are swept and chunk 2 is clean after a
+    # swept one.  The first two images leave S and map back to their words,
+    # so only the cost test and only the alphabet test see them
+    model = WordModel("thm2", 7)
+    words = list(model.stratum_words(3))
+    assert involution.CHUNK == 4096 and 7 * 4096 < len(words) < 8 * 4096
+    first, second, last = words[4095], words[4096], words[-1]
+    corrupt = {first: scan_involution(first) + "b",
+               second: scan_involution(second).replace("b", "x", 1),
+               last: last[::-1]}  # same cost, same weight
+    corrupt.update((corrupt[w], w) for w in (first, second))
+
+    def broken(w):
+        return corrupt[w] if w in corrupt else scan_involution(w)
+
+    want = _check_involution_reference(model, broken)
+    assert want.closure_violations == [(first, corrupt[first]), (second, corrupt[second])]
+    assert (last, last[::-1]) in want.sign_violations
+    monkeypatch.setattr(involution, "scan_involution", broken)
+    for rep in (check_involution(model), check_involution(model, _InlinePool())):
+        assert vars(rep) == vars(want)
