@@ -37,7 +37,9 @@ or an argument outside what the engine supports (a parameter below an
 identity's ``valid_from``, a negative binomial top in a ``--spec`` sum,
 a range that meets a pole of the term or a coefficient, a term with
 no finite upper support where a recurrence sum needs one, an
-``--order`` outside [0, 1], a range past its bound).  Each kind of
+``--order`` outside [0, 1], a ``discover`` term whose prefactor
+denominator in k is not one affine form times a factor free of k, a
+range past its bound).  Each kind of
 check has one bound, which a range from ``--n-min``/``--n-max`` and one
 from a ``check`` line meet alike: |n| <= 1000 for ``oracle`` and
 ``lemmas`` and |n| <= 2000 for ``verify`` (``MAX_N``); an

@@ -5,28 +5,19 @@ parameters (typically just the shift variable), with the summation
 variable as the polynomial indeterminate.  The pieces:
 
 * ``UPoly`` -- dense univariate polynomials with ``RationalFunction``
-  coefficients, enough ring/Euclid structure for the normal form.
-* ``shift_candidates`` -- the nonnegative integer shifts ``g`` with
-  ``gcd(a(k), b(k+g)) != 1`` (the dispersion set), found exactly: the
-  resultant ``Res_k(a(k), b(k+h))`` is computed symbolically
-  (fraction-free Bareiss over integer polynomials in the parameters and
-  ``h``), a nonzero rational slice of it bounds the integer roots, the
-  slice's denominators are cleared once so its roots are scanned in
-  ``int`` arithmetic, and every candidate is confirmed by an actual gcd.
-* ``affine_shift_candidates`` -- the same set when ``a`` and ``b`` are,
-  up to factors free of ``k``, products of forms affine in ``k``: it is
-  read from the factors' roots, ``g = beta - alpha`` for a root
-  ``alpha`` of ``a`` and ``beta`` of ``b`` whose parameter parts are
-  equal (the dispersion of linear factors, as in Man and Wright, ISSAC
-  1994).
+  coefficients: ring operations, shifts, and the collapse into one
+  rational function.
+* ``affine_dispersion`` -- the nonnegative integer shifts ``g`` with
+  ``gcd(a(k), b(k+g)) != 1`` when ``a`` and ``b`` are, up to factors
+  free of ``k``, products of forms affine in ``k``: ``g = beta - alpha``
+  for a root ``alpha`` of ``a`` and ``beta`` of ``b`` whose parameter
+  parts are equal (the dispersion of linear factors, as in Man and
+  Wright, ISSAC 1994).
 * ``gosper_normal`` -- ``r/s = Z * (A/B) * (C(k+1)/C(k))`` with
   ``gcd(A(k), B(k+g)) = 1`` for every integer ``g >= 0``; ``Z`` is
-  folded into ``A``.  Given the affine factors of ``r`` and ``s``, each
-  gcd is the multiset of matched factors, so ``A``, ``B`` and ``C`` are
-  those multisets expanded once; without them the shifts come from the
-  resultant and each gcd from Euclid, which stays as the reference.
-  Discovery passes the factors whenever the term's prefactor is free of
-  ``k``.
+  folded into ``A``.  It takes the affine factors of ``r`` and ``s``, so
+  each gcd is the multiset of matched factors and ``A``, ``B`` and ``C``
+  are those multisets expanded once: no polynomial gcd is computed.
 * ``degree_bound`` -- the standard degree analysis of the key equation
   ``A(k) x(k+1) - B(k-1) x(k) = rhs(k)``; in the leading-term
   cancellation case both candidate degrees are kept and the maximum
@@ -39,11 +30,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 
 from .symalg import LinearForm, MultiPoly, RationalFunction
-
-_H = "_h"  # resultant shift indeterminate; underscore keeps it out of user namespaces
 
 
 class UPoly:
@@ -124,9 +112,6 @@ class UPoly:
     def scale(self, c: RationalFunction) -> "UPoly":
         return UPoly(self.var, [x * c for x in self.coeffs])
 
-    def monic(self) -> "UPoly":
-        return self.scale(RationalFunction.const(1) / self.lc)
-
     def shifted(self, offset: int) -> "UPoly":
         """Substitute ``var -> var + offset``."""
         if offset == 0 or self.is_zero():
@@ -137,38 +122,6 @@ class UPoly:
         for c in reversed(self.coeffs):
             out = out * x + UPoly(self.var, [c])
         return out
-
-    def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [RationalFunction.const(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-
-        def deg(cs):
-            while cs and cs[-1].is_zero():
-                cs.pop()
-            return len(cs) - 1
-
-        while deg(r) >= other.degree:
-            d = len(r) - 1
-            t = (r[-1] / other.lc).reduced()
-            q[d - other.degree] = t
-            for i, c in enumerate(other.coeffs):
-                r[d - other.degree + i] = (r[d - other.degree + i] - t * c).reduced()
-        return UPoly(self.var, q), UPoly(self.var, r)
-
-    def quo(self, other: "UPoly") -> "UPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
 
     def to_rf(self) -> RationalFunction:
         """Collapse back into a single rational function."""
@@ -183,130 +136,6 @@ class UPoly:
             return "0"
         return " + ".join(
             f"({c})*{self.var}^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero())
-
-
-# ---------------------------------------------------------------------------
-# resultant-based shift detection
-
-
-def _det_bareiss(mat: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant; every division is exact by Bareiss' theorem."""
-    n = len(mat)
-    if n == 0:
-        return MultiPoly.const(1)
-    m = [row[:] for row in mat]
-    prev = MultiPoly.const(1)
-    sign = 1
-    for i in range(n - 1):
-        if m[i][i].is_zero():
-            for r in range(i + 1, n):
-                if not m[r][i].is_zero():
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero()
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[i][i] * m[r][c] - m[r][i] * m[i][c]).divexact(prev)
-            m[r][i] = MultiPoly.zero()
-        prev = m[i][i]
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
-
-
-def _clear_denominators(p: UPoly) -> list[MultiPoly]:
-    """Coefficients of ``p`` scaled to polynomials (common denominator dropped)."""
-    den = MultiPoly.const(1)
-    for c in p.coeffs:
-        den = den * c.den
-    out = []
-    for i, c in enumerate(p.coeffs):
-        scaled = c.num * den.divexact(c.den)
-        out.append(scaled)
-    return out
-
-
-def _sylvester_resultant_shifted(a: UPoly, b: UPoly) -> MultiPoly:
-    """``Res_k(a(k), b(k+h))`` as a polynomial in the parameters and ``h``."""
-    ca = _clear_denominators(a)
-    cb = _clear_denominators(b)
-    da, db = len(ca) - 1, len(cb) - 1
-    # b(k + h), read back as coefficients of powers of k
-    k = MultiPoly.var(b.var)
-    bk = MultiPoly.zero()
-    for j, coeff in enumerate(cb):
-        bk = bk + coeff * k**j
-    powers = bk.subst(b.var, k + MultiPoly.var(_H)).coeff_map(b.var)
-    cbh = [powers.get(j, MultiPoly.zero()) for j in range(db + 1)]
-    # Sylvester matrix of (ca, cbh), size da + db
-    n = da + db
-    rows: list[list[MultiPoly]] = []
-    for i in range(db):  # rows of a
-        row = [MultiPoly.zero()] * n
-        for j, c in enumerate(reversed(ca)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(da):  # rows of b(k+h)
-        row = [MultiPoly.zero()] * n
-        for j, c in enumerate(reversed(cbh)):
-            row[i + j] = c
-        rows.append(row)
-    return _det_bareiss(rows)
-
-
-def _resultant_slice(a: UPoly, b: UPoly) -> dict[int, int | Fraction]:
-    """Power -> coefficient of a nonzero univariate slice of the shifted resultant.
-
-    Every integer ``g`` with ``gcd(a(k), b(k+g))`` nontrivial is a root.
-    """
-    res = _sylvester_resultant_shifted(a, b)
-    if res.is_zero():
-        raise ValueError("degenerate resultant (inputs share a factor for all shifts)")
-    # slice away the parameters: any specialization keeping the slice nonzero
-    # yields a superset of the integer roots in h.  The points are not
-    # integers, so a gap that moves with a parameter (n + 1, say) does not
-    # become an integer root whose false candidate costs a gcd over Q(n)
-    params = [v for v in res.vars if v != _H]
-    phi = None
-    for base in range(0, 64):
-        cand = res
-        for i, v in enumerate(params):
-            cand = cand.subst(v, MultiPoly.const(base + Fraction(1, 2 * i + 3)))
-        if not cand.is_zero():
-            phi = cand
-            break
-    if phi is None:
-        raise ValueError("could not find a nonzero resultant slice")
-    return {e[0] if phi.vars else 0: c for e, c in phi.terms.items()}
-
-
-def shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
-    """Nonnegative integers ``g`` with ``gcd(a(k), b(k+g))`` nontrivial."""
-    if a.degree < 1 or b.degree < 1:
-        return []
-    coeffs = _resultant_slice(a, b)
-    degree = max(coeffs)
-    # the slice times the lcm of its denominators has the same roots;
-    # its integer coefficients, leading first, feed an int Horner scan
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    horner = [0] * (degree + 1)
-    for e, c in coeffs.items():
-        horner[degree - e] = c.numerator * (den // c.denominator)
-    # every root is below the Cauchy bound 1 + max |c_i / c_lead|, whose
-    # integer part is 1 + max |h_i| // |h_lead| on the integer coefficients
-    bound = min(2 + max(map(abs, horner)) // abs(horner[0]), limit)
-
-    def phi_at(g: int) -> int:
-        value = 0
-        for c in horner:
-            value = value * g + c
-        return value
-
-    out = []
-    for g in range(0, bound + 1):
-        if phi_at(g) == 0 and a.gcd(b.shifted(g)).degree > 0:
-            out.append(g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +165,12 @@ def _dispersion(a: Counter, b: Counter) -> list[int]:
                    if p == q and (x - y).denominator == 1 and x >= y})
 
 
-def affine_shift_candidates(r_forms: tuple[LinearForm, ...], s_forms: tuple[LinearForm, ...],
-                            var: str) -> list[int]:
-    """``shift_candidates(r.monic(), s.monic())`` for r, s whose factors in ``var`` are the forms.
+def affine_dispersion(r_forms: tuple[LinearForm, ...], s_forms: tuple[LinearForm, ...],
+                      var: str) -> list[int]:
+    """The integers g >= 0 with gcd(r(k), s(k+g)) nontrivial.
 
-    Every form must involve ``var``; factors free of ``var`` are units.
+    r and s are the products of the forms, up to factors free of
+    ``var``, which are units; every form must involve ``var``.
     """
     return _dispersion(_monic_factors(r_forms, var)[0], _monic_factors(s_forms, var)[0])
 
@@ -375,55 +205,21 @@ def _normal_from_factors(var: str, r_forms, s_forms) -> tuple[UPoly, UPoly, UPol
     return expand(a), expand(b), UPoly.from_multipoly(c, var)
 
 
-def _normal_by_gcd(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
-    """Monic ``A, B, C`` of ``gosper_normal`` from ``shift_candidates`` and Euclid's gcds."""
-    c = UPoly.one(a.var)
-    for g in shift_candidates(a, b):
-        d = a.gcd(b.shifted(g))
-        if d.degree > 0:
-            a = a.quo(d)
-            b = b.quo(d.shifted(-g))
-            for j in range(1, g + 1):
-                c = c * d.shifted(-j)
-    return tuple(map(_polynomial_coeffs, (a, b, c)))
-
-
-def _polynomial_coeffs(p: UPoly) -> UPoly:
-    """``p`` with each coefficient that is a polynomial written as one.
-
-    ``reduced`` cancels only univariate gcds, so over two or more
-    parameters ``monic`` and Euclid leave coefficients such as
-    (k + n + 3) / (k + n + 3); written as polynomials they match the
-    expanded factors of ``_normal_from_factors`` term for term.
-    """
-    out = []
-    for c in p.coeffs:
-        try:
-            out.append(RationalFunction(c.num.divexact(c.den)))
-        except ValueError:  # not a polynomial
-            out.append(c)
-    return UPoly(p.var, out)
-
-
 def gosper_normal(r: UPoly, s: UPoly,
-                  factors: tuple[tuple[LinearForm, ...], tuple[LinearForm, ...]] | None = None
+                  factors: tuple[tuple[LinearForm, ...], tuple[LinearForm, ...]]
                   ) -> tuple[UPoly, UPoly, UPoly]:
     """Write ``r/s = Z * (A(k)/B(k)) * (C(k+1)/C(k))``.
 
     Returns ``(Z*A, B, C)`` with ``A, B, C`` monic and
-    ``gcd(A(k), B(k+g)) = 1`` for all integers ``g >= 0``.  ``factors``,
-    when given, are the forms affine in k whose products are ``r`` and
-    ``s`` up to factors free of k; the result is the same either way.
+    ``gcd(A(k), B(k+g)) = 1`` for all integers ``g >= 0``.  ``factors``
+    are the forms affine in k whose products are ``r`` and ``s`` up to
+    factors free of k, which ``Z`` takes; one form per degree of each.
     """
-    z = (r.lc / s.lc).reduced()
-    if factors is None:
-        a, b, c = _normal_by_gcd(r.monic(), s.monic())
-    else:
-        r_forms, s_forms = factors
-        if (len(r_forms), len(s_forms)) != (r.degree, s.degree):
-            raise ValueError("the affine factors do not have the degrees of r and s")
-        a, b, c = _normal_from_factors(r.var, r_forms, s_forms)
-    return a.scale(z), b, c
+    r_forms, s_forms = factors
+    if (len(r_forms), len(s_forms)) != (r.degree, s.degree):
+        raise ValueError("the affine factors do not have the degrees of r and s")
+    a, b, c = _normal_from_factors(r.var, r_forms, s_forms)
+    return a.scale((r.lc / s.lc).reduced()), b, c
 
 
 def degree_bound(a: UPoly, b_down: UPoly, rhs_degree: int) -> int | None:

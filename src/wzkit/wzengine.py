@@ -61,7 +61,7 @@ seeded mutants, each refuted by one exact evaluation of its residual or,
 where that point does not refute it, by the symbolic decider.  A base
 case is summed either way.
 
-Discovery is parameterized Gosper: H(k) = sum_j sigma_j F(n+j,k) with
+Discovery is parameterized Gosper: t(k) = sum_j sigma_j F(n+j,k) with
 unknown sigma has k-quotient (p(k+1)/p(k)) * (r(k)/s(k)) where p is
 sigma-linear; Gosper-normalizing r/s and solving
 
@@ -71,12 +71,14 @@ as a homogeneous linear system over the rational-function field in the
 sigma_j and the coefficients of x yields G = (B(k-1) x(k) / C(k)) * u(k)
 and hence R.  The returned problem always re-passes verify_certificate.
 
-When F's prefactor is free of k, every factor of r and s that involves
-k is a binomial's affine form (``affine_factors``), so the shifts of the
-normal form are read from their roots and A, B and C are expanded from
-them, with no resultant and no gcd.  A prefactor in k sends r and s to
-the resultant and Euclid path of ``gosper_normal``, which gives the same
-normal form wherever both apply.
+Every factor of r and s that involves k is a form affine in k
+(``affine_factors``), so the shifts of the normal form are read from
+their roots and A, B and C are expanded from them; no polynomial gcd is
+computed.  For that, F is split as (N/D) * H, H the sign, powers and
+binomials (*A=B*, Petkovsek-Wilf-Zeilberger 1996, ch. 5): N goes whole
+into the polynomial part p, and D, which must be one form L affine in k
+times a factor free of k, adds L to r and L(k+1) to s as a binomial step
+factor does.  A prefactor free of k stays in H, with N = D = 1.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm, prod
 from typing import Callable, Mapping, NamedTuple
 
 from .exactnum import UnsupportedArgumentError
@@ -679,23 +682,58 @@ def mutation_check(p: WZProblem, count: int = MUTANTS, seed: int = 0) -> list[bo
 # ---------------------------------------------------------------------------
 # discovery (parameterized Gosper)
 
+_ONE = MultiPoly.const(1)
+
+
+def _split_prefactor(term: HyperTerm, sum_var: str) -> tuple[HyperTerm, MultiPoly, MultiPoly]:
+    """(H, N, D) with F = (N/D) * H; (F, 1, 1) when the prefactor is free of k."""
+    pref = term.prefactor
+    if sum_var not in pref.variables:
+        return term, _ONE, _ONE
+    return term._replace(prefactor=RationalFunction.const(1)), pref.num, pref.den
+
+
+def _denominator_forms(term: HyperTerm, sum_var: str) -> tuple[LinearForm, ...]:
+    """The form L of the prefactor denominator D = u * L, u free of k; () for D free of k.
+
+    D = lc * k + e has that shape exactly when e / lc is of total degree
+    at most 1, and L is k + e / lc with integer coefficients; any other
+    denominator in k raises ``UnsupportedArgumentError``.
+    """
+    den = term.prefactor.den
+    cm = den.coeff_map(sum_var)
+    if max(cm) == 0:
+        return ()
+    try:
+        rest = cm.get(0, MultiPoly.zero()).divexact(cm[1]) if max(cm) == 1 else None
+    except ValueError:  # not exact
+        rest = None
+    if rest is None or any(sum(e) > 1 for e in rest.terms):
+        raise UnsupportedArgumentError(
+            f"prefactor denominator {den} is not one form affine in {sum_var} "
+            f"times a factor free of {sum_var}")
+    scale = lcm(*(Fraction(c).denominator for c in rest.terms.values()))
+    terms = rest.scaled(scale).terms
+    coeffs = {rest.vars[e.index(1)]: c for e, c in terms.items() if any(e)}
+    return (LinearForm.make({sum_var: scale, **coeffs}, terms.get((0,) * len(rest.vars), 0)),)
+
 
 def affine_factors(term: HyperTerm, shift_var: str, sum_var: str, order: int
-                   ) -> tuple[tuple[LinearForm, ...], tuple[LinearForm, ...]] | None:
+                   ) -> tuple[tuple[LinearForm, ...], tuple[LinearForm, ...]]:
     """The factors involving k of discovery's r and s, as forms affine in k.
 
-    None when the prefactor involves k.  Otherwise r = q_k.num * beta and
-    s = q_k.den * beta(k+1) have, besides factors free of k, the binomial
-    forms of q_k = t(k+1)/t(k) and those of beta, the product of the
-    denominators of q_j = q_n(n) ... q_n(n+j-1): the binomial denominator
-    forms of q_n, shifted by i in n for each i < j <= order.
+    With F = (N/D) * H, r = q_k.num * beta and s = q_k.den * beta(k+1):
+    q_k = H(k+1)/H(k) has the binomial forms of ``shift_factors``, and
+    beta, the product over j <= order of q_j's denominator times
+    D(n+j, k), has the binomial denominator forms of q_n shifted by i in
+    n for each i < j, and the form L(n+j, k) of ``_denominator_forms``.
     """
-    if sum_var in term.prefactor.variables:
-        return None
     _, num, den = term.shift_factors(sum_var)
     den_n = [f for f in term.shift_factors(shift_var)[2] if f.coeff(sum_var)]
     beta = tuple(f.shifted(shift_var, i) for j in range(order + 1) for i in range(j)
                  for f in den_n)
+    beta += tuple(f.shifted(shift_var, j) for j in range(order + 1)
+                  for f in _denominator_forms(term, sum_var))
     return num + beta, den + tuple(f.shifted(sum_var, 1) for f in beta)
 
 
@@ -706,26 +744,25 @@ def discover_certificate(term: HyperTerm, shift_var: str, sum_var: str,
 
     The result is normalized so the leading coefficient a_J is 1 and is
     re-verified through ``verify_certificate`` before being returned.
+    Raises ``UnsupportedArgumentError`` for a prefactor denominator in k
+    that ``_denominator_forms`` refuses.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    rhos = shift_quotients(term, shift_var, order)
-    beta = MultiPoly.const(1)
-    for rho in rhos:
-        beta = beta * rho.den
-    alphas = []
-    for j, rho in enumerate(rhos):
-        other = MultiPoly.const(1)
-        for i, rho2 in enumerate(rhos):
-            if i != j:
-                other = other * rho2.den
-        alphas.append(rho.num * other)
+    factors = affine_factors(term, shift_var, sum_var, order)
+    h, num, den = _split_prefactor(term, sum_var)
+    rhos = shift_quotients(h, shift_var, order)
+    # sum_j sigma_j F(n+j, k) = H(n, k) * sum_j sigma_j alpha_j / beta
+    dens = [rho.den * den.shifted(shift_var, j) for j, rho in enumerate(rhos)]
+    beta = prod(dens, start=_ONE)
+    alphas = [rho.num * num.shifted(shift_var, j)
+              * prod((d for i, d in enumerate(dens) if i != j), start=_ONE)
+              for j, rho in enumerate(rhos)]
 
-    qk = term.shift_quotient(sum_var)
+    qk = h.shift_quotient(sum_var)
     r_up = UPoly.from_multipoly(qk.num * beta, sum_var)
     s_up = UPoly.from_multipoly(qk.den * beta.shifted(sum_var, 1), sum_var)
-    a_np, b_np, c_np = gosper_normal(r_up, s_up,
-                                     affine_factors(term, shift_var, sum_var, order))
+    a_np, b_np, c_np = gosper_normal(r_up, s_up, factors)
     b_down = b_np.shifted(-1)
     rhs_degree = c_np.degree + max(alpha.degree(sum_var) for alpha in alphas)
     d = degree_bound(a_np, b_down, rhs_degree)
@@ -740,8 +777,8 @@ def discover_certificate(term: HyperTerm, shift_var: str, sum_var: str,
         multipliers.append(a_np * kp_shift - b_down * UPoly.monomial(sum_var, j))
         kp_shift = kp_shift * x_shift
     for alpha in alphas:
-        prod = c_np * UPoly.from_multipoly(alpha, sum_var)
-        multipliers.append(UPoly(sum_var, [(-c) for c in prod.coeffs]))
+        part = c_np * UPoly.from_multipoly(alpha, sum_var)
+        multipliers.append(UPoly(sum_var, [(-c) for c in part.coeffs]))
 
     n_rows = max(m.degree for m in multipliers) + 1
     matrix = [[m.coeff(i) for m in multipliers] for i in range(n_rows)]
@@ -764,8 +801,9 @@ def discover_certificate(term: HyperTerm, shift_var: str, sum_var: str,
 
     x_up = UPoly(sum_var, chosen[:sigma_at])
     sigmas = tuple(chosen[sigma_at + j] for j in range(order + 1))
-    r_cert = ((b_down * x_up).to_rf()
-              / (c_np.to_rf() * RationalFunction.from_poly(beta))).reduced()
+    # R = B(k-1) x(k) / (C(k) * N(n, k) * prod_{j >= 1} dens_j), as G = R * F
+    r_cert = ((b_down * x_up).to_rf() / (c_np.to_rf() * RationalFunction.from_poly(
+        prod(dens[1:], start=_ONE) * num))).reduced()
     problem = WZProblem(problem_id, term, shift_var, sum_var, sigmas, r_cert)
     if not verify_certificate(problem).status:
         raise RuntimeError(

@@ -193,6 +193,20 @@ def test_discover_pass_and_no_solution():
     assert "no order-0" in reports[0].errata[0]
 
 
+def test_discover_prefactor_denominator_not_affine_exit_two(tmp_path, capsys):
+    # the denominator (n+1)(k+1)(k+2) is of degree 2 in k, which discovery refuses
+    spec = tmp_path / "quadratic.wz"
+    spec.write_text(
+        "term Fq(n, k) := binom(n + k + 1, 2*k + 1) * sign(k + n) / ((n + 1)*(k + 1)*(k + 2))\n"
+        "cert Rq(n, k) := 0\n"
+        "recurrence wz_quadratic(n, k) := [-1, 1] * Fq cert Rq\n")
+    code = main(["discover", "--id", "wz_quadratic", "--spec", str(spec), "--order", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("wzkit: error: prefactor denominator k^2*n + k^2 + 3*k*n + 3*k + 2*n + 2"
+                   " is not one form affine in k times a factor free of k\n")
+
+
 def test_text_and_json_agree():
     _, reports = run_command(
         ["oracle", "--id", "thm3_printed", "--n-min", "1", "--n-max", "6"])

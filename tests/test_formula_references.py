@@ -1,15 +1,27 @@
 """Each formula of the WZ stack against the longer copy it replaced.
 
 ``HyperTerm.shift_quotient`` is built from ``hyperterm.step_factors``,
-the shifted resultant of ``gosper`` substitutes k -> k + h with
-``MultiPoly.subst``, and ``wzengine.mutate_problem`` draws its sites
-from one list over R, a_0, ..., a_J.  The longer code each replaced is
-the reference here: the ``rise``/``rise_inv`` closures, the hand
-expansion of (k+h)^j, and the four-branch mutation.  Both must give
-structurally equal results (the same polynomials with their terms in
-the same order, not only equal rational functions) on every registry
-term and problem and on hypothesis inputs, and the same mutant sequence
-for every seed.
+and ``wzengine.mutate_problem`` draws its sites from one list over R,
+a_0, ..., a_J.  The longer code each replaced is the reference here:
+the ``rise``/``rise_inv`` closures and the four-branch mutation.  Both
+must give structurally equal results (the same polynomials with their
+terms in the same order, not only equal rational functions) on every
+registry term and problem and on hypothesis inputs, and the same mutant
+sequence for every seed.
+
+Gosper's normal form by the resultant and Euclid, which ``wzkit`` no
+longer has, is the reference for the one it reads from affine factors.
+Every shift g is a root of the coefficient, in h, of each parameter
+monomial of Res_k(a(k), b(k+h)) (each (k+h)^j expanded by hand, the
+determinant by fraction-free Bareiss).  ``ref_shift_candidates`` takes
+the one with the smallest Cauchy bound, scans its integer roots in
+``Fraction`` arithmetic up to that bound (raising where the bound passes
+its limit) and confirms each by a Euclidean gcd; ``ref_gosper_normal``
+divides those gcds out, and ``ref_discover_certificate`` is discovery
+with the whole term in r/s and that normal form.  ``test_gosper``
+compares ``gosper_normal`` and discovery with them, and
+``test_sympy_differential`` compares the reference's division, gcds,
+determinants and shifts with sympy.
 
 ``wzengine.mutation_check`` refutes a mutant by its residual's exact
 value at one point and decides symbolically only what that point cannot
@@ -35,7 +47,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzkit import gosper
 from wzkit.gosper import UPoly
 from wzkit.hyperterm import HyperTerm
 from wzkit.identities import registry
@@ -89,12 +100,48 @@ def ref_shift_quotient(term: HyperTerm, var: str) -> RationalFunction:
     return quotient
 
 
+_H = "_h"  # the resultant's shift indeterminate
+
+
+def _det_bareiss(mat: list[list[MultiPoly]]) -> MultiPoly:
+    """Fraction-free determinant; every division is exact by Bareiss' theorem."""
+    n = len(mat)
+    if n == 0:
+        return MultiPoly.const(1)
+    m = [row[:] for row in mat]
+    prev = MultiPoly.const(1)
+    sign = 1
+    for i in range(n - 1):
+        if m[i][i].is_zero():
+            for r in range(i + 1, n):
+                if not m[r][i].is_zero():
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return MultiPoly.zero()
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[i][i] * m[r][c] - m[r][i] * m[i][c]).divexact(prev)
+            m[r][i] = MultiPoly.zero()
+        prev = m[i][i]
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+
+
+def _clear_denominators(p: UPoly) -> list[MultiPoly]:
+    """Coefficients of ``p`` scaled to polynomials (common denominator dropped)."""
+    den = MultiPoly.const(1)
+    for c in p.coeffs:
+        den = den * c.den
+    return [c.num * den.divexact(c.den) for c in p.coeffs]
+
+
 def ref_resultant_shifted(a: UPoly, b: UPoly) -> MultiPoly:
     """Res_k(a(k), b(k+h)) with each (k+h)^j expanded by hand."""
-    ca = gosper._clear_denominators(a)
-    cb = gosper._clear_denominators(b)
+    ca = _clear_denominators(a)
+    cb = _clear_denominators(b)
     da, db = len(ca) - 1, len(cb) - 1
-    h = MultiPoly.var(gosper._H)
+    h = MultiPoly.var(_H)
     kh_pow: list[dict[int, MultiPoly]] = [{0: MultiPoly.const(1)}]
     for j in range(1, db + 1):
         prev = kh_pow[-1]
@@ -119,7 +166,139 @@ def ref_resultant_shifted(a: UPoly, b: UPoly) -> MultiPoly:
         for j, c in enumerate(reversed(cbh)):
             row[i + j] = c
         rows.append(row)
-    return gosper._det_bareiss(rows)
+    return _det_bareiss(rows)
+
+
+def ref_monic(p: UPoly) -> UPoly:
+    return p.scale(RationalFunction.const(1) / p.lc)
+
+
+def ref_divmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
+    """Quotient and remainder of ``a`` by ``b`` over the coefficient field."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [RationalFunction.const(0)] * max(0, a.degree - b.degree + 1)
+    r = list(a.coeffs)
+
+    def deg(cs):
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        return len(cs) - 1
+
+    while deg(r) >= b.degree:
+        d = len(r) - 1
+        t = (r[-1] / b.lc).reduced()
+        q[d - b.degree] = t
+        for i, c in enumerate(b.coeffs):
+            r[d - b.degree + i] = (r[d - b.degree + i] - t * c).reduced()
+    return UPoly(a.var, q), UPoly(a.var, r)
+
+
+def ref_gcd(a: UPoly, b: UPoly) -> UPoly:
+    """Monic gcd by the Euclidean algorithm."""
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a) if not a.is_zero() else a
+
+
+def _cauchy_bound(coeffs: dict[int, int | Fraction]) -> Fraction:
+    """1 + max |c_i / c_lead|: every root of the polynomial is below it in absolute value."""
+    lead = abs(coeffs[max(coeffs)])
+    return 1 + max(Fraction(abs(c)) / lead for c in coeffs.values())
+
+
+def _shift_polynomial(a: UPoly, b: UPoly) -> dict[int, int | Fraction]:
+    """Power -> coefficient of a nonzero polynomial in h whose roots include every shift.
+
+    Res_k(a(k), b(k+h)) vanishes at a shift g for all values of the
+    parameters, so g is a root of the coefficient, a polynomial in h, of
+    each monomial in the parameters; the one with the smallest Cauchy
+    bound is returned.
+    """
+    res = ref_resultant_shifted(a, b)
+    if res.is_zero():
+        raise ValueError("degenerate resultant (inputs share a factor for all shifts)")
+    at = res.vars.index(_H) if _H in res.vars else None
+    by_monomial: dict[tuple[int, ...], dict[int, int | Fraction]] = {}
+    for e, c in res.terms.items():
+        if at is None:
+            by_monomial.setdefault(e, {})[0] = c
+        else:
+            by_monomial.setdefault(e[:at] + e[at + 1:], {})[e[at]] = c
+    return min(by_monomial.values(), key=_cauchy_bound)
+
+
+def ref_shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
+    """Nonnegative integers ``g`` with ``gcd(a(k), b(k+g))`` nontrivial.
+
+    The candidates are the integer roots of ``_shift_polynomial`` below
+    its Cauchy bound, found with ``Fraction`` arithmetic and each
+    confirmed by Euclid's gcd; a bound above ``limit`` raises instead of
+    cutting the scan short.
+    """
+    if a.degree < 1 or b.degree < 1:
+        return []
+    coeffs = _shift_polynomial(a, b)
+    cauchy = _cauchy_bound(coeffs)
+    if cauchy > limit:
+        raise ValueError(f"the Cauchy bound {cauchy} passes the scan limit {limit}")
+    return [g for g in range(int(cauchy) + 2)
+            if sum(c * g**e for e, c in coeffs.items()) == 0
+            and ref_gcd(a, b.shifted(g)).degree > 0]
+
+
+def _polynomial_coeffs(p: UPoly) -> UPoly:
+    """``p`` with each coefficient that is a polynomial written as one.
+
+    ``reduced`` cancels only univariate gcds, so over two or more
+    parameters ``ref_monic`` and Euclid leave coefficients such as
+    (k + n + 3) / (k + n + 3); written as polynomials they match the
+    expanded factors of ``gosper_normal`` term for term.
+    """
+    out = []
+    for c in p.coeffs:
+        try:
+            out.append(RationalFunction(c.num.divexact(c.den)))
+        except ValueError:  # not a polynomial
+            out.append(c)
+    return UPoly(p.var, out)
+
+
+def _exact_quotient(a: UPoly, b: UPoly) -> UPoly:
+    q, r = ref_divmod(a, b)
+    if not r.is_zero():
+        raise ValueError("division is not exact")
+    return q
+
+
+def ref_gosper_normal(r: UPoly, s: UPoly) -> tuple[UPoly, UPoly, UPoly]:
+    """``gosper_normal(r, s, factors)`` from ``ref_shift_candidates`` and Euclid's gcds."""
+    z = (r.lc / s.lc).reduced()
+    a, b, c = ref_monic(r), ref_monic(s), UPoly.one(r.var)
+    for g in ref_shift_candidates(a, b):
+        d = ref_gcd(a, b.shifted(g))
+        if d.degree > 0:
+            a = _exact_quotient(a, d)
+            b = _exact_quotient(b, d.shifted(-g))
+            for j in range(1, g + 1):
+                c = c * d.shifted(-j)
+    a, b, c = map(_polynomial_coeffs, (a, b, c))
+    return a.scale(z), b, c
+
+
+def ref_discover_certificate(term: HyperTerm, shift_var: str, sum_var: str,
+                             order: int) -> WZProblem | None:
+    """``discover_certificate`` with the whole term in r/s and the normal form by Euclid.
+
+    The prefactor stays in H even where it involves k, as if N = D = 1,
+    so r and s carry its shift quotients and ``ref_gosper_normal`` finds
+    their shifts from the resultant.
+    """
+    one = MultiPoly.const(1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wzengine, "_split_prefactor", lambda t, var: (t, one, one))
+        mp.setattr(wzengine, "gosper_normal", lambda r, s, factors: ref_gosper_normal(r, s))
+        return discover_certificate(term, shift_var, sum_var, order)
 
 
 def _ref_mutation_sites(p: WZProblem):
@@ -235,48 +414,16 @@ def test_shift_quotient_matches_reference_on_hypothesis_terms(term, var):
 
 
 # ---------------------------------------------------------------------------
-# shifted resultants
+# the Gosper reference
 
 
-def test_resultant_matches_reference_on_registry_discovery(monkeypatch):
-    # discovery reads these terms' shifts from their affine factors, so the
-    # pairs the resultant would get, r and s made monic, are captured at
-    # gosper_normal
-    seen = []
-    resultant = gosper._sylvester_resultant_shifted
-    normal = wzengine.gosper_normal
-
-    def spy(r, s, *factors):
-        if r.degree >= 1 and s.degree >= 1:
-            seen.append((r.monic(), s.monic()))
-        return normal(r, s, *factors)
-
-    monkeypatch.setattr(wzengine, "gosper_normal", spy)
-    for p in registry().problems.values():
-        for order in (0, 1):
-            discover_certificate(p.term, p.shift_var, p.sum_var, order)
-    assert len(seen) >= 4
-    for a, b in seen:
-        assert _poly(resultant(a, b)) == _poly(ref_resultant_shifted(a, b))
-
-
-_small_polys = st.builds(
-    lambda cs: sum((MultiPoly.var("n") ** e * MultiPoly.const(c) for e, c in cs),
-                   MultiPoly.zero()),
-    st.lists(st.tuples(st.integers(0, 2), st.integers(-4, 4)), max_size=3))
-_linear = st.builds(lambda a, c: (lf(c, n=a)).to_poly(), st.integers(0, 2),
-                    st.integers(-3, 3)).filter(lambda p: not p.is_zero())
-_coeffs = st.builds(RationalFunction, _small_polys, st.one_of(st.just(MultiPoly.const(1)),
-                                                              _linear))
-_upolys = st.lists(_coeffs, min_size=2, max_size=4).map(lambda cs: UPoly("k", cs)).filter(
-    lambda p: p.degree >= 1)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(_upolys, _upolys)
-def test_resultant_matches_reference_on_hypothesis_polys(a, b):
-    got = gosper._sylvester_resultant_shifted(a, b)
-    assert _poly(got) == _poly(ref_resultant_shifted(a, b))
+def test_shift_candidates_reference_refuses_a_bound_past_its_limit():
+    # k + 20 against k: the slice h - 20 has Cauchy bound 21
+    a = UPoly("k", [RationalFunction.const(20), RationalFunction.const(1)])
+    b = UPoly("k", [RationalFunction.const(0), RationalFunction.const(1)])
+    assert ref_shift_candidates(a, b, limit=21) == [20]
+    with pytest.raises(ValueError, match="the Cauchy bound 21 passes the scan limit 20"):
+        ref_shift_candidates(a, b, limit=20)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Integer kernels against the ``Fraction`` code they replaced.
 
-Each fast path of ``symalg``, ``hyperterm``, ``gosper`` and ``wzengine``
-keeps its naive reference here, one ``Fraction`` per operation, and a
-test compares the two: polynomial and rational-function evaluation at
-integer and ``Fraction`` points, polynomial products, the coefficients
-of every ``symalg`` operation (an ``int`` where integral) and the
-normalization by integer lcm and gcd against the ratio of contents,
-hypergeometric term evaluation at integer points (the only points a
-term is defined on), the integer root scan of ``shift_candidates``,
-and the mutation check, which refutes a mutant at one exact point and
-decides symbolically, from the term's shift quotients shared across
-mutants, only what that point cannot refute.
+Each fast path of ``symalg``, ``hyperterm`` and ``wzengine`` keeps its
+naive reference here, one ``Fraction`` per operation, and a test
+compares the two: polynomial and rational-function evaluation at integer
+and ``Fraction`` points, polynomial products, the coefficients of every
+``symalg`` operation (an ``int`` where integral) and the normalization
+by integer lcm and gcd against the ratio of contents, hypergeometric
+term evaluation at integer points (the only points a term is defined
+on), and the mutation check, which refutes a mutant at one exact point
+and decides symbolically, from the term's shift quotients shared across
+mutants, only what that point cannot refute.  The ``Fraction`` root scan
+of Gosper's shifts, which ``wzkit`` no longer has, is part of the Gosper
+reference in ``test_formula_references``.
 
 The Pascal-line walk of ``identities`` keeps its naive form here too:
 one generic binomial ratio step and one weight multiply per point, and
@@ -28,12 +29,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzkit import gosper, identities, wzengine
+from wzkit import identities, wzengine
 from wzkit.exactnum import UnsupportedArgumentError, binomial
-from wzkit.gosper import UPoly, shift_candidates
 from wzkit.hyperterm import HyperTerm, line_terms, step_factors
 from wzkit.identities import _VALUES, _line_plan, _loop_pair, registry
 from wzkit.symalg import (LinearForm, MissingVariableError, MultiPoly,
@@ -134,19 +134,6 @@ def ref_term_eval(t: HyperTerm, point) -> Fraction:
             return Fraction(0)
         value *= c
     return value
-
-
-def ref_shift_candidates(a: UPoly, b: UPoly, limit: int = 100_000) -> list[int]:
-    if a.degree < 1 or b.degree < 1:
-        return []
-    coeffs = gosper._resultant_slice(a, b)
-    degree = max(coeffs)
-    lead = abs(coeffs[degree])
-    cauchy = 1 + max(Fraction(abs(c)) / lead for c in coeffs.values())
-    bound = min(int(cauchy) + 1, limit)
-    return [g for g in range(bound + 1)
-            if sum(c * g**e for e, c in coeffs.items()) == 0
-            and a.gcd(b.shifted(g)).degree > 0]
 
 
 def ref_binom_step(top: int, bottom: int, dp: int, dq: int, value: int) -> int:
@@ -483,64 +470,6 @@ def test_registry_summands_match_reference():
             for k in range(-1, 8):
                 point = dict(extra, **{case.param: n, case.loops[-1].var: k})
                 assert outcome(t.eval, point) == outcome(ref_term_eval, t, point)
-
-
-# ---------------------------------------------------------------------------
-# the integer root scan of shift_candidates
-
-
-class _Captured(Exception):
-    pass
-
-
-def test_shift_candidates_match_fraction_scan_on_registry_inputs(monkeypatch):
-    # discovery hands r and s to gosper_normal, whose resultant path makes
-    # them monic and scans them; capture every registry summand's pair at
-    # orders 0 and 1
-    seen = []
-
-    def capture(r, s, *factors):
-        seen.append((r.monic(), s.monic()))
-        raise _Captured
-
-    monkeypatch.setattr(wzengine, "gosper_normal", capture)
-    for case in registry().cases.values():
-        for order in (0, 1):
-            for loop in case.loops:
-                with pytest.raises(_Captured):
-                    wzengine.discover_certificate(case.summand, case.param,
-                                                  loop.var, order)
-    assert len(seen) >= 2 * len(registry().cases)
-    nonempty = 0
-    for a, b in seen:
-        got = shift_candidates(a, b)
-        assert got == ref_shift_candidates(a, b), (a, b)
-        nonempty += bool(got)
-    assert nonempty >= 10
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(small_fracs | st.integers(-6, 6), min_size=1, max_size=2),
-       st.lists(small_fracs | st.integers(-6, 6), min_size=1, max_size=2), small_fracs)
-# integer slices c*(h - g): the largest root g is the Cauchy bound 1 + g
-# minus one, the most an integer root can be, up to the scan's limit
-@example([0], [5], Fraction(1))
-@example([-2], [4], Fraction(-4))
-@example([Fraction(1, 3)], [Fraction(16, 3)], Fraction(3))
-@example([0], [99_999], Fraction(1))
-def test_shift_candidates_match_fraction_scan_on_rational_roots(ra, rb, scale):
-    def from_roots(roots, c):
-        p = UPoly("k", [RationalFunction.const(c or 1)])
-        for r in roots:
-            p = p * UPoly("k", [RationalFunction.const(-r), RationalFunction.const(1)])
-        return p
-
-    a, b = from_roots(ra, scale), from_roots(rb, 1)
-    got = shift_candidates(a, b)
-    assert got == ref_shift_candidates(a, b)
-    shift = Fraction(rb[0] - ra[0])
-    if len(ra) == len(rb) == 1 and shift.denominator == 1 and 0 <= shift <= 100_000:
-        assert got == [shift]
 
 
 # ---------------------------------------------------------------------------

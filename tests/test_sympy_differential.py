@@ -2,11 +2,13 @@
 
 sympy is an independent implementation of the same exact algebra:
 polynomial products and evaluation; rational-function arithmetic,
-shifts and evaluation; the division with remainder and gcds of
-univariate polynomials; fraction-free determinants; and the integer
-shifts that make two polynomials share a factor, from the resultant and
-from affine factors, must agree with it.  The module is skipped when
-sympy is not installed; wzkit itself never imports it.
+shifts and evaluation; and the integer shifts that make two polynomials
+share a factor, read from affine factors, must agree with it.  So must
+the Gosper reference of ``test_formula_references``, which the
+affine-factor normal form is tested against: its division with
+remainder and gcds of univariate polynomials, its fraction-free
+determinants and its shifts from the resultant.  The module is skipped
+when sympy is not installed; wzkit itself never imports it.
 """
 
 from fractions import Fraction
@@ -14,8 +16,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_formula_references import _det_bareiss, ref_divmod, ref_gcd, ref_shift_candidates
 
-from wzkit.gosper import UPoly, _det_bareiss, affine_shift_candidates, shift_candidates
+from wzkit.gosper import UPoly, affine_dispersion
 from wzkit.symalg import (LinearForm, MultiPoly, PoleError, RationalFunction, _upoly_gcd,
                           rf_arith)
 
@@ -107,7 +110,7 @@ def test_rf_shift_matches_sympy(f, var, offset):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials, determinants and shift candidates of gosper
+# univariate polynomials, determinants and shift candidates of the Gosper reference
 
 QQ_N = sympy.QQ.frac_field(N)
 n_polys = st.dictionaries(st.tuples(st.integers(0, 2)), coeffs, max_size=3).map(
@@ -129,7 +132,7 @@ def upoly_to_sympy(p: UPoly):
 @settings(max_examples=40, deadline=None)
 @given(upolys(n_rfs), upolys(n_rfs).filter(lambda p: not p.is_zero()))
 def test_upoly_divmod_matches_sympy(a, b):
-    q, r = a.divmod(b)
+    q, r = ref_divmod(a, b)
     want_q, want_r = upoly_to_sympy(a).div(upoly_to_sympy(b))
     assert upoly_to_sympy(q) == want_q
     assert upoly_to_sympy(r) == want_r
@@ -139,7 +142,7 @@ def test_upoly_divmod_matches_sympy(a, b):
 @given(upolys(n_rfs, 2), upolys(n_rfs, 2), upolys(const_rfs, 2))
 def test_upoly_gcd_matches_sympy(a, b, common):
     a, b = a * common, b * common  # a nontrivial gcd more often than not
-    got = a.gcd(b)
+    got = ref_gcd(a, b)
     want = upoly_to_sympy(a).gcd(upoly_to_sympy(b))
     assert upoly_to_sympy(got) == (want.monic() if not want.is_zero else want)
 
@@ -208,13 +211,13 @@ def test_shift_candidates_match_sympy_integer_roots(ra, rb):
     # the resultant's shifts and those read from the affine factors
     a, b = from_roots(ra), from_roots(rb)
     want = sympy_shifts(a, b)
-    assert shift_candidates(a, b) == want
-    assert affine_shift_candidates(root_forms(ra), root_forms(rb), "k") == want
+    assert ref_shift_candidates(a, b) == want
+    assert affine_dispersion(root_forms(ra), root_forms(rb), "k") == want
 
 
 def test_shift_candidates_match_sympy_on_parametric_roots():
     # roots n+3 against n and n+5: only the shift 2 aligns a pair for every n
     ra, rb = [(Fraction(3), 1)], [(Fraction(0), 1), (Fraction(5), 1), (Fraction(4), 0)]
     a, b = from_roots(ra), from_roots(rb)
-    assert shift_candidates(a, b) == sympy_shifts(a, b) == [2]
-    assert affine_shift_candidates(root_forms(ra), root_forms(rb), "k") == [2]
+    assert ref_shift_candidates(a, b) == sympy_shifts(a, b) == [2]
+    assert affine_dispersion(root_forms(ra), root_forms(rb), "k") == [2]
