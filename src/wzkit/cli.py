@@ -51,7 +51,9 @@ or a constant above 100,000 (``dsl.MAX_CONSTANT``) in absolute value.
 ``--format json`` emits an array of report objects that validate
 against the bundled schema; the text format renders the same facts.  A
 command's default range is the ``check`` line declared for its target.
-``--spec`` appends one more document to the bundled ones.  ``--jobs``
+Each ``--spec`` (repeatable) appends one more document to the bundled
+ones, in the order given; a later document replaces an earlier
+definition of the same name.  ``--jobs``
 spreads the involution checks of ``involution`` and ``all`` over a pool
 of spawned worker processes, one task per stratum of each n: n from the
 largest down, and within each n the strata, largest first; oracles run
@@ -90,13 +92,16 @@ class UsageError(ValueError):
 # registry plumbing
 
 
-def _runtime_registry(spec_path: str | None) -> Registry:
+def _runtime_registry(*spec_paths: str) -> Registry:
+    """The bundled registry with each ``--spec`` file folded in, in order."""
     reg = registry()
-    if spec_path is None:
+    if not spec_paths:
         return reg
-    with open(spec_path, encoding="utf-8") as fh:
-        doc = parse_document(fh.read())
-    return build_registry(reg.documents + ((spec_path, doc),))
+    docs = []
+    for path in spec_paths:
+        with open(path, encoding="utf-8") as fh:
+            docs.append((path, parse_document(fh.read())))
+    return build_registry(reg.documents + tuple(docs))
 
 
 def _check_range(reg: Registry, kind: str, target: str) -> tuple[int, int]:
@@ -419,7 +424,8 @@ _OPTIONS = {
     "--mode": dict(choices=("literal", "corrected"), default="corrected"),
     "--n-min": dict(type=int, default=None),
     "--n-max": dict(type=int, default=None),
-    "--spec": dict(default=None, help="overlay DSL spec file"),
+    "--spec": dict(action="append", default=None,
+                   help="overlay DSL spec file; repeatable, a later file wins"),
     "--format": dict(choices=("text", "json"), default="text"),
     "--jobs": dict(type=int, default=1),
     "--seed": dict(type=int, default=0),
@@ -453,7 +459,7 @@ def run_command(argv: list[str]) -> tuple[int, list[Report]]:
 def _run_parsed(args: argparse.Namespace) -> tuple[int, list[Report]]:
     try:
         jobs = _effective_jobs(getattr(args, "jobs", 1))  # 1 without a --jobs option
-        reg = _runtime_registry(args.spec)
+        reg = _runtime_registry(*(args.spec or ()))
         if args.command == "oracle":
             case = reg.case(args.id, args.mode)
             rng = _pick_range(args, reg, "oracle", case.case_id)

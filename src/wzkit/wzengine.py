@@ -40,13 +40,13 @@ check raises that exception only when its order of evaluation gets there.
 Neighbouring n read the same rows: F(n+1, .) is side's j = 1 row at n and
 its j = 0 row at n + 1, and G = F when R = 1.  So the summed stage, the
 prefix stage at each grid point and the witness scan each read one
-``RowStore``, planned with the widest span of k that any n of the stage
-reads from each row.  Each row is evaluated once, over that span, every
-request is cut from it (``hyperterm.slice_row``), and it is dropped after
-its last planned read.  Every entry is its own point's value, and a cut
-carries the row's exception only when the row stopped inside it.  A
-request outside the plan is evaluated afresh, so the plan changes speed,
-never results.  G = R*F is formed once per problem
+``RowStore``.  It evaluates a row once, on its first request, over a span
+that the problem's own support bounds make wide enough for every later
+read of the stage, cuts each request from it (``hyperterm.slice_row``),
+and drops the rows the stage has passed.  Every entry is its own point's
+value, and a cut carries the row's exception only when the row stopped
+inside it.  A request the row does not hold is evaluated afresh, so the
+store changes speed, never results.  G = R*F is formed once per problem
 (``WZProblem.companion``), as are the support bounds and the shift
 quotients (``WZProblem.quotients``), which the certificate check and
 every mutant of ``verify`` read.
@@ -250,63 +250,42 @@ def _k_range(p: WZProblem, point: Mapping[str, int], shifts: int = 0,
 
 
 class RowStore:
-    """Rows along k of F and of G = R*F at one point of the grid, each evaluated once.
+    """Rows along k of F and of G = R*F at one point of the grid, kept between requests.
 
-    ``plan(n, lo, hi)`` announces one read of F(n, .) over lo..hi (of
-    G(n, .) with ``g=True``).  The first ``row`` request for a planned row
-    evaluates it over the widest span announced, each request inside the
-    span is cut from it by ``slice_row``, and the row is dropped after its
-    last announced read, so a stage that reads n in order keeps only the
-    rows of its next few n.  Any other request is evaluated afresh: a plan
-    changes speed and memory, never results, and an empty store evaluates
-    every request.  When R = 1, G's rows are F's.  ``last_prefix`` finds
-    ``_last_prefix`` at this grid point once per n and cap.
+    A row is evaluated on its first request, F(n', .) over lo..hi + order*s
+    with s the largest slope in n of F's upper support bounds (1 when there
+    is none, 0 when none rises).  A stage reads F(n', .) at each n from
+    n' - order to n', over a span whose end moves by at most s a step, so
+    that first row holds the later reads.  A G row that is not F's is read
+    only at its own n and is evaluated over lo..hi alone.  A request the
+    kept row holds is cut from it by ``slice_row``; any other is evaluated
+    afresh, replaces the kept row and drops the rows below n - order, since
+    every stage reads n in ascending order.  Every entry is its point's own
+    value, so the store changes speed, never results.
     """
 
     def __init__(self, p: WZProblem, point: Mapping[str, int] | None = None):
         self._p = p
         self._point = dict(point or {})  # the grid point; each row sets n
-        self._spans: dict[tuple[bool, int], tuple[int, int]] = {}
-        self._reads: dict[tuple[bool, int], int] = {}
-        self._rows: dict[tuple[bool, int], Row] = {}
-        self._last: dict[tuple[int, int], int] = {}
-
-    def last_prefix(self, n: int, kappa_cap: int = 48) -> int:
-        key = n, kappa_cap
-        if key not in self._last:
-            point = dict(self._point, **{self._p.shift_var: n})
-            self._last[key] = _last_prefix(self._p, point, kappa_cap)
-        return self._last[key]
-
-    def _key(self, n: int, g: bool) -> tuple[bool, int]:
-        return g and self._p.companion is not self._p.term, n
-
-    def plan(self, n: int, lo: int, hi: int, g: bool = False) -> None:
-        if hi < lo:
-            return
-        key = self._key(n, g)
-        first, last = self._spans.get(key, (lo, hi))
-        self._spans[key] = min(first, lo), max(last, hi)
-        self._reads[key] = self._reads.get(key, 0) + 1
+        slopes = [b.bound.coeff(p.shift_var) for b in p.support if b.direction == "upper"]
+        self._margin = p.order * max(max(slopes, default=1), 0)
+        self._rows: dict[tuple[bool, int], tuple[Row, int, int]] = {}  # row, first, last
 
     def row(self, n: int, lo: int, hi: int, g: bool = False) -> Row:
         if hi < lo:
             return [], None
         p = self._p
-        term = p.companion if g else p.term
-        point = dict(self._point, **{p.shift_var: n})
-        key = self._key(n, g)
-        span = self._spans.get(key)
-        if span is not None:
-            if key not in self._rows:
-                self._rows[key] = term.eval_line(point, p.sum_var, *span)
-            cut = slice_row(self._rows[key], *span, lo, hi)
-            if cut is not None:
-                self._reads[key] -= 1
-                if not self._reads[key]:
-                    del self._spans[key], self._reads[key], self._rows[key]
-                return cut
-        return term.eval_line(point, p.sum_var, lo, hi)
+        key = g and p.companion is not p.term, n
+        kept = self._rows.get(key)
+        if kept is not None and (cut := slice_row(*kept, lo, hi)) is not None:
+            return cut
+        for old in [old for old in self._rows if old[1] < n - p.order]:
+            del self._rows[old]
+        last = hi if key[0] else hi + self._margin
+        term = p.companion if key[0] else p.term
+        row = term.eval_line(dict(self._point, **{p.shift_var: n}), p.sum_var, lo, last)
+        self._rows[key] = row, lo, last
+        return slice_row(row, lo, last, lo, hi)
 
 
 def _recurrence_side(p: WZProblem, point: Mapping[str, int],
@@ -364,7 +343,7 @@ def summed_recurrence_value(p: WZProblem, n: int,
     Never forms R*F, so certificate poles inside or at the edge of the
     support are irrelevant here.  Requires every shifted term to have a
     finite upper support bound in the summation variable.  ``rows``, a
-    store at ``extra``, serves the F rows (see ``_summed_rows``).
+    store at ``extra`` that the stage reads for every n, serves the F rows.
     """
     base = dict(extra or {})
     base[p.shift_var] = n
@@ -405,13 +384,13 @@ def telescope_first_mismatch(p: WZProblem, n: int,
     variable, one k at a time (see the module docstring).  G values use
     absorb semantics, so a pole inside the checked region raises rather
     than being silently defined away: G(n,0) first, then side(kappa), then
-    G(n,kappa+1).  ``rows``, a store at ``extra``, serves the F and G rows
-    (see ``_prefix_rows``).
+    G(n,kappa+1).  ``rows``, a store at ``extra`` that the stage reads for
+    every n, serves the F and G rows.
     """
     base = dict(extra or {})
     base[p.shift_var] = n
     rows = rows or RowStore(p, base)
-    kappa_max = rows.last_prefix(n, kappa_cap)
+    kappa_max = _last_prefix(p, base, kappa_cap)
     g_row = rows.row(n, 0, kappa_max + 1, g=True)
     g = g_row[0]
     if kappa_max >= -1 and not g:  # G(n, 0) can be a pole, which must raise
@@ -431,50 +410,19 @@ def telescope_prefix_check(p: WZProblem, n: int,
     return telescope_first_mismatch(p, n, extra, kappa_cap) is None
 
 
-def _summed_rows(p: WZProblem, ns: range) -> RowStore:
-    """A store planned with the F rows that ``summed_recurrence_value`` reads for each n."""
-    rows = RowStore(p)
-    for n in ns:
-        span = _k_range(p, {p.shift_var: n}, p.order)
-        for j in range(p.order + 1):
-            rows.plan(n + j, *span)
-    return rows
-
-
-def _prefix_rows(p: WZProblem, ns: range, extra: Mapping[str, int]) -> RowStore:
-    """A store planned with the F and G rows that ``telescope_first_mismatch`` reads."""
-    rows = RowStore(p, extra)
-    for n in ns:
-        last = rows.last_prefix(n)
-        rows.plan(n, 0, last + 1, g=True)
-        for j in range(p.order + 1):
-            rows.plan(n + j, 0, last)
-    return rows
-
-
-def _witness_runs(p: WZProblem, n: int, rows: RowStore
-                  ) -> list[tuple[int, int]] | MissingVariableError:
-    """The runs lo..last of k that ``pointwise_witness`` scans at n, planned in ``rows``.
+def _witness_runs(p: WZProblem, n: int) -> list[tuple[int, int]]:
+    """The runs lo..last of k that ``pointwise_witness`` scans at n.
 
     Each run ends two before a zero of R's denominator, so that k + 1 is
-    off it too.  An R naming a variable that n and k do not give is
-    returned as its exception, for the scan to raise in its turn.
+    off it too.
     """
     base = {p.shift_var: n}
     _, u = _k_range(p, base, bounded=False)
     hi = (u if u is not None else n + 2) + p.order + 1
-    try:
-        dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, hi + 1)
-    except MissingVariableError as exc:
-        return exc
+    dens, _ = p.certificate.den.line_values(base, p.sum_var, 0, hi + 1)
     poles = [k for k, d in enumerate(dens) if d == 0]
-    runs = [(lo, last) for lo, last in zip([0] + [z + 1 for z in poles],
-                                           [z - 2 for z in poles] + [hi]) if lo <= last]
-    for lo, last in runs:
-        rows.plan(n, lo, last + 1, g=True)
-        for j in range(p.order + 1):
-            rows.plan(n + j, lo, last)
-    return runs
+    return [(lo, last) for lo, last in zip([0] + [z + 1 for z in poles],
+                                            [z - 2 for z in poles] + [hi]) if lo <= last]
 
 
 def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
@@ -485,20 +433,15 @@ def pointwise_witness(p: WZProblem, n_lo: int, n_hi: int
     returns (n, k, recurrence side, telescoped side) for the first
     mismatch; None when the recurrence holds on the whole grid.  Only
     problems whose term has no leftover symbolic variables are scanned.
-    Each run of k between two zeros of R's denominator is one row.  The
-    rows come from one store, and each n's runs are planned in it when
-    the scan reaches n - order, the first n to read F(n, .).
+    Each run of k between two zeros of R's denominator is one row, read
+    from one store for the whole scan.
     """
     if _free_vars(p):
         return None
-    rows, runs = RowStore(p), []
+    rows = RowStore(p)
     for n in range(n_lo, n_hi + 1):
-        runs += [_witness_runs(p, m, rows)
-                 for m in range(n_lo + len(runs), min(n + p.order, n_hi) + 1)]
         side = _recurrence_side(p, {p.shift_var: n}, rows)
-        if isinstance(runs[n - n_lo], Exception):
-            raise runs[n - n_lo]
-        for lo, last in runs[n - n_lo]:
+        for lo, last in _witness_runs(p, n):
             # off R's poles G(n, k) raises only where F(n, k), met first by side(k), does
             row, g_row = side(lo, last), rows.row(n, lo, last + 1, g=True)
             i = _first_bad_step(row, g_row)
@@ -568,14 +511,14 @@ def prove_constant_sum(p: WZProblem, rng: tuple[int, int], seed: int = 0) -> Pro
     summed, telescope, survivors = [], [], []
     if cert.status:
         if p.base_case is not None:
-            rows = _summed_rows(p, range(lo, hi + 1))
+            rows = RowStore(p)
             summed = [(n, value) for n in range(lo, hi + 1)
                       if (value := summed_recurrence_value(p, n, rows=rows)) != 0]
         free = _free_vars(p)
         window = range(lo, min(hi + 1, lo + TELESCOPE_WINDOW))
         for values in product(EXTRA_VAR_GRID, repeat=len(free)):
             extra = dict(zip(free, values))
-            rows = _prefix_rows(p, window, extra)
+            rows = RowStore(p, extra)
             for n in window:
                 bad = telescope_first_mismatch(p, n, extra=extra, rows=rows)
                 if bad is not None:

@@ -207,6 +207,39 @@ def test_discover_prefactor_denominator_not_affine_exit_two(tmp_path, capsys):
                    " is not one form affine in k times a factor free of k\n")
 
 
+def test_discover_reads_every_spec(tmp_path):
+    # wz_fallback is defined only in the first of the two files
+    fallback, ratio = tmp_path / "fallback.wz", tmp_path / "ratio.wz"
+    fallback.write_text(
+        "term Fk(n, k) := binom(n + k + 1, 2*k + 1) * pow(2, 2*k) * sign(k + n)"
+        " / ((n + 1)*(k + 1))\n"
+        "cert Rk(n, k) := 0\n"
+        "recurrence wz_fallback(n, k) := [-1, 1] * Fk cert Rk\n")
+    ratio.write_text(
+        "term Fr(n, k) := binom(n + k + 1, 2*k + 1) * pow(2, 2*k) * sign(k + n) * (k + 2)"
+        " / ((n + 1)*(k + 1))\n"
+        "cert Rr(n, k) := 0\n"
+        "recurrence wz_ratio(n, k) := [-1, 1] * Fr cert Rr\n")
+    specs = ["--spec", str(fallback), "--spec", str(ratio)]
+    for ident in ("wz_fallback", "wz_ratio"):
+        code, reports = run_command(["discover", "--id", ident, *specs, "--order", "1"])
+        assert code == 0 and reports[0].status == "pass"
+
+
+def test_later_spec_replaces_earlier_definition(tmp_path):
+    right, wrong = tmp_path / "right.wz", tmp_path / "wrong.wz"
+    right.write_text("term B(n, k) := binom(n, k)\n"
+                     "sum s(n) := sum(k, 0, n, B) == pow(2, n) for n >= 0\n")
+    wrong.write_text("term B(n, k) := binom(n, k)\n"
+                     "sum s(n) := sum(k, 0, n, B) == pow(3, n) for n >= 0\n")
+    for first, second, want in ((right, wrong, 1), (wrong, right, 0)):
+        code, reports = run_command(["oracle", "--id", "s", "--spec", str(first),
+                                     "--spec", str(second), "--n-min", "0", "--n-max", "4"])
+        assert code == want and reports[0].subject_id == "s"
+    assert (_runtime_registry(str(wrong), str(right)).case("s")
+            == _runtime_registry(str(right)).case("s"))
+
+
 def test_text_and_json_agree():
     _, reports = run_command(
         ["oracle", "--id", "thm3_printed", "--n-min", "1", "--n-max", "6"])

@@ -348,8 +348,9 @@ def _pole_and_falling_top() -> WZProblem:
 
 _STORE_PROBLEMS = [*(registry().problems[key] for key in sorted(registry().problems)),
                    _pole_and_falling_top()]
-# (n offset, lo, hi, G rather than F)
-_spans = st.tuples(st.integers(0, 1), st.integers(-3, 8), st.integers(-4, 26), st.booleans())
+# (n offset, lo, hi, G rather than F): a row of n - 1..n + 2, so requests
+# hit, miss, replace a kept row and drop the rows below n - order
+_spans = st.tuples(st.integers(-1, 2), st.integers(-3, 8), st.integers(-4, 26), st.booleans())
 
 
 def _error(exc):
@@ -358,14 +359,12 @@ def _error(exc):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.sampled_from(range(len(_STORE_PROBLEMS))), st.integers(-4, 12),
-       st.lists(_spans, max_size=4), st.lists(_spans, min_size=1, max_size=6))
-def test_row_store_serves_what_eval_line_gives(index, n, plans, requests):
+       st.lists(_spans, min_size=1, max_size=10))
+def test_row_store_serves_what_eval_line_gives(index, n, requests):
     # n <= -2 meets negative binomial tops; thm1's G and the last problem have poles in k
     p = _STORE_PROBLEMS[index]
     extra = {"m": 3} if "m" in p.term.variables else {}
     rows = RowStore(p, extra)
-    for dn, lo, hi, g in plans:
-        rows.plan(n + dn, lo, hi, g=g)
     for dn, lo, hi, g in requests:
         term = p.companion if g else p.term
         values, error = term.eval_line(dict(extra, n=n + dn), "k", lo, hi)
@@ -373,17 +372,72 @@ def test_row_store_serves_what_eval_line_gives(index, n, plans, requests):
         assert got_values == values and _error(got_error) == _error(error)
 
 
-def test_row_store_evaluates_each_planned_row_once(monkeypatch):
-    p = registry().problem("thm3")  # R = 1, so G's rows are F's
+def test_row_store_evaluates_a_row_on_its_first_request(monkeypatch):
+    # R = 1, so G's rows are F's; no upper bound in k, so the margin is order = 1
+    p = registry().problem("thm3")
     rows = RowStore(p, {"m": 4})
-    rows.plan(5, 0, 30)
-    rows.plan(5, 2, 40, g=True)
     calls = []
     real = HyperTerm.eval_line
     monkeypatch.setattr(HyperTerm, "eval_line",
                         lambda self, *args: calls.append(args[2:]) or real(self, *args))
-    for lo, hi, g in ((3, 12, True), (1, 41, False), (0, 40, False), (0, 0, True)):
+    rows.row(5, 0, 30)
+    assert calls == [(0, 31)]
+    for lo, hi, g in ((3, 12, True), (0, 31, False), (31, 31, True), (0, 0, False)):
         rows.row(5, lo, hi, g=g)
-    # the planned span once; a request past it, and one after the two planned
-    # reads have dropped the row, afresh
-    assert calls == [(0, 40), (1, 41), (0, 0)]
+    assert calls == [(0, 31)]  # each cut from the kept row
+    rows.row(5, 2, 32, g=True)  # past it: afresh, with the margin
+    assert calls == [(0, 31), (2, 33)]
+    rows.row(7, 0, 0)  # a miss, which drops the rows below 7 - order
+    rows.row(5, 2, 32)
+    assert calls == [(0, 31), (2, 33), (0, 1), (2, 33)]
+
+
+def _slope_two() -> WZProblem:
+    """F = binom(2n + 1, k) * sign(k): the upper support bound k <= 2n + 1 rises by 2."""
+    term = HyperTerm.build(("n", "k"), sign_exp=lf(k=1),
+                           binomials=((lf(1, n=2), lf(k=1)),))
+    return WZProblem("slope_two", term, "n", "k", const_coeffs(1, 1),
+                     RationalFunction.const(0))
+
+
+def _store_evaluations(monkeypatch):
+    """Each ``eval_line`` call, as (store or None, term's id, point); a store makes it in ``row``."""
+    calls, inside = [], []
+    real_row, real_line = RowStore.row, HyperTerm.eval_line
+
+    def row(store, *args, **kwargs):
+        inside.append(store)
+        try:
+            return real_row(store, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def eval_line(term, point, *args):
+        calls.append((inside[-1] if inside else None, id(term), tuple(sorted(point.items()))))
+        return real_line(term, point, *args)
+
+    monkeypatch.setattr(RowStore, "row", row)
+    monkeypatch.setattr(HyperTerm, "eval_line", eval_line)
+    return calls
+
+
+@pytest.mark.parametrize("key,rng,count", [("wz_thm1_corrected", (0, 60), 125),
+                                           ("wz_thm2", (-1, 60), 126),
+                                           ("wz_thm3", (0, 30), 288)])
+def test_verify_evaluates_each_row_once_per_stage(monkeypatch, key, rng, count):
+    # a row is an n, F or G, and a grid point; each stage reads one store
+    calls = _store_evaluations(monkeypatch)
+    rep = prove_constant_sum(registry().problems[key], rng)
+    assert rep.failed_stage is None and not rep.telescope
+    stored = [call for call in calls if call[0] is not None]
+    assert len(stored) == len(set(stored))
+    assert len(calls) == count
+
+
+def test_summed_stage_evaluates_each_row_once_on_a_steeper_support(monkeypatch):
+    # F(n', .)'s span grows by 2 a step in n, so its first row needs a margin of 2
+    p = _slope_two()
+    calls = _store_evaluations(monkeypatch)
+    rows = RowStore(p)
+    assert all(summed_recurrence_value(p, n, rows=rows) == 0 for n in range(40))
+    assert len(calls) == len(set(calls)) == 41
